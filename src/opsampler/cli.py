@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -54,8 +55,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.tolerance is not None:
-            if args.tolerance <= 0:
-                raise ConfigError("--tolerance must be positive")
+            if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+                raise ConfigError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
             cfg = replace(cfg, tolerance=args.tolerance)
         if args.command == "analyze":
             report, code = run_analyze(cfg)

@@ -20,6 +20,7 @@ appear in configs; reports serialize them as [re, im] pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .builders import spec_uses_rng, validate_builder_spec
@@ -59,6 +60,16 @@ class ExperimentConfig:
     def uses_rng(self) -> bool:
         specs = self.generators + self.effective_averagers
         return any(spec_uses_rng(s) for s in specs) or self.c_matrix == "random"
+
+
+def _positive_finite(data: dict, name: str, default: float) -> float:
+    """A positive finite float; JSON reads 1e400 as inf and huge integer literals exactly."""
+    value = data.get(name, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = float(value) if abs(value) < 2 ** 1024 else math.inf
+        if math.isfinite(value) and value > 0:
+            return value
+    raise ConfigError("must be a positive finite number", field=name)
 
 
 def parse_config(data) -> ExperimentConfig:
@@ -111,17 +122,10 @@ def parse_config(data) -> ExperimentConfig:
     if c_matrix not in ("zero", "random"):
         raise ConfigError(f"must be 'zero' or 'random', got {c_matrix!r}", field="c_matrix")
 
-    tolerance = data.get("tolerance", 1e-8)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or tolerance <= 0:
-        raise ConfigError("must be a positive number", field="tolerance")
-
-    tol_pos = data.get("tol_pos", 1e-10)
-    if not isinstance(tol_pos, (int, float)) or isinstance(tol_pos, bool) or tol_pos <= 0:
-        raise ConfigError("must be a positive number", field="tol_pos")
-
     cfg = ExperimentConfig(L=L, a=steps["a"], b=steps["b"], generators=gens,
                            averagers=avgs, seed=seed, c_matrix=c_matrix,
-                           tolerance=float(tolerance), tol_pos=float(tol_pos))
+                           tolerance=_positive_finite(data, "tolerance", 1e-8),
+                           tol_pos=_positive_finite(data, "tol_pos", 1e-10))
     if cfg.uses_rng and seed is None:
         raise ConfigError("a seed is required whenever a random builder or "
                           "c_matrix='random' is used", field="seed")

@@ -17,9 +17,11 @@ dual-grid index attaining the minimum so failures can be localized.
 The verdict string is one of ``riesz_basis`` (pass with M == N, or a
 single-generator / Gram pass: a Riesz sequence is a Riesz basis for its
 span), ``frame`` (pass with M > N), ``fail`` (lower bound not positive;
-witnesses attached).  The value ``bounded`` is reserved for reports that
-certify only the upper (Bessel) bound; the analyses here always check the
-lower bound, so they never emit it.
+witnesses attached).
+
+Every stage is evaluated on the dual grid (see ``lattice``): transfer
+matrices and dual sequences are batched symplectic series, and the Gram
+test reads the adjoint-coset fibers of the trace transforms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularTransfer
-from .lattice import Lattice, inverse_symplectic_series, symplectic_series
+from .lattice import Lattice, fibers, inverse_symplectic_series, symplectic_series
 from .weyl import fourier_wigner
 
 __all__ = [
@@ -51,7 +53,6 @@ DEFAULT_TOL_FACTOR = 1e-10
 VERDICT_RIESZ = "riesz_basis"
 VERDICT_FRAME = "frame"
 VERDICT_FAIL = "fail"
-VERDICT_BOUNDED = "bounded"
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,12 @@ class ConvolutionMatrix:
 
     def convolve(self, c) -> np.ndarray:
         """Apply the system: out_m = sum_n seqs[m, n] * c_n (lattice convolution)."""
-        from .lattice import lattice_convolve
-
         c = np.asarray(c, dtype=complex)
         if c.shape != (self.n, self.lattice.size):
             raise ValueError(f"expected ({self.n}, {self.lattice.size}) coefficients, got {c.shape}")
-        out = np.zeros((self.m, self.lattice.size), dtype=complex)
-        for m in range(self.m):
-            for n in range(self.n):
-                out[m] += lattice_convolve(c[n], self.seqs[m, n], self.lattice)
-        return out
+        lat = self.lattice
+        hat = np.einsum("mnx,nx->mx", symplectic_series(self.seqs, lat), symplectic_series(c, lat))
+        return inverse_symplectic_series(hat, lat)
 
 
 @dataclass(frozen=True)
@@ -159,8 +156,7 @@ def _witnesses(lows: np.ndarray, tol: float, lat: Lattice) -> tuple[tuple[int, .
 
 def transfer_matrix(A: ConvolutionMatrix) -> TransferMatrix:
     """Entrywise symplectic series of the system, evaluated on the dual grid."""
-    vals = np.einsum("xi,mni->xmn", A.lattice._characters, A.seqs)
-    return TransferMatrix(A.lattice, vals)
+    return TransferMatrix(A.lattice, np.moveaxis(symplectic_series(A.seqs, A.lattice), -1, 0))
 
 
 def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
@@ -227,11 +223,8 @@ def gram_matrix_bounds(generators, lat: Lattice,
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    V = np.stack([fourier_wigner(g) for g in gens])
-    mu = lat.adjoint.points
-    pts = (lat.dual_points[:, None, :] + mu[None, :, :]) % lat.L
-    vals = V[:, pts[..., 0], pts[..., 1]]            # (N, size, n_adjoint)
-    gram = np.einsum("nxa,mxa->xnm", vals, vals.conj())
+    V = fibers(np.stack([fourier_wigner(g) for g in gens]), lat)   # (N, size, n_adjoint)
+    gram = np.einsum("nxa,mxa->xnm", V, V.conj())
     eigs = np.linalg.eigvalsh(gram)
     lows = eigs[:, 0]
     alpha = float(lows.min())
@@ -279,8 +272,4 @@ def left_inverse_family(T: TransferMatrix, C: TransferMatrix | None = None,
 
 def dual_sequences(B: TransferMatrix) -> ConvolutionMatrix:
     """Entrywise inverse symplectic series of a transfer matrix."""
-    seqs = np.empty((B.m, B.n, B.lattice.size), dtype=complex)
-    for m in range(B.m):
-        for n in range(B.n):
-            seqs[m, n] = inverse_symplectic_series(B.values[:, m, n], B.lattice)
-    return ConvolutionMatrix(B.lattice, seqs)
+    return ConvolutionMatrix(B.lattice, inverse_symplectic_series(np.moveaxis(B.values, 0, -1), B.lattice))

@@ -1,4 +1,4 @@
-"""Separable lattices in Z_L x Z_L and harmonic analysis on them.
+"""Separable lattices in Z_L x Z_L and the dual-grid decomposition.
 
 A lattice is the subgroup ``Lambda = a*Z_L x b*Z_L`` for divisors a, b of
 L.  Its points are enumerated row-major over the index pair (j, k) with
@@ -14,13 +14,27 @@ phase space by the adjoint lattice, is the rectangle
 ``{(x, omega): 0 <= x < L/b, 0 <= omega < L/a}`` enumerated row-major;
 its size equals the lattice size.
 
-The symplectic Fourier series
+This module is the spectral core of the package.  Everything that is
+invariant under lattice translation diagonalizes on the dual grid, and
+two maps say so:
 
-    F(xi) = sum_lambda c(lambda) * exp(2*pi*i*sigma(lambda, z_xi)/L)
+* the symplectic Fourier series
 
-is computed by direct summation against a cached character matrix (the
-grids involved are small); it satisfies the Parseval identity
-``sum_xi |F(xi)|^2 = |Lambda| * sum_lambda |c(lambda)|^2``.
+      F(xi) = sum_lambda c(lambda) * exp(2*pi*i*sigma(lambda, z_xi)/L)
+
+  is, on the (L/a, L/b) grid of a sequence, a forward DFT over j and an
+  inverse (unnormalized) DFT over k, followed by a transpose into the
+  dual-grid order; it satisfies the Parseval identity
+  ``sum_xi |F(xi)|^2 = |Lambda| * sum_lambda |c(lambda)|^2``;
+* the fibers of a phase-space function, ``fibers(F)[xi, mu] =
+  F(z_xi + mu)`` over the adjoint lattice points mu, are a reshape of
+  the L x L grid: no index table is built.
+
+Lattice translation of an operator multiplies its phase-weighted trace
+transform by the series of the coefficients, fiber by fiber, so
+synthesis, sampling, transfer matrices and reconstruction all reduce to
+per-fiber products between these two maps.  Both batch over leading
+axes.
 """
 
 from __future__ import annotations
@@ -38,6 +52,8 @@ __all__ = [
     "symplectic_series",
     "inverse_symplectic_series",
     "lattice_convolve",
+    "fibers",
+    "unfibers",
     "involution",
     "translate_seq",
     "periodize_sq",
@@ -103,23 +119,6 @@ class Lattice:
         return (x // self.a) * self.n_cols + (w // self.b)
 
     @cached_property
-    def _characters(self) -> np.ndarray:
-        """(size, size) matrix exp(2*pi*i*sigma(lambda_i, z_xi)/L), row = xi."""
-        lam = self.points
-        dual = self.dual_points
-        sig = (np.outer(dual[:, 0], lam[:, 1]) - np.outer(dual[:, 1], lam[:, 0])) % self.L
-        return np.exp(2j * np.pi * sig / self.L)
-
-    @cached_property
-    def _sub_index(self) -> np.ndarray:
-        """sub_index[i, i2] = flat index of lambda_i - lambda_i2."""
-        j = np.arange(self.n_rows)
-        k = np.arange(self.n_cols)
-        dj = (j[:, None] - j[None, :]) % self.n_rows
-        dk = (k[:, None] - k[None, :]) % self.n_cols
-        return (dj[:, None, :, None] * self.n_cols + dk[None, :, None, :]).reshape(self.size, self.size)
-
-    @cached_property
     def _neg_index(self) -> np.ndarray:
         """neg_index[i] = flat index of -lambda_i."""
         j = (-np.arange(self.n_rows)) % self.n_rows
@@ -134,40 +133,83 @@ def adjoint_lattice(lat: Lattice) -> Lattice:
 
 def _as_seq(c, lat: Lattice) -> np.ndarray:
     c = np.asarray(c, dtype=complex)
-    if c.shape != (lat.size,):
+    if c.ndim < 1 or c.shape[-1] != lat.size:
         raise ValueError(f"lattice sequence must have length {lat.size}, got shape {c.shape}")
     return c
 
 
+def _grid_dft(grid, rows: int, cols: int) -> np.ndarray:
+    """Forward DFT over axis -2, unnormalized inverse DFT over axis -1, transposed.
+
+    Both directions of the series are this map: the forward one on the
+    (L/a, L/b) sequence grid, the inverse one on the (L/b, L/a) dual grid.
+    """
+    grid = grid.reshape(grid.shape[:-1] + (rows, cols))
+    out = np.fft.ifft(np.fft.fft(grid, axis=-2), axis=-1, norm="forward")
+    return out.swapaxes(-1, -2).reshape(grid.shape[:-2] + (rows * cols,))
+
+
 def symplectic_series(c, lat: Lattice) -> np.ndarray:
-    """Symplectic Fourier series of ``c``, evaluated on the dual grid."""
-    return lat._characters @ _as_seq(c, lat)
+    """Symplectic Fourier series of ``c``, evaluated on the dual grid.
+
+    sigma(lambda_jk, z_xi) = b*k*x - a*j*omega, so the character splits
+    into exp(-2*pi*i*j*omega/(L/a)) * exp(2*pi*i*k*x/(L/b)).  Batches over
+    leading axes.
+    """
+    return _grid_dft(_as_seq(c, lat), lat.n_rows, lat.n_cols)
 
 
 def inverse_symplectic_series(F, lat: Lattice) -> np.ndarray:
     """Exact inverse of ``symplectic_series``.
 
     c(lambda) = (1/|Lambda|) * sum_xi F(xi) * exp(-2*pi*i*sigma(lambda, z_xi)/L).
+    Batches over leading axes.
     """
-    F = _as_seq(F, lat)
-    return lat._characters.conj().T @ F / lat.size
+    return _grid_dft(_as_seq(F, lat), lat.n_cols, lat.n_rows) / lat.size
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:
     """Group convolution (c * d)(lambda) = sum_mu c(mu) d(lambda - mu).
 
-    Diagonalized by the symplectic series: the series of the convolution
-    is the pointwise product of the series.
+    Computed through the series: the series of the convolution is the
+    pointwise product of the series.
     """
-    c = _as_seq(c, lat)
-    d = _as_seq(d, lat)
-    return d[lat._sub_index] @ c
+    return inverse_symplectic_series(symplectic_series(c, lat) * symplectic_series(d, lat), lat)
+
+
+def fibers(F, lat: Lattice) -> np.ndarray:
+    """Adjoint-coset fibers of phase-space functions.
+
+    Maps ``(..., L, L)`` to ``(..., |Lambda|, |adjoint|)`` with
+    ``out[..., xi, mu] = F(z_xi + mu)``, xi in dual-grid order and mu in
+    the enumeration of the adjoint lattice.  Row x + (L/b)*p, column
+    omega + (L/a)*q of the grid is z_xi + mu for xi = (x, omega) and
+    mu = ((L/b)*p, (L/a)*q), so this is a reshape and an axis move.
+    """
+    F = np.asarray(F)
+    if F.shape[-2:] != (lat.L, lat.L):
+        raise ValueError(f"expected {lat.L} x {lat.L} phase-space arrays, got {F.shape}")
+    lead = F.shape[:-2]
+    grid = F.reshape(lead + (lat.b, lat.n_cols, lat.a, lat.n_rows))
+    grid = np.moveaxis(grid, (-4, -2), (-2, -1))
+    return grid.reshape(lead + (lat.size, lat.a * lat.b))
+
+
+def unfibers(P, lat: Lattice) -> np.ndarray:
+    """Exact inverse of ``fibers``: ``(..., |Lambda|, |adjoint|)`` to ``(..., L, L)``."""
+    P = np.asarray(P)
+    if P.shape[-2:] != (lat.size, lat.a * lat.b):
+        raise ValueError(f"expected ({lat.size}, {lat.a * lat.b}) fibers, got {P.shape}")
+    lead = P.shape[:-2]
+    grid = P.reshape(lead + (lat.n_cols, lat.n_rows, lat.b, lat.a))
+    grid = np.moveaxis(grid, (-2, -1), (-4, -2))
+    return grid.reshape(lead + (lat.L, lat.L))
 
 
 def involution(c, lat: Lattice) -> np.ndarray:
     """out(lambda) = conj(c(-lambda)); conjugates the symplectic series."""
     c = _as_seq(c, lat)
-    return np.conj(c[lat._neg_index])
+    return np.conj(c[..., lat._neg_index])
 
 
 def translate_seq(point, c, lat: Lattice) -> np.ndarray:
@@ -189,7 +231,4 @@ def periodize_sq(F, lat: Lattice) -> np.ndarray:
     F = np.asarray(F, dtype=complex)
     if F.shape != (lat.L, lat.L):
         raise ValueError(f"expected an {lat.L} x {lat.L} phase-space array, got {F.shape}")
-    mu = lat.adjoint.points
-    pts = (lat.dual_points[:, None, :] + mu[None, :, :]) % lat.L
-    vals = F[pts[..., 0], pts[..., 1]]
-    return (np.abs(vals) ** 2).sum(axis=1) / lat.size
+    return (np.abs(fibers(F, lat)) ** 2).sum(axis=1) / lat.size

@@ -37,7 +37,7 @@ from .sampling import (
     sample_filter_matrix,
     synthesize_element,
 )
-from .weyl import fourier_wigner
+from .weyl import fourier_wigner, weyl_symbol
 
 __all__ = ["run_analyze", "run_roundtrip", "run_export", "EXPORT_KINDS"]
 
@@ -47,24 +47,6 @@ EXPORT_KINDS = ("symbols", "wigner", "periodization", "transfer")
 EXIT_PASS = 0
 EXIT_CONFIG = 1
 EXIT_CONDITION = 2
-
-
-def thread_cap() -> int | None:
-    """Optional cap on worker parallelism from OPSAMPLER_THREADS.
-
-    The pipelines are serial, so any positive cap is trivially honored;
-    the value is validated and echoed into reports.
-    """
-    raw = os.environ.get("OPSAMPLER_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"OPSAMPLER_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError(f"OPSAMPLER_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _make_rng(cfg: ExperimentConfig) -> np.random.Generator | None:
@@ -79,7 +61,6 @@ def _base_report(cfg: ExperimentConfig, command: str) -> dict:
         "command": command,
         "config": config_echo(cfg),
         "rng": None if cfg.seed is None else {"algorithm": RNG_ALGORITHM, "seed": cfg.seed},
-        "threads": thread_cap(),
         "lattice": {
             "L": cfg.L, "a": cfg.a, "b": cfg.b, "size": lat.size,
             "adjoint": {"a": lat.adjoint.a, "b": lat.adjoint.b},
@@ -214,7 +195,7 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
     for kind in kinds:
         if kind == "symbols":
             for n in range(gens.n):
-                _emit(f"symbols_g{n}.csv", write_phase_grid, gens.symbols[n])
+                _emit(f"symbols_g{n}.csv", write_phase_grid, weyl_symbol(gens.ops[n]))
         elif kind == "wigner":
             for n in range(gens.n):
                 _emit(f"wigner_g{n}.csv", write_phase_grid, fourier_wigner(gens.ops[n]))

@@ -8,7 +8,7 @@ averaging operators produces the sequences
     s_m(lambda) = <T, alpha_lambda(Q_m)>_HS,
 
 which equal the convolution system ``A * c`` with filter entries
-``A[m, n](lambda) = <symbol(S_n), translate(lambda) symbol(Q_m)>``.
+``A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS``.
 Whenever that system is a frame, left-inverting its transfer matrix
 yields reconstruction operators ``H_m`` in the generator span such that
 
@@ -19,11 +19,21 @@ recovers every T in the subspace exactly.  For M == N the H_m are unique
 delta pattern; for M > N the family of left inverses, hence of valid
 reconstructor sets, is parametrized by a free transfer matrix C.
 
-Two evaluation routes exist throughout: sums of translated operators, and
-sums of translated Weyl symbols quantized once at the end.  Both agree to
-machine precision (translation covariance is exact in this model); the
-symbol route is used here, the operator route serves as the oracle in the
-test suite.
+Every stage runs on the dual grid.  The operator sets keep the
+adjoint-coset fibers P = fibers(fourier_wigner(op)) (see ``lattice``),
+and two identities do the rest, both exact since the quantization is
+unitary:
+
+* translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
+  is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
+  reconstruction are per-fiber products quantized once at the end;
+* pairing: <S, alpha_lambda(Q)>_HS is the inverse series of
+  |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]), so samples and the
+  filter system are coset Gram sums followed by one inverse series.
+
+Sums of translated operators (``seq_operator_convolve`` with
+``core.translate_operator``) compute the same things directly and serve
+as the oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -39,15 +49,14 @@ from .frames import (
     ConvolutionMatrix,
     FrameReport,
     TransferMatrix,
-    dual_sequences,
     frame_bounds,
     gram_matrix_bounds,
     left_inverse_family,
     single_gen_condition,
     transfer_matrix,
 )
-from .lattice import Lattice, inverse_symplectic_series, symplectic_series
-from .weyl import fourier_wigner, symplectic_ft, weyl_symbol, weyl_transform
+from .lattice import Lattice, fibers, inverse_symplectic_series, symplectic_series, unfibers
+from .weyl import fourier_wigner, symplectic_ft, weyl_transform
 
 __all__ = [
     "GeneratorSet",
@@ -74,19 +83,18 @@ def _check_same_size(A, B):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """N generator operators over a lattice, with cached Weyl symbols."""
+    """N generator operators over a lattice, with the fibers of their trace transforms."""
 
     ops: np.ndarray          # (N, L, L)
     lattice: Lattice
-    symbols: np.ndarray      # (N, L, L)
+    fibers: np.ndarray       # (N, size, n_adjoint)
     riesz: FrameReport
 
     @staticmethod
     def build(ops, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
         ops = _stack_ops(ops, lattice.L)
-        symbols = np.stack([weyl_symbol(op) for op in ops])
         riesz = gram_matrix_bounds(ops, lattice, tol_factor)
-        return GeneratorSet(ops, lattice, symbols, riesz)
+        return GeneratorSet(ops, lattice, _spectra(ops, lattice), riesz)
 
     @property
     def n(self) -> int:
@@ -95,16 +103,16 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class AveragerSet:
-    """M averaging operators over a lattice, with cached Weyl symbols."""
+    """M averaging operators over a lattice, with the fibers of their trace transforms."""
 
     ops: np.ndarray          # (M, L, L)
     lattice: Lattice
-    symbols: np.ndarray
+    fibers: np.ndarray       # (M, size, n_adjoint)
 
     @staticmethod
     def build(ops, lattice: Lattice) -> "AveragerSet":
         ops = _stack_ops(ops, lattice.L)
-        return AveragerSet(ops, lattice, np.stack([weyl_symbol(op) for op in ops]))
+        return AveragerSet(ops, lattice, _spectra(ops, lattice))
 
     @property
     def m(self) -> int:
@@ -116,7 +124,7 @@ class Reconstructor:
     """Reconstruction operators H_m plus the left inverse they came from."""
 
     ops: np.ndarray          # (M, L, L)
-    symbols: np.ndarray      # (M, L, L)
+    fibers: np.ndarray       # (M, size, n_adjoint)
     lattice: Lattice
     left_inverse: TransferMatrix
     system_report: FrameReport
@@ -142,55 +150,47 @@ def _as_coeffs(c, n: int, size: int) -> np.ndarray:
     return c
 
 
-def _lattice_correlate(F, G, lat: Lattice) -> np.ndarray:
-    """seq(i) = <F, translate(lambda_i) G> over the phase-space grid."""
-    out = np.empty(lat.size, dtype=complex)
-    for i, (x, w) in enumerate(lat.points):
-        out[i] = np.vdot(np.roll(G, (x, w), axis=(0, 1)), F)
-    return out
+def _spectra(ops, lat: Lattice) -> np.ndarray:
+    """Fibers of the trace transforms of a stack of operators, (K, size, n_adjoint)."""
+    return fibers(np.stack([fourier_wigner(op) for op in ops]), lat)
 
 
-def _spread_symbol(c, symbol, lat: Lattice, out=None) -> np.ndarray:
-    """Accumulate sum_i c(i) * translate(lambda_i) symbol."""
-    if out is None:
-        out = np.zeros((lat.L, lat.L), dtype=complex)
-    for i, (x, w) in enumerate(lat.points):
-        if c[i] != 0:
-            out += c[i] * np.roll(symbol, (x, w), axis=(0, 1))
-    return out
+def _quantize(P, lat: Lattice) -> np.ndarray:
+    """Operators whose trace transforms have the fibers P; inverse of ``_spectra``."""
+    grids = unfibers(P, lat)
+    if grids.ndim == 2:
+        return weyl_transform(symplectic_ft(grids))
+    return np.stack([weyl_transform(symplectic_ft(F)) for F in grids])
+
+
+def _pairings(P, Q, lat: Lattice) -> np.ndarray:
+    """out[m, n](lambda) = <op_n, alpha_lambda(q_m)>_HS from fibers P (N, ...) and Q (M, ...)."""
+    return inverse_symplectic_series(lat.size * np.einsum("nxa,mxa->mnx", P, Q.conj()), lat)
 
 
 def synthesize_element(c, gens: GeneratorSet) -> np.ndarray:
     """Element of the generator span with coefficients c: sum c_n(lambda) alpha_lambda(S_n)."""
-    c = _as_coeffs(c, gens.n, gens.lattice.size)
-    h = np.zeros((gens.lattice.L, gens.lattice.L), dtype=complex)
-    for n in range(gens.n):
-        _spread_symbol(c[n], gens.symbols[n], gens.lattice, out=h)
-    return weyl_transform(h)
+    lat = gens.lattice
+    c = _as_coeffs(c, gens.n, lat.size)
+    return _quantize(np.einsum("nx,nxa->xa", symplectic_series(c, lat), gens.fibers), lat)
 
 
 def average_samples(T, avg: AveragerSet) -> np.ndarray:
     """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS, shape (M, size)."""
     T = np.asarray(T, dtype=complex)
     _check_same_size(T, avg.ops[0])
-    aT = weyl_symbol(T)
-    return np.stack([_lattice_correlate(aT, sym, avg.lattice) for sym in avg.symbols])
+    return _pairings(_spectra([T], avg.lattice), avg.fibers, avg.lattice)[:, 0]
 
 
 def sample_filter_matrix(gens: GeneratorSet, avg: AveragerSet) -> ConvolutionMatrix:
-    """The M x N filter system A[m, n](lambda) = <symbol(S_n), translate(lambda) symbol(Q_m)>.
+    """The M x N filter system A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS.
 
     Sampling a synthesized element is the same as applying this system to
     its coefficients: average_samples(synthesize_element(c)) == A * c.
     """
     if gens.lattice != avg.lattice:
         raise ValueError("generator and averager sets must share a lattice")
-    lat = gens.lattice
-    seqs = np.empty((avg.m, gens.n, lat.size), dtype=complex)
-    for m in range(avg.m):
-        for n in range(gens.n):
-            seqs[m, n] = _lattice_correlate(gens.symbols[n], avg.symbols[m], lat)
-    return ConvolutionMatrix(lat, seqs)
+    return ConvolutionMatrix(gens.lattice, _pairings(gens.fibers, avg.fibers, gens.lattice))
 
 
 def build_reconstructor_single(gens: GeneratorSet, q,
@@ -199,7 +199,8 @@ def build_reconstructor_single(gens: GeneratorSet, q,
 
     Requires the series of q to be zero-free on the dual grid; the dual
     filter p has series 1/series(q), and the reconstruction operator is
-    the quantization of sum_lambda p(lambda) translate(lambda) symbol(S).
+    sum_lambda p(lambda) alpha_lambda(S): its fibers are those of S divided
+    by series(q).
     """
     if gens.n != 1:
         raise ValueError(f"single-generator path needs exactly one generator, got {gens.n}")
@@ -210,12 +211,10 @@ def build_reconstructor_single(gens: GeneratorSet, q,
             f"filter series has a zero at dual index {report.witnesses[0]} "
             f"(min modulus {report.alpha:.3e})",
             witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
-    Fq = symplectic_series(np.asarray(q, dtype=complex), lat)
-    p = inverse_symplectic_series(1.0 / Fq, lat)
-    h = _spread_symbol(p, gens.symbols[0], lat)
-    H = weyl_transform(h)
-    left = TransferMatrix(lat, (1.0 / Fq)[:, None, None])
-    return Reconstructor(H[None, :, :], h[None, :, :], lat, left, report)
+    dual = 1.0 / symplectic_series(np.asarray(q, dtype=complex), lat)
+    P = dual[None, :, None] * gens.fibers
+    left = TransferMatrix(lat, dual[:, None, None])
+    return Reconstructor(_quantize(P, lat), P, lat, left, report)
 
 
 def build_reconstructor_multi(gens: GeneratorSet, A: ConvolutionMatrix,
@@ -224,10 +223,10 @@ def build_reconstructor_multi(gens: GeneratorSet, A: ConvolutionMatrix,
     """Reconstruction operators for a sampling system A (M >= N).
 
     Left-inverts the transfer matrix (Moore-Penrose for C = None, else the
-    C-parametrized member), pulls the dual sequences back to the lattice
-    and quantizes sum_n sum_lambda B[n, m](lambda) translate(lambda) symbol(S_n)
-    into the m-th reconstruction operator.  Refuses when the system is not
-    a frame.
+    C-parametrized member) B_hat; the m-th reconstruction operator is
+    sum_n sum_lambda B[n, m](lambda) alpha_lambda(S_n), whose fibers are
+    sum_n B_hat[xi, n, m] * P_{S_n}[xi, mu].  Refuses when the system is
+    not a frame.
     """
     if A.m < gens.n:
         raise ValueError(f"need at least as many averagers as generators, got M={A.m} < N={gens.n}")
@@ -242,22 +241,15 @@ def build_reconstructor_multi(gens: GeneratorSet, A: ConvolutionMatrix,
             f"dual index {report.witnesses[0]}",
             witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
     Bhat = left_inverse_family(That, C, tol_factor)
-    B = dual_sequences(Bhat)
-    symbols = np.zeros((A.m, lat.L, lat.L), dtype=complex)
-    for m in range(A.m):
-        for n in range(gens.n):
-            _spread_symbol(B.seqs[n, m], gens.symbols[n], lat, out=symbols[m])
-    ops = np.stack([weyl_transform(h) for h in symbols])
-    return Reconstructor(ops, symbols, lat, Bhat, report)
+    P = np.einsum("xnm,nxa->mxa", Bhat.values, gens.fibers)
+    return Reconstructor(_quantize(P, lat), P, lat, Bhat, report)
 
 
 def reconstruct(samples, rec: Reconstructor) -> np.ndarray:
     """Synthesis sum_m sum_lambda s[m](lambda) alpha_lambda(H_m)."""
-    s = _as_coeffs(samples, rec.m, rec.lattice.size)
-    h = np.zeros((rec.lattice.L, rec.lattice.L), dtype=complex)
-    for m in range(rec.m):
-        _spread_symbol(s[m], rec.symbols[m], rec.lattice, out=h)
-    return weyl_transform(h)
+    lat = rec.lattice
+    s = _as_coeffs(samples, rec.m, lat.size)
+    return _quantize(np.einsum("mx,mxa->xa", symplectic_series(s, lat), rec.fibers), lat)
 
 
 def operator_convolve(S, T) -> np.ndarray:
@@ -306,12 +298,10 @@ def interpolation_check(rec: Reconstructor, avg: AveragerSet, tol: float = 1e-9)
     n_gens = rec.left_inverse.m
     if rec.m != n_gens:
         raise ValueError(f"interpolation pattern needs a square system, got M={rec.m}, N={n_gens}")
-    dev = 0.0
-    for n in range(rec.m):
-        s = average_samples(rec.ops[n], avg)
-        expect = np.zeros_like(s)
-        expect[n, 0] = 1.0
-        dev = max(dev, float(np.abs(s - expect).max()))
+    s = _pairings(_spectra(rec.ops, avg.lattice), avg.fibers, avg.lattice)  # s[:, n]: samples of H_n
+    expect = np.zeros_like(s)
+    expect[:, :, 0] = np.eye(rec.m)
+    dev = float(np.abs(s - expect).max())
     return dev <= tol, dev
 
 
@@ -323,33 +313,14 @@ def whiten_generator(S, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) ->
     maps back to an operator.  Refuses when the periodization has a zero
     (the translates of S are not a Riesz sequence).
     """
-    S = np.asarray(S, dtype=complex)
-    A = fourier_wigner(S)
-    mu = lat.adjoint.points
-    power = np.zeros((lat.L, lat.L))
-    sq = np.abs(A) ** 2
-    for x, w in mu:
-        power += np.roll(sq, (-x, -w), axis=(0, 1))
-    pmin, pmax = float(power.min()), float(power.max())
-    if pmin <= tol_factor * pmax:
-        flat = int(np.argmin(power))
-        z = (flat // lat.L, flat % lat.L)
-        xi = _dual_index_of(z, lat)
+    P = _spectra([S], lat)[0]
+    power = (np.abs(P) ** 2).sum(axis=1)
+    if power.min() <= tol_factor * power.max():
+        xi = int(np.argmin(power))
         raise SingularTransfer(
             f"cannot whiten: periodized spectrum vanishes near dual index {xi}",
-            witness_xi=xi, witness_point=_dual_point_of(xi, lat))
-    white = A / np.sqrt(lat.size * power)
-    return weyl_transform(symplectic_ft(white))
-
-
-def _dual_index_of(z, lat: Lattice) -> int:
-    x = int(z[0]) % lat.n_cols
-    w = int(z[1]) % lat.n_rows
-    return x * lat.n_rows + w
-
-
-def _dual_point_of(xi: int, lat: Lattice) -> tuple[int, int]:
-    return (int(lat.dual_points[xi, 0]), int(lat.dual_points[xi, 1]))
+            witness_xi=xi, witness_point=tuple(int(v) for v in lat.dual_points[xi]))
+    return _quantize(P / np.sqrt(lat.size * power)[:, None], lat)
 
 
 def relative_error(T_rec, T) -> float:

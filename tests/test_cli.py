@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from opsampler.cli import main
 from opsampler.config import parse_config
@@ -199,17 +200,27 @@ def test_csv_grid_headers(tmp_path):
     assert first == "x,omega,re,im"
 
 
-# ----------------------------------------------------------------- env / misc
+# ------------------------------------------------------------ config errors
 
-def test_threads_env_recorded_and_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OPSAMPLER_THREADS", "4")
-    rc = main(["analyze", "--config", write_cfg(tmp_path, BASE)])
-    report = json.loads(capsys.readouterr().out)
-    assert rc == 0 and report["threads"] == 4
-    monkeypatch.setenv("OPSAMPLER_THREADS", "zero")
-    rc = main(["analyze", "--config", write_cfg(tmp_path, BASE)])
-    assert rc == 1
-    assert "OPSAMPLER_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("key, literal", [
+    ("--tolerance", "nan"),
+    ("tolerance", "1e400"),     # JSON reads it as inf
+    ("tol_pos", "1e400"),
+    ("tolerance", "1" + "0" * 400),     # an integer literal beyond the float range
+], ids=["flag-nan", "tolerance-1e400", "tol_pos-1e400", "tolerance-huge-int"])
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys, key, literal):
+    text = json.dumps(BASE)
+    argv = []
+    if key.startswith("--"):
+        argv = [key, literal]
+    else:
+        text = text[:-1] + f', "{key}": {literal}}}'
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc = main(["roundtrip", "--config", str(path)] + argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert key in captured.err
 
 
 def test_failure_fuzz_engineered_generators(tmp_path, capsys):
