@@ -54,7 +54,6 @@ from .sampling import (
     build_reconstructor_multi,
     build_reconstructor_single,
     interpolation_check,
-    operator_convolve,
     reconstruct,
     relative_error,
     sample_filter_matrix,

@@ -4,9 +4,16 @@ Each builder spec names a construction recipe for a generator or
 averaging operator.  Deterministic kinds (delta_pair, boxcar,
 periodized_gaussian) never touch the random stream; random kinds consume
 it in a documented order, so a fixed seed reproduces every operator.
+
+A periodized Gaussian needs a width whose square is a positive finite
+float (else its kernel is NaN or overflows) and at most ``MAX_WRAPS``
+wraps on each side: the wrap loop runs 2*wraps + 1 times, and beyond 3
+wraps the tail is already below 1e-15 for width <= L/3.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,6 +23,8 @@ from .lattice import Lattice
 from .sampling import whiten_generator
 
 __all__ = ["BUILDER_KINDS", "build_operator", "spec_uses_rng", "validate_builder_spec"]
+
+MAX_WRAPS = 100
 
 BUILDER_KINDS = (
     "delta_pair",
@@ -60,15 +69,14 @@ def validate_builder_spec(spec: dict, L: int, field: str) -> dict:
         out["width"] = _int_in_range("width", 1, L + 1)
     elif kind == "periodized_gaussian":
         width = spec.get("width")
-        if not isinstance(width, (int, float)) or isinstance(width, bool) or width <= 0:
-            raise ConfigError(f"'width' must be a positive number, got {width!r}",
-                              field=f"{field}.width")
+        # 2**1024 bounds the floats; JSON reads 1e400 as inf and huge integers exactly
+        if (not isinstance(width, (int, float)) or isinstance(width, bool)
+                or not 0 < width < 2 ** 1024 or not 0 < float(width) * float(width) < math.inf):
+            raise ConfigError(f"'width' must be a positive number whose square is a positive "
+                              f"finite float, got {width!r}", field=f"{field}.width")
         out["width"] = float(width)
         known.add("width")
-        out["wraps"] = spec.get("wraps", 3)
-        if not isinstance(out["wraps"], int) or out["wraps"] < 1:
-            raise ConfigError("'wraps' must be a positive integer", field=f"{field}.wraps")
-        known.add("wraps")
+        out["wraps"] = _int_in_range("wraps", 1, MAX_WRAPS + 1, default=3)
         out["center"] = _int_in_range("center", 0, L, default=0)
     elif kind == "whitened":
         inner = spec.get("inner")

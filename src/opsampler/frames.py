@@ -6,8 +6,8 @@ Its transfer matrix collects, per dual-grid index xi, the M x N matrix of
 symplectic series values.  The extreme eigenvalues of the Hermitian
 matrices ``A_hat(xi)* A_hat(xi)`` over the dual grid decide whether the
 associated system of translates is a frame (lower bound strictly
-positive) and, when M == N, whether it is a Riesz basis (determinant
-bounded away from zero).
+positive) and, when M == N, whether it is a Riesz basis (lower bound
+strictly positive and determinant bounded away from zero).
 
 Positivity of a floating-point minimum is gated relatively:
 ``value > tol_factor * scale`` with ``tol_factor = 1e-10`` by default,
@@ -164,8 +164,10 @@ def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> F
 
     alpha is the global smallest eigenvalue, beta the largest; for square
     systems delta is the smallest |det A_hat(xi)|.  Verdict: riesz_basis
-    when M == N and delta clears the relative gate, frame when M > N and
-    alpha clears it, fail otherwise (with witnesses).
+    when M == N and both alpha and delta clear the relative gate, frame
+    when M > N and alpha clears it, fail otherwise (with witnesses).  The
+    alpha gate matters for square systems too: a rank-deficient system
+    whose determinants are all roundoff can clear the delta gate alone.
     """
     if T.m < T.n:
         raise ValueError(f"system must have at least as many outputs as inputs, got {T.m} x {T.n}")
@@ -176,13 +178,13 @@ def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> F
     beta = float(eigs[:, -1].max())
     tol = tol_factor * beta
     delta = None
+    passed = alpha > tol
     if T.m == T.n:
         dets = np.abs(np.linalg.det(T.values))
         delta = float(dets.min())
-        passed = delta > tol_factor * float(dets.max())
+        passed = passed and delta > tol_factor * float(dets.max())
         verdict = VERDICT_RIESZ if passed else VERDICT_FAIL
     else:
-        passed = alpha > tol
         verdict = VERDICT_FRAME if passed else VERDICT_FAIL
     if passed:
         wit, pts = _witnesses(lows, -np.inf, T.lattice)
@@ -209,8 +211,8 @@ def single_gen_condition(q, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR
                        wit, pts, tol, kind="single_generator")
 
 
-def gram_matrix_bounds(generators, lat: Lattice,
-                       tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
+def gram_matrix_bounds(generators, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR,
+                       *, spectra=None) -> FrameReport:
     """Riesz-sequence test for lattice translates of N operators.
 
     Builds, per dual-grid representative z, the N x N Gram matrix
@@ -219,11 +221,12 @@ def gram_matrix_bounds(generators, lat: Lattice,
     generators; returns the extreme eigenvalues over the grid.  For a
     single generator the bounds are |Lambda| times the extremes of the
     periodized square (scaling documented in ``periodize_sq``).
+    ``spectra``, if given, must be those fibers, shape (N, size, n_adjoint);
+    the generators are then not transformed again.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if not gens:
+    if len(generators) == 0:
         raise ValueError("need at least one generator")
-    V = fibers(np.stack([fourier_wigner(g) for g in gens]), lat)   # (N, size, n_adjoint)
+    V = fibers(fourier_wigner(generators), lat) if spectra is None else spectra
     gram = np.einsum("nxa,mxa->xnm", V, V.conj())
     eigs = np.linalg.eigvalsh(gram)
     lows = eigs[:, 0]
@@ -236,13 +239,16 @@ def gram_matrix_bounds(generators, lat: Lattice,
                        wit, pts_w, tol, kind="gram")
 
 
-def pseudo_inverse(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> TransferMatrix:
+def pseudo_inverse(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR,
+                   *, report: FrameReport | None = None) -> TransferMatrix:
     """Per-xi Moore-Penrose left inverse (A* A)^{-1} A*.
 
     Refuses (SingularTransfer) when the frame condition fails; never
-    returns NaN/Inf.
+    returns NaN/Inf.  ``report`` is ``frame_bounds(T, tol_factor)`` when
+    the caller has it already; it is computed otherwise.
     """
-    report = frame_bounds(T, tol_factor)
+    if report is None:
+        report = frame_bounds(T, tol_factor)
     if not report.passed:
         raise SingularTransfer(
             f"transfer matrix is singular at dual index {report.witnesses[0]} "
@@ -254,14 +260,16 @@ def pseudo_inverse(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) ->
 
 
 def left_inverse_family(T: TransferMatrix, C: TransferMatrix | None = None,
-                        tol_factor: float = DEFAULT_TOL_FACTOR) -> TransferMatrix:
+                        tol_factor: float = DEFAULT_TOL_FACTOR,
+                        *, report: FrameReport | None = None) -> TransferMatrix:
     """Left inverses B_hat = A_dag + C (I - A A_dag), parametrized by C.
 
     Every member satisfies ``B_hat(xi) A_hat(xi) = I`` for all xi; C = None
     gives the Moore-Penrose member.  For square systems the projector
-    I - A A_dag vanishes and C is irrelevant.
+    I - A A_dag vanishes and C is irrelevant.  ``report`` is passed on to
+    ``pseudo_inverse``.
     """
-    dag = pseudo_inverse(T, tol_factor)
+    dag = pseudo_inverse(T, tol_factor, report=report)
     if C is None:
         return dag
     if C.values.shape != dag.values.shape:

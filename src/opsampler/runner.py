@@ -25,7 +25,7 @@ from .config import ExperimentConfig, config_echo
 from .errors import ConfigError, SingularTransfer
 from .frames import TransferMatrix, frame_bounds, transfer_matrix
 from .gridio import write_dual_values, write_phase_grid, write_transfer
-from .lattice import Lattice, periodize_sq
+from .lattice import Lattice, periodize_sq, unfibers
 from .sampling import (
     AveragerSet,
     GeneratorSet,
@@ -37,7 +37,7 @@ from .sampling import (
     sample_filter_matrix,
     synthesize_element,
 )
-from .weyl import fourier_wigner, weyl_symbol
+from .weyl import weyl_symbol
 
 __all__ = ["run_analyze", "run_roundtrip", "run_export", "EXPORT_KINDS"]
 
@@ -134,7 +134,8 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
         return _finish(_failure(report, exc), started, False)
     report["generator_riesz"] = gens.riesz.to_jsonable()
     A = sample_filter_matrix(gens, avgs)
-    system = frame_bounds(transfer_matrix(A), tol_factor=cfg.tol_pos)
+    That = transfer_matrix(A)
+    system = frame_bounds(That, tol_factor=cfg.tol_pos)
     report["system_frame"] = system.to_jsonable()
 
     c = rand_complex(rng, (gens.n, gens.lattice.size))
@@ -149,7 +150,8 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
                 f"(min Gram eigenvalue {gens.riesz.alpha:.3e} at dual index {gens.riesz.witnesses[0]})",
                 witness_xi=gens.riesz.witnesses[0],
                 witness_point=gens.riesz.witness_points[0])
-        rec = build_reconstructor_multi(gens, A, C=C, tol_factor=cfg.tol_pos)
+        rec = build_reconstructor_multi(gens, A, C=C, tol_factor=cfg.tol_pos,
+                                        transfer=That, report=system)
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
 
@@ -198,11 +200,11 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
                 _emit(f"symbols_g{n}.csv", write_phase_grid, weyl_symbol(gens.ops[n]))
         elif kind == "wigner":
             for n in range(gens.n):
-                _emit(f"wigner_g{n}.csv", write_phase_grid, fourier_wigner(gens.ops[n]))
+                _emit(f"wigner_g{n}.csv", write_phase_grid, unfibers(gens.fibers[n], lat))
         elif kind == "periodization":
             for n in range(gens.n):
                 _emit(f"periodization_g{n}.csv", write_dual_values,
-                      periodize_sq(fourier_wigner(gens.ops[n]), lat))
+                      periodize_sq(unfibers(gens.fibers[n], lat), lat))
         elif kind == "transfer":
             A = sample_filter_matrix(gens, avgs)
             _emit("transfer.csv", write_transfer, transfer_matrix(A).values)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_operator, hs_norm, translate_operator
+from .core import hs_norm, translate_operator
 from .errors import SingularTransfer
 from .frames import (
     DEFAULT_TOL_FACTOR,
@@ -68,7 +68,6 @@ __all__ = [
     "build_reconstructor_single",
     "build_reconstructor_multi",
     "reconstruct",
-    "operator_convolve",
     "seq_operator_convolve",
     "interpolation_check",
     "whiten_generator",
@@ -93,8 +92,9 @@ class GeneratorSet:
     @staticmethod
     def build(ops, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
         ops = _stack_ops(ops, lattice.L)
-        riesz = gram_matrix_bounds(ops, lattice, tol_factor)
-        return GeneratorSet(ops, lattice, _spectra(ops, lattice), riesz)
+        P = _spectra(ops, lattice)
+        riesz = gram_matrix_bounds(ops, lattice, tol_factor, spectra=P)
+        return GeneratorSet(ops, lattice, P, riesz)
 
     @property
     def n(self) -> int:
@@ -151,16 +151,13 @@ def _as_coeffs(c, n: int, size: int) -> np.ndarray:
 
 
 def _spectra(ops, lat: Lattice) -> np.ndarray:
-    """Fibers of the trace transforms of a stack of operators, (K, size, n_adjoint)."""
-    return fibers(np.stack([fourier_wigner(op) for op in ops]), lat)
+    """Fibers of the trace transforms of operators, (..., size, n_adjoint) from (..., L, L)."""
+    return fibers(fourier_wigner(ops), lat)
 
 
 def _quantize(P, lat: Lattice) -> np.ndarray:
     """Operators whose trace transforms have the fibers P; inverse of ``_spectra``."""
-    grids = unfibers(P, lat)
-    if grids.ndim == 2:
-        return weyl_transform(symplectic_ft(grids))
-    return np.stack([weyl_transform(symplectic_ft(F)) for F in grids])
+    return weyl_transform(symplectic_ft(unfibers(P, lat)))
 
 
 def _pairings(P, Q, lat: Lattice) -> np.ndarray:
@@ -179,7 +176,7 @@ def average_samples(T, avg: AveragerSet) -> np.ndarray:
     """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS, shape (M, size)."""
     T = np.asarray(T, dtype=complex)
     _check_same_size(T, avg.ops[0])
-    return _pairings(_spectra([T], avg.lattice), avg.fibers, avg.lattice)[:, 0]
+    return _pairings(_spectra(T[None], avg.lattice), avg.fibers, avg.lattice)[:, 0]
 
 
 def sample_filter_matrix(gens: GeneratorSet, avg: AveragerSet) -> ConvolutionMatrix:
@@ -219,28 +216,33 @@ def build_reconstructor_single(gens: GeneratorSet, q,
 
 def build_reconstructor_multi(gens: GeneratorSet, A: ConvolutionMatrix,
                               C: TransferMatrix | None = None,
-                              tol_factor: float = DEFAULT_TOL_FACTOR) -> Reconstructor:
+                              tol_factor: float = DEFAULT_TOL_FACTOR,
+                              *, transfer: TransferMatrix | None = None,
+                              report: FrameReport | None = None) -> Reconstructor:
     """Reconstruction operators for a sampling system A (M >= N).
 
     Left-inverts the transfer matrix (Moore-Penrose for C = None, else the
     C-parametrized member) B_hat; the m-th reconstruction operator is
     sum_n sum_lambda B[n, m](lambda) alpha_lambda(S_n), whose fibers are
     sum_n B_hat[xi, n, m] * P_{S_n}[xi, mu].  Refuses when the system is
-    not a frame.
+    not a frame.  ``transfer`` (``transfer_matrix(A)``) and ``report``
+    (``frame_bounds`` of it at ``tol_factor``) are computed unless the
+    caller has them already.
     """
     if A.m < gens.n:
         raise ValueError(f"need at least as many averagers as generators, got M={A.m} < N={gens.n}")
     if A.n != gens.n:
         raise ValueError(f"system has {A.n} input channels but there are {gens.n} generators")
     lat = gens.lattice
-    That = transfer_matrix(A)
-    report = frame_bounds(That, tol_factor)
+    That = transfer_matrix(A) if transfer is None else transfer
+    if report is None:
+        report = frame_bounds(That, tol_factor)
     if not report.passed:
         raise SingularTransfer(
             f"sampling system is not a frame: lower bound {report.alpha:.3e} at "
             f"dual index {report.witnesses[0]}",
             witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
-    Bhat = left_inverse_family(That, C, tol_factor)
+    Bhat = left_inverse_family(That, C, tol_factor, report=report)
     P = np.einsum("xnm,nxa->mxa", Bhat.values, gens.fibers)
     return Reconstructor(_quantize(P, lat), P, lat, Bhat, report)
 
@@ -250,27 +252,6 @@ def reconstruct(samples, rec: Reconstructor) -> np.ndarray:
     lat = rec.lattice
     s = _as_coeffs(samples, rec.m, lat.size)
     return _quantize(np.einsum("mx,mxa->xa", symplectic_series(s, lat), rec.fibers), lat)
-
-
-def operator_convolve(S, T) -> np.ndarray:
-    """Operator convolution as a phase-space function.
-
-    out(z) = tr(S * alpha_z(T_check)) with T_check the parity conjugation
-    of T.  Restricted to lattice points this reproduces average samples:
-    <T, alpha_lambda(Q)> = (T conv Q_tilde)(lambda) where Q_tilde is the
-    parity conjugation of the adjoint of Q.
-    """
-    S = np.asarray(S, dtype=complex)
-    T = np.asarray(T, dtype=complex)
-    _check_same_size(S, T)
-    L = S.shape[0]
-    Tc = check_operator(T)
-    out = np.empty((L, L), dtype=complex)
-    St = S.T.copy()
-    for x in range(L):
-        for w in range(L):
-            out[x, w] = np.sum(St * translate_operator((x, w), Tc))
-    return out
 
 
 def seq_operator_convolve(c, S, lat: Lattice) -> np.ndarray:
@@ -313,7 +294,7 @@ def whiten_generator(S, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) ->
     maps back to an operator.  Refuses when the periodization has a zero
     (the translates of S are not a Riesz sequence).
     """
-    P = _spectra([S], lat)[0]
+    P = _spectra(S, lat)
     power = (np.abs(P) ** 2).sum(axis=1)
     if power.min() <= tol_factor * power.max():
         xi = int(np.argmin(power))

@@ -21,10 +21,19 @@ unitary or self-inverse:
   ``exp(-2*pi*i*c*x*omega/L)``.  The sign of the half-phase is the one for
   which ``fourier_wigner(S) == symplectic_ft(weyl_symbol(S))`` identically
   (the opposite sign breaks that identity); it is frozen here and covered
-  by tests.
+  by tests.  The half-phase makes the shift symmetric: with
+  ``rho(z) = exp(-2*pi*i*c*x*omega/L) * pi(z)``, the finite form of
+  ``exp(-pi*i*x*omega) M_omega T_x`` (c stands for 1/2 mod L),
+  ``fourier_wigner(S)(z) = L**-0.5 * tr(rho(-z) S)``.  Its values are
+  L-th roots of unity, so it is read from the L roots at the residues
+  ``(-c*x*omega) % L`` rather than exponentiated at every point.
 
 DFT lengths never exceed L, so ``numpy.fft`` is used for the inner sums;
 the results agree with direct summation to machine precision.
+
+``weyl_transform``, ``symplectic_ft`` and ``fourier_wigner`` batch over
+leading axes: they map ``(..., L, L)`` stacks slice by slice, and each
+slice of the result equals the single-slice call bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ import numpy as np
 from .core import (
     _as_operator,
     _as_signal,
-    _char,
     _reduce_point,
     half_inverse,
     translate_operator,
@@ -50,6 +58,13 @@ __all__ = [
     "translate_phase",
     "translation_covariance_check",
 ]
+
+
+def _as_square_stack(F, what: str) -> np.ndarray:
+    F = np.asarray(F, dtype=complex)
+    if F.ndim < 2 or F.shape[-1] != F.shape[-2]:
+        raise ValueError(f"{what} must be square in the last two axes, got shape {F.shape}")
+    return F
 
 
 def _as_phase_function(F) -> np.ndarray:
@@ -102,14 +117,15 @@ def weyl_transform(F) -> np.ndarray:
     """Operator with the given Weyl symbol (exact inverse of weyl_symbol).
 
     Kernel: out[u, v] = L**-0.5 * sum_omega F(c*(u+v), omega) * exp(2*pi*i*omega*(u-v)/L).
+    Batches over leading axes.
     """
-    F = _as_phase_function(F)
-    L = F.shape[0]
+    F = _as_square_stack(F, "phase-space function")
+    L = F.shape[-1]
     c = half_inverse(L)
-    g = np.sqrt(L) * np.fft.ifft(F, axis=1)
+    g = np.sqrt(L) * np.fft.ifft(F, axis=-1)
     u = np.arange(L)[:, None]
     v = np.arange(L)[None, :]
-    return g[(c * (u + v)) % L, (u - v) % L]
+    return g[..., (c * (u + v)) % L, (u - v) % L]
 
 
 def symplectic_ft(F) -> np.ndarray:
@@ -118,11 +134,12 @@ def symplectic_ft(F) -> np.ndarray:
     out(z) = (1/L) * sum_{z'} F(z') * exp(-2*pi*i*sigma(z, z')/L)
 
     with sigma(z, z') = omega*x' - omega'*x.  Self-inverse and unitary.
+    Batches over leading axes.
     """
-    F = _as_phase_function(F)
+    F = _as_square_stack(F, "phase-space function")
     # (1/L) sum_{x'} e^{-2 pi i omega x'/L} [ sum_{omega'} F(x',omega') e^{+2 pi i omega' x/L} ]
     # inner bracket = L * ifft over omega'; outer sum = fft over x'; 1/L cancels the L.
-    return np.fft.fft(np.fft.ifft(F, axis=1), axis=0).T
+    return np.fft.fft(np.fft.ifft(F, axis=-1), axis=-2).swapaxes(-1, -2)
 
 
 def fourier_wigner(S) -> np.ndarray:
@@ -131,17 +148,18 @@ def fourier_wigner(S) -> np.ndarray:
     out(x, omega) = L**-0.5 * exp(-2*pi*i*c*x*omega/L) * tr(pi(-z) S),
     where tr(pi(-z) S) = sum_t exp(-2*pi*i*omega*t/L) * S[t + x, t].
 
-    Coincides exactly with ``symplectic_ft(weyl_symbol(S))``.
+    Coincides exactly with ``symplectic_ft(weyl_symbol(S))``.  Batches
+    over leading axes.
     """
-    S = _as_operator(S)
-    L = S.shape[0]
+    S = _as_square_stack(S, "operator kernel")
+    L = S.shape[-1]
     c = half_inverse(L)
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
-    d = S[(t + x) % L, t]
-    trp = np.fft.fft(d, axis=1)
-    half = _char(-c * np.outer(np.arange(L), np.arange(L)), L)
-    return half * trp / np.sqrt(L)
+    trp = np.fft.fft(S[..., (t + x) % L, t], axis=-1)
+    roots = np.exp(2j * np.pi * np.arange(L) / L)
+    np.multiply(roots[(-c * np.outer(np.arange(L), np.arange(L))) % L], trp, out=trp)
+    return trp / np.sqrt(L)
 
 
 def stft(phi, psi) -> np.ndarray:

@@ -223,6 +223,58 @@ def test_non_finite_tolerance_is_config_error(tmp_path, capsys, key, literal):
     assert key in captured.err
 
 
+@pytest.mark.parametrize("param, literal", [
+    ("width", "1e-200"),    # the square underflows to 0: the kernel is NaN
+    ("width", "1e400"),     # JSON reads it as inf
+    ("width", "1e200"),     # the square overflows
+    ("wraps", str(10**9)),  # a 2*10**9 + 1 step loop
+], ids=["width-underflow", "width-inf", "width-square-overflow", "wraps-huge"])
+def test_unrunnable_periodized_gaussian_is_config_error(tmp_path, capsys, param, literal):
+    spec = {"kind": "periodized_gaussian", "width": 4.0}
+    text = json.dumps(dict(BASE, generators=[spec]))
+    text = text.replace('"width": 4.0', f'"{param}": {literal}' if param == "width"
+                        else f'"width": 4.0, "{param}": {literal}')
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    rc = main(["analyze", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert f"generators[0].{param}" in captured.err
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
+def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkeypatch, m):
+    import opsampler.frames as frames
+    import opsampler.runner as runner
+    import opsampler.sampling as sampling
+
+    calls = {"frame_bounds": 0, "transfer_matrix": 0, "fourier_wigner": 0}
+
+    def counting(name, fn, weight):
+        def wrapper(*args, **kwargs):
+            calls[name] += weight(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, weight in [("frame_bounds", lambda a: 1), ("transfer_matrix", lambda a: 1),
+                         ("fourier_wigner", lambda a: int(np.prod(np.shape(a[0])[:-2])))]:
+        wrapped = counting(name, getattr(frames, name), weight)
+        for mod in (frames, sampling, runner):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+
+    n = 2
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
+                averagers=[{"kind": "random_hs"}] * m, c_matrix="random")
+    assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["interpolation"] is not None) == (m == n)
+    # N generators, M averagers and the synthesized element, plus the M
+    # reconstructors for the square-system interpolation check
+    assert calls == {"frame_bounds": 1, "transfer_matrix": 1,
+                     "fourier_wigner": n + m + 1 + (m if m == n else 0)}
+
+
 def test_failure_fuzz_engineered_generators(tmp_path, capsys):
     # rank-one point-pair generators always miss adjoint cosets here, so
     # every draw must refuse with a witness and emit no operator

@@ -8,7 +8,7 @@ from opsampler.core import (
     translate_operator,
 )
 from opsampler.errors import SingularTransfer
-from opsampler.frames import TransferMatrix
+from opsampler.frames import TransferMatrix, frame_bounds, pseudo_inverse, transfer_matrix
 from opsampler.lattice import Lattice, periodize_sq, symplectic_series
 from opsampler.sampling import (
     AveragerSet,
@@ -17,7 +17,6 @@ from opsampler.sampling import (
     build_reconstructor_multi,
     build_reconstructor_single,
     interpolation_check,
-    operator_convolve,
     reconstruct,
     relative_error,
     sample_filter_matrix,
@@ -52,6 +51,24 @@ def operator_route_synthesis(c, gens):
     for n in range(gens.n):
         for i, lam in enumerate(gens.lattice.points):
             out += c[n, i] * translate_operator(tuple(lam), gens.ops[n])
+    return out
+
+
+def operator_convolve(S, T):
+    """Operator convolution as a phase-space function, by direct summation.
+
+    out(z) = tr(S * alpha_z(T_check)) with T_check the parity conjugation
+    of T.  Restricted to lattice points this reproduces average samples:
+    <T, alpha_lambda(Q)> = (T conv Q_tilde)(lambda) where Q_tilde is the
+    parity conjugation of the adjoint of Q.
+    """
+    L = S.shape[0]
+    Tc = check_operator(T)
+    out = np.empty((L, L), dtype=complex)
+    St = S.T.copy()
+    for x in range(L):
+        for w in range(L):
+            out[x, w] = np.sum(St * translate_operator((x, w), Tc))
     return out
 
 
@@ -244,6 +261,26 @@ def test_multi_refuses_more_generators_than_averagers():
     A = sample_filter_matrix(gens, avgs)
     with pytest.raises(ValueError):
         build_reconstructor_multi(gens, A)
+
+
+def test_rank_deficient_square_system_is_refused():
+    # L=3, a=b=1: every fiber has one point, so each 2x2 transfer matrix is
+    # rank one and its determinants are roundoff.  The determinant gate alone
+    # let most such draws through, to a LinAlgError in the solve or to a
+    # meaningless reconstructor; the eigenvalue gate refuses every one.
+    lat = Lattice(3, 1, 1)
+    local = np.random.default_rng(2024)
+    for _ in range(20):
+        ops = local.standard_normal((4, 3, 3)) + 1j * local.standard_normal((4, 3, 3))
+        gens, avgs = GeneratorSet.build(ops[:2], lat), AveragerSet.build(ops[2:], lat)
+        A = sample_filter_matrix(gens, avgs)
+        T = transfer_matrix(A)
+        rep = frame_bounds(T)
+        assert rep.verdict == "fail" and rep.alpha <= rep.tol and rep.delta is not None
+        with pytest.raises(SingularTransfer):
+            pseudo_inverse(T)
+        with pytest.raises(SingularTransfer):
+            build_reconstructor_multi(gens, A)
 
 
 # --------------------------------------------------------------- reconstruct

@@ -7,9 +7,11 @@ operators drawn at random.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsampler.errors import SingularTransfer
 from opsampler.frames import TransferMatrix
 from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
 from opsampler.sampling import (
@@ -31,8 +33,7 @@ def systems(draw):
     L = draw(st.sampled_from(range(3, 28, 2)))
     divisors = [d for d in range(1, L + 1) if L % d == 0]
     lat = Lattice(L, draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors)))
-    # N generators can only have Riesz translates when N <= |adjoint| = a*b
-    n = draw(st.integers(1, min(2, lat.a * lat.b)))
+    n = draw(st.integers(1, 3))
     m = draw(st.integers(n, 3))
     return lat, n, m, draw(st.integers(0, 2**32 - 1))
 
@@ -70,5 +71,12 @@ def test_spectral_core_matches_direct_routes(system):
     assert np.linalg.norm(samples - expect) <= 1e-12 * np.linalg.norm(expect)
 
     C = TransferMatrix(lat, rand_complex(rng, (lat.size, n, m)))
+    if n > lat.a * lat.b:
+        # each transfer matrix has rank <= |adjoint| = a*b < N: never a frame,
+        # whether the system is square or oversampled
+        assert not gens.riesz.passed
+        with pytest.raises(SingularTransfer):
+            build_reconstructor_multi(gens, A, C=C)
+        return
     rec = build_reconstructor_multi(gens, A, C=C)
     assert relative_error(reconstruct(samples, rec), T) <= 1e-9

@@ -276,3 +276,23 @@ def test_covariance_consistent_with_rank_one_factorization():
     lhs = weyl_transform(translate_phase(z, cross_wigner(psi, phi)))
     rhs = translate_operator(z, rank_one(psi, phi))
     assert np.linalg.norm(lhs - rhs) <= 1e-11 * np.linalg.norm(rhs)
+
+
+# ---------------------------------------------------------------- batching
+
+@pytest.mark.parametrize("shape", [(4, 15, 15), (2, 3, 9, 9), (1, 3, 3)])
+def test_weyl_maps_batch_bit_for_bit(shape):
+    local = np.random.default_rng(shape[-1] * 10 + len(shape))
+    stack = local.standard_normal(shape) + 1j * local.standard_normal(shape)
+    for fn in (fourier_wigner, weyl_transform, symplectic_ft):
+        out = fn(stack)
+        assert out.shape == shape
+        for k in np.ndindex(shape[:-2]):
+            assert np.array_equal(out[k], fn(stack[k]))
+
+
+@pytest.mark.parametrize("shape", [(15,), (15, 9), (2, 15, 9)])
+def test_weyl_maps_refuse_non_square_trailing_axes(shape):
+    for fn in (fourier_wigner, weyl_transform, symplectic_ft):
+        with pytest.raises(ValueError):
+            fn(np.zeros(shape, complex))
