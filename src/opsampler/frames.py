@@ -254,9 +254,8 @@ def pseudo_inverse(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR,
             f"transfer matrix is singular at dual index {report.witnesses[0]} "
             f"(alpha={report.alpha:.3e}, beta={report.beta:.3e})",
             witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
-    gram = np.einsum("xmn,xmk->xnk", T.values.conj(), T.values)
     adj = T.values.conj().transpose(0, 2, 1)
-    return TransferMatrix(T.lattice, np.linalg.solve(gram, adj))
+    return TransferMatrix(T.lattice, np.linalg.solve(np.matmul(adj, T.values), adj))
 
 
 def left_inverse_family(T: TransferMatrix, C: TransferMatrix | None = None,
@@ -274,8 +273,8 @@ def left_inverse_family(T: TransferMatrix, C: TransferMatrix | None = None,
         return dag
     if C.values.shape != dag.values.shape:
         raise ValueError(f"C must have shape {dag.values.shape}, got {C.values.shape}")
-    proj = np.eye(T.m)[None, :, :] - np.einsum("xmn,xnk->xmk", T.values, dag.values)
-    return TransferMatrix(T.lattice, dag.values + np.einsum("xnm,xmk->xnk", C.values, proj))
+    proj = np.eye(T.m) - np.matmul(T.values, dag.values)
+    return TransferMatrix(T.lattice, dag.values + np.matmul(C.values, proj))
 
 
 def dual_sequences(B: TransferMatrix) -> ConvolutionMatrix:

@@ -18,15 +18,28 @@ from .report import format_float
 __all__ = ["write_phase_grid", "read_phase_grid", "write_dual_values", "write_transfer"]
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Refuse NaN/Inf, checked once per array.
+
+    Raises the ``ValueError`` that ``format_float`` raises for the first
+    non-finite float in write order (re before im).
+    """
+    if np.isfinite(values).all():
+        return
+    if np.iscomplexobj(values):
+        values = np.stack([values.real, values.imag], axis=-1)
+    flat = np.ravel(values)
+    format_float(flat[np.argmax(~np.isfinite(flat))])
+
+
 def write_phase_grid(path, F) -> None:
     F = np.asarray(F, dtype=complex)
-    L = F.shape[0]
+    _check_finite(F)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,omega,re,im\n")
-        for x in range(L):
-            for w in range(L):
-                v = F[x, w]
-                fh.write(f"{x},{w},{format_float(v.real)},{format_float(v.imag)}\n")
+        for x, row in enumerate(F):
+            cells = zip(row.real.tolist(), row.imag.tolist())
+            fh.write("".join([f"{x},{w},{re:.17g},{im:.17g}\n" for w, (re, im) in enumerate(cells)]))
 
 
 def read_phase_grid(path, L: int) -> np.ndarray:
@@ -47,20 +60,20 @@ def read_phase_grid(path, L: int) -> np.ndarray:
 
 def write_dual_values(path, values) -> None:
     values = np.asarray(values, dtype=float)
+    _check_finite(values)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("xi_index,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{format_float(v)}\n")
+        fh.write("".join([f"{i},{v:.17g}\n" for i, v in enumerate(values.tolist())]))
 
 
 def write_transfer(path, values) -> None:
     """values: (size, M, N) complex array of per-dual-index matrices."""
     values = np.asarray(values, dtype=complex)
+    _check_finite(values)
     size, M, N = values.shape
+    channels = [f"{m},{n}" for m in range(M) for n in range(N)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("xi_index,m,n,re,im\n")
-        for xi in range(size):
-            for m in range(M):
-                for n in range(N):
-                    v = values[xi, m, n]
-                    fh.write(f"{xi},{m},{n},{format_float(v.real)},{format_float(v.imag)}\n")
+        for xi, block in enumerate(values.reshape(size, M * N)):
+            cells = zip(channels, block.real.tolist(), block.imag.tolist())
+            fh.write("".join([f"{xi},{mn},{re:.17g},{im:.17g}\n" for mn, re, im in cells]))

@@ -71,11 +71,11 @@ def _base_report(cfg: ExperimentConfig, command: str) -> dict:
 def _build_sets(cfg: ExperimentConfig, rng) -> tuple[GeneratorSet, AveragerSet]:
     lat = Lattice(cfg.L, cfg.a, cfg.b)
     gen_ops = [build_operator(s, lat, rng) for s in cfg.generators]
-    if cfg.averagers is None:
-        avg_ops = list(gen_ops)
-    else:
-        avg_ops = [build_operator(s, lat, rng) for s in cfg.averagers]
     gens = GeneratorSet.build(gen_ops, lat, tol_factor=cfg.tol_pos)
+    if cfg.averagers is None:
+        # the generators average themselves: reuse their trace transforms
+        return gens, AveragerSet(gens.ops, lat, gens.fibers)
+    avg_ops = [build_operator(s, lat, rng) for s in cfg.averagers]
     return gens, AveragerSet.build(avg_ops, lat)
 
 

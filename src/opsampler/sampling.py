@@ -26,7 +26,10 @@ unitary:
 
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
   is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
-  reconstruction are per-fiber products quantized once at the end;
+  reconstruction are per-fiber products (one batched matrix product over
+  the dual grid) quantized once at the end by
+  ``weyl.inverse_fourier_wigner``; reconstructors are kept as fibers and
+  quantized only when their operators are read;
 * pairing: <S, alpha_lambda(Q)>_HS is the inverse series of
   |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]), so samples and the
   filter system are coset Gram sums followed by one inverse series.
@@ -56,7 +59,7 @@ from .frames import (
     transfer_matrix,
 )
 from .lattice import Lattice, fibers, inverse_symplectic_series, symplectic_series, unfibers
-from .weyl import fourier_wigner, symplectic_ft, weyl_transform
+from .weyl import fourier_wigner, inverse_fourier_wigner, symplectic_ft, weyl_transform
 
 __all__ = [
     "GeneratorSet",
@@ -121,17 +124,22 @@ class AveragerSet:
 
 @dataclass(frozen=True)
 class Reconstructor:
-    """Reconstruction operators H_m plus the left inverse they came from."""
+    """Reconstruction operators H_m, kept as the fibers of their trace
+    transforms, plus the left inverse they came from."""
 
-    ops: np.ndarray          # (M, L, L)
     fibers: np.ndarray       # (M, size, n_adjoint)
     lattice: Lattice
     left_inverse: TransferMatrix
     system_report: FrameReport
 
     @property
+    def ops(self) -> np.ndarray:
+        """The operators H_m, shape (M, L, L), quantized on every access."""
+        return _quantize(self.fibers, self.lattice)
+
+    @property
     def m(self) -> int:
-        return self.ops.shape[0]
+        return self.fibers.shape[0]
 
 
 def _stack_ops(ops, L: int) -> np.ndarray:
@@ -157,7 +165,12 @@ def _spectra(ops, lat: Lattice) -> np.ndarray:
 
 def _quantize(P, lat: Lattice) -> np.ndarray:
     """Operators whose trace transforms have the fibers P; inverse of ``_spectra``."""
-    return weyl_transform(symplectic_ft(unfibers(P, lat)))
+    return inverse_fourier_wigner(unfibers(P, lat))
+
+
+def _combine(W, P) -> np.ndarray:
+    """out[k, xi, mu] = sum_n W[xi, k, n] * P[n, xi, mu]: one matrix product per fiber."""
+    return np.matmul(W, P.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 def _pairings(P, Q, lat: Lattice) -> np.ndarray:
@@ -169,7 +182,7 @@ def synthesize_element(c, gens: GeneratorSet) -> np.ndarray:
     """Element of the generator span with coefficients c: sum c_n(lambda) alpha_lambda(S_n)."""
     lat = gens.lattice
     c = _as_coeffs(c, gens.n, lat.size)
-    return _quantize(np.einsum("nx,nxa->xa", symplectic_series(c, lat), gens.fibers), lat)
+    return _quantize(_combine(symplectic_series(c, lat).T[:, None, :], gens.fibers)[0], lat)
 
 
 def average_samples(T, avg: AveragerSet) -> np.ndarray:
@@ -211,7 +224,7 @@ def build_reconstructor_single(gens: GeneratorSet, q,
     dual = 1.0 / symplectic_series(np.asarray(q, dtype=complex), lat)
     P = dual[None, :, None] * gens.fibers
     left = TransferMatrix(lat, dual[:, None, None])
-    return Reconstructor(_quantize(P, lat), P, lat, left, report)
+    return Reconstructor(P, lat, left, report)
 
 
 def build_reconstructor_multi(gens: GeneratorSet, A: ConvolutionMatrix,
@@ -243,15 +256,14 @@ def build_reconstructor_multi(gens: GeneratorSet, A: ConvolutionMatrix,
             f"dual index {report.witnesses[0]}",
             witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
     Bhat = left_inverse_family(That, C, tol_factor, report=report)
-    P = np.einsum("xnm,nxa->mxa", Bhat.values, gens.fibers)
-    return Reconstructor(_quantize(P, lat), P, lat, Bhat, report)
+    return Reconstructor(_combine(Bhat.values.transpose(0, 2, 1), gens.fibers), lat, Bhat, report)
 
 
 def reconstruct(samples, rec: Reconstructor) -> np.ndarray:
     """Synthesis sum_m sum_lambda s[m](lambda) alpha_lambda(H_m)."""
     lat = rec.lattice
     s = _as_coeffs(samples, rec.m, lat.size)
-    return _quantize(np.einsum("mx,mxa->xa", symplectic_series(s, lat), rec.fibers), lat)
+    return _quantize(_combine(symplectic_series(s, lat).T[:, None, :], rec.fibers)[0], lat)
 
 
 def seq_operator_convolve(c, S, lat: Lattice) -> np.ndarray:
@@ -293,6 +305,13 @@ def whiten_generator(S, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) ->
     square root of |Lattice| times its adjoint-lattice periodization, then
     maps back to an operator.  Refuses when the periodization has a zero
     (the translates of S are not a Riesz sequence).
+
+    A whitened generator is an input: its bits show in exported symbol
+    files and, its periodization being flat, decide which dual index wins
+    the roundoff tie for the smallest Gram eigenvalue.  It is quantized as
+    ``weyl_transform(symplectic_ft(.))``, which agrees with
+    ``inverse_fourier_wigner`` to roundoff but not bit for bit, so that
+    the same config keeps giving the same generator.
     """
     P = _spectra(S, lat)
     power = (np.abs(P) ** 2).sum(axis=1)
@@ -301,7 +320,7 @@ def whiten_generator(S, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) ->
         raise SingularTransfer(
             f"cannot whiten: periodized spectrum vanishes near dual index {xi}",
             witness_xi=xi, witness_point=tuple(int(v) for v in lat.dual_points[xi]))
-    return _quantize(P / np.sqrt(lat.size * power)[:, None], lat)
+    return weyl_transform(symplectic_ft(unfibers(P / np.sqrt(lat.size * power)[:, None], lat)))
 
 
 def relative_error(T_rec, T) -> float:

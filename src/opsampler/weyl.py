@@ -31,9 +31,16 @@ unitary or self-inverse:
 DFT lengths never exceed L, so ``numpy.fft`` is used for the inner sums;
 the results agree with direct summation to machine precision.
 
-``weyl_transform``, ``symplectic_ft`` and ``fourier_wigner`` batch over
-leading axes: they map ``(..., L, L)`` stacks slice by slice, and each
-slice of the result equals the single-slice call bit for bit.
+``inverse_fourier_wigner`` quantizes a trace transform in one inverse
+FFT and one gather: the symplectic FT's DFT over x and the
+quantization's DFT over omega cancel, and the half-phase becomes a shift
+of the gathered index, so it equals ``weyl_transform(symplectic_ft(F))``
+without their three FFT passes.
+
+``weyl_transform``, ``symplectic_ft``, ``fourier_wigner`` and
+``inverse_fourier_wigner`` batch over leading axes: they map
+``(..., L, L)`` stacks slice by slice, and each slice of the result
+equals the single-slice call bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
     "weyl_transform",
     "symplectic_ft",
     "fourier_wigner",
+    "inverse_fourier_wigner",
     "stft",
     "translate_phase",
     "translation_covariance_check",
@@ -156,10 +164,36 @@ def fourier_wigner(S) -> np.ndarray:
     c = half_inverse(L)
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
-    trp = np.fft.fft(S[..., (t + x) % L, t], axis=-1)
+    diagonals = _flat(S).take(((t + x) % L) * L + t, axis=-1)  # S[..., (t + x) % L, t]
+    trp = np.fft.fft(diagonals, axis=-1)
     roots = np.exp(2j * np.pi * np.arange(L) / L)
-    np.multiply(roots[(-c * np.outer(np.arange(L), np.arange(L))) % L], trp, out=trp)
-    return trp / np.sqrt(L)
+    np.multiply(roots[(-c * x * t) % L], trp, out=trp)
+    trp /= np.sqrt(L)
+    return trp
+
+
+def inverse_fourier_wigner(F) -> np.ndarray:
+    """Operator with the given phase-weighted trace transform.
+
+    out[u, v] = L**0.5 * ifft(F, axis=-1)[(u - v) % L, (c*(u + v)) % L].
+
+    Exact inverse of ``fourier_wigner`` and equal to
+    ``weyl_transform(symplectic_ft(F))``: undoing the half-phase at x = u - v
+    shifts the inverse DFT's output index from v to v + c*(u - v), which is
+    c*(u + v) mod L.  Batches over leading axes.
+    """
+    F = _as_square_stack(F, "phase-space function")
+    L = F.shape[-1]
+    c = half_inverse(L)
+    u = np.arange(L)[:, None]
+    v = np.arange(L)[None, :]
+    g = np.fft.ifft(F, axis=-1, norm="ortho")  # the sqrt(L) * ifft of the kernel
+    return _flat(g).take(((u - v) % L) * L + (c * (u + v)) % L, axis=-1)
+
+
+def _flat(F) -> np.ndarray:
+    """(..., L, L) to (..., L*L), so that a 2-D gather is one ``take``."""
+    return F.reshape(F.shape[:-2] + (-1,))
 
 
 def stft(phi, psi) -> np.ndarray:

@@ -242,27 +242,34 @@ def test_unrunnable_periodized_gaussian_is_config_error(tmp_path, capsys, param,
     assert f"generators[0].{param}" in captured.err
 
 
-@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
-def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkeypatch, m):
+def _count_calls(monkeypatch, counted):
+    """Count calls (weight 1) or transformed operators (weight "ops") per function name."""
     import opsampler.frames as frames
     import opsampler.runner as runner
     import opsampler.sampling as sampling
+    import opsampler.weyl as weyl
 
-    calls = {"frame_bounds": 0, "transfer_matrix": 0, "fourier_wigner": 0}
+    calls = dict.fromkeys(counted, 0)
 
     def counting(name, fn, weight):
         def wrapper(*args, **kwargs):
-            calls[name] += weight(args)
+            calls[name] += int(np.prod(np.shape(args[0])[:-2])) if weight == "ops" else 1
             return fn(*args, **kwargs)
         return wrapper
 
-    for name, weight in [("frame_bounds", lambda a: 1), ("transfer_matrix", lambda a: 1),
-                         ("fourier_wigner", lambda a: int(np.prod(np.shape(a[0])[:-2])))]:
-        wrapped = counting(name, getattr(frames, name), weight)
+    for name, weight in counted.items():
+        source = weyl if hasattr(weyl, name) else frames
+        wrapped = counting(name, getattr(source, name), weight)
         for mod in (frames, sampling, runner):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
+    return calls
 
+
+@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
+def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkeypatch, m):
+    calls = _count_calls(monkeypatch, {"frame_bounds": 1, "transfer_matrix": 1,
+                                       "fourier_wigner": "ops", "inverse_fourier_wigner": "ops"})
     n = 2
     data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
                 averagers=[{"kind": "random_hs"}] * m, c_matrix="random")
@@ -270,9 +277,22 @@ def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkey
     report = json.loads(capsys.readouterr().out)
     assert (report["interpolation"] is not None) == (m == n)
     # N generators, M averagers and the synthesized element, plus the M
-    # reconstructors for the square-system interpolation check
+    # reconstructors for the square-system interpolation check; only the
+    # synthesized and the reconstructed element are quantized, plus the M
+    # reconstructors where the interpolation check reads them
     assert calls == {"frame_bounds": 1, "transfer_matrix": 1,
-                     "fourier_wigner": n + m + 1 + (m if m == n else 0)}
+                     "fourier_wigner": n + m + 1 + (m if m == n else 0),
+                     "inverse_fourier_wigner": 2 + (m if m == n else 0)}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_analyze_without_averagers_transforms_generators_once(tmp_path, capsys, monkeypatch, n):
+    calls = _count_calls(monkeypatch, {"fourier_wigner": "ops"})
+    data = dict(BASE, lattice={"a": 3, "b": 3}, generators=[{"kind": "random_hs"}] * n)
+    assert main(["analyze", "--config", write_cfg(tmp_path, data)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["system_frame"]["verdict"] == "riesz_basis"
+    assert calls == {"fourier_wigner": n}
 
 
 def test_failure_fuzz_engineered_generators(tmp_path, capsys):

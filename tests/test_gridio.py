@@ -1,0 +1,88 @@
+import numpy as np
+import pytest
+
+from opsampler.gridio import write_dual_values, write_phase_grid, write_transfer
+from opsampler.report import format_float
+
+# ---------------------------------------------------- per-value oracle writers
+
+
+def oracle_phase_grid(path, F):
+    F = np.asarray(F, dtype=complex)
+    L = F.shape[0]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("x,omega,re,im\n")
+        for x in range(L):
+            for w in range(L):
+                v = F[x, w]
+                fh.write(f"{x},{w},{format_float(v.real)},{format_float(v.imag)}\n")
+
+
+def oracle_dual_values(path, values):
+    values = np.asarray(values, dtype=float)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("xi_index,value\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{format_float(v)}\n")
+
+
+def oracle_transfer(path, values):
+    values = np.asarray(values, dtype=complex)
+    size, M, N = values.shape
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("xi_index,m,n,re,im\n")
+        for xi in range(size):
+            for m in range(M):
+                for n in range(N):
+                    v = values[xi, m, n]
+                    fh.write(f"{xi},{m},{n},{format_float(v.real)},{format_float(v.imag)}\n")
+
+
+EXTREMES = [-0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.1, 1.0 / 3.0, 2.0**53 + 1]
+
+
+def _values(shape, seed):
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    flat = out.reshape(-1)
+    flat[: len(EXTREMES)] = EXTREMES
+    return out
+
+
+def _complex_values(shape, seed):
+    re, im = _values(shape, seed), _values(shape, seed + 1)
+    out = re + 1j * im
+    out.reshape(-1)[len(EXTREMES)] = complex(-0.0, -0.0)
+    return out
+
+
+CASES = {
+    "phase_grid": (write_phase_grid, oracle_phase_grid, lambda: _complex_values((15, 15), 1)),
+    "dual_values": (write_dual_values, oracle_dual_values, lambda: _values((45,), 2)),
+    "transfer": (write_transfer, oracle_transfer, lambda: _complex_values((9, 3, 2), 3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_writers_match_per_value_loop_byte_for_byte(tmp_path, kind):
+    writer, oracle, make = CASES[kind]
+    values = make()
+    writer(tmp_path / "new.csv", values)
+    oracle(tmp_path / "old.csv", values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_non_finite_values(tmp_path, kind, bad):
+    writer, oracle, make = CASES[kind]
+    values = make()
+    flat = values.reshape(-1)
+    flat[-1] = bad
+    if np.iscomplexobj(values):
+        flat[-2] = complex(1.0, -bad)  # the first offender in row order is an imaginary part
+    with pytest.raises(ValueError, match="non-finite value") as new:
+        writer(tmp_path / "new.csv", values)
+    with pytest.raises(ValueError) as old:
+        oracle(tmp_path / "old.csv", values)
+    assert str(new.value) == str(old.value)

@@ -5,6 +5,7 @@ from opsampler.core import half_inverse, hs_inner, rank_one, tf_shift, translate
 from opsampler.weyl import (
     cross_wigner,
     fourier_wigner,
+    inverse_fourier_wigner,
     stft,
     symplectic_ft,
     translate_phase,
@@ -206,6 +207,17 @@ def test_fourier_wigner_rank_one_is_stft_magnitude():
         assert abs(abs(F[x, w]) * np.sqrt(L) - mag) <= 1e-10 * (1 + mag)
 
 
+@pytest.mark.parametrize("L", [3, 15, 45, 105])
+def test_inverse_fourier_wigner_quantizes_in_one_step(L):
+    F = rand_phase(L)
+    Q = inverse_fourier_wigner(F)
+    two_step = weyl_transform(symplectic_ft(F))
+    assert np.linalg.norm(Q - two_step) <= 1e-12 * np.linalg.norm(two_step)
+    assert np.linalg.norm(fourier_wigner(Q) - F) <= 1e-12 * np.linalg.norm(F)
+    S = rand_op(L)
+    assert np.linalg.norm(inverse_fourier_wigner(fourier_wigner(S)) - S) <= 1e-12 * np.linalg.norm(S)
+
+
 # --------------------------------------------------------------------- STFT
 
 def test_stft_values():
@@ -284,7 +296,7 @@ def test_covariance_consistent_with_rank_one_factorization():
 def test_weyl_maps_batch_bit_for_bit(shape):
     local = np.random.default_rng(shape[-1] * 10 + len(shape))
     stack = local.standard_normal(shape) + 1j * local.standard_normal(shape)
-    for fn in (fourier_wigner, weyl_transform, symplectic_ft):
+    for fn in (fourier_wigner, inverse_fourier_wigner, weyl_transform, symplectic_ft):
         out = fn(stack)
         assert out.shape == shape
         for k in np.ndindex(shape[:-2]):
@@ -293,6 +305,6 @@ def test_weyl_maps_batch_bit_for_bit(shape):
 
 @pytest.mark.parametrize("shape", [(15,), (15, 9), (2, 15, 9)])
 def test_weyl_maps_refuse_non_square_trailing_axes(shape):
-    for fn in (fourier_wigner, weyl_transform, symplectic_ft):
+    for fn in (fourier_wigner, inverse_fourier_wigner, weyl_transform, symplectic_ft):
         with pytest.raises(ValueError):
             fn(np.zeros(shape, complex))
