@@ -37,8 +37,16 @@ BUILDER_KINDS = (
 
 
 def rand_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian draws, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Standard complex Gaussian draws, unit variance per entry.
+
+    All real parts are drawn first, then all imaginary parts; the values
+    are bit for bit ``(re + 1j*im) / sqrt(2)``, written into one buffer.
+    """
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def validate_builder_spec(spec: dict, L: int, field: str) -> dict:

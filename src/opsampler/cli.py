@@ -23,7 +23,7 @@ from .report import canonical_json
 from .runner import EXIT_CONFIG, EXPORT_KINDS, run_analyze, run_export, run_roundtrip
 
 
-def _parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opsampler",
         description="Average sampling experiments for operators on a finite phase space.")
@@ -41,6 +41,11 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls, so
+# main() may be called any number of times in one process.
+_PARSER = _build_parser()
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = canonical_json(report)
     if out is None:
@@ -51,7 +56,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.tolerance is not None:

@@ -150,7 +150,7 @@ class FrameReport:
 def _witnesses(lows: np.ndarray, tol: float, lat: Lattice) -> tuple[tuple[int, ...], tuple]:
     order = [int(np.argmin(lows))]
     order += [int(i) for i in np.flatnonzero(lows <= tol) if int(i) != order[0]]
-    points = tuple((int(lat.dual_points[i, 0]), int(lat.dual_points[i, 1])) for i in order)
+    points = tuple(divmod(i, lat.n_rows) for i in order)  # the rows of lat.dual_points
     return tuple(order), points
 
 

@@ -32,14 +32,26 @@ def _check_finite(values: np.ndarray) -> None:
     format_float(flat[np.argmax(~np.isfinite(flat))])
 
 
+def _write_blocks(fh, blocks, keys) -> None:
+    """One ``%`` template per call: block i becomes the lines ``i,<key>,re,im``.
+
+    ``%.17g`` formats a float exactly as ``format(x, ".17g")`` does.
+    """
+    template = "".join(["%%d,%s,%%.17g,%%.17g\n" % key for key in keys])
+    fields = [0] * (3 * len(keys))
+    for i, block in enumerate(blocks):
+        fields[0::3] = [i] * len(keys)
+        fields[1::3] = block.real.tolist()
+        fields[2::3] = block.imag.tolist()
+        fh.write(template % tuple(fields))
+
+
 def write_phase_grid(path, F) -> None:
     F = np.asarray(F, dtype=complex)
     _check_finite(F)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,omega,re,im\n")
-        for x, row in enumerate(F):
-            cells = zip(row.real.tolist(), row.imag.tolist())
-            fh.write("".join([f"{x},{w},{re:.17g},{im:.17g}\n" for w, (re, im) in enumerate(cells)]))
+        _write_blocks(fh, F, range(F.shape[1]))
 
 
 def read_phase_grid(path, L: int) -> np.ndarray:
@@ -51,7 +63,7 @@ def read_phase_grid(path, L: int) -> np.ndarray:
             raise ValueError(f"unexpected header {header!r} in {path}")
         for line in fh:
             xs, ws, re, im = line.strip().split(",")
-            out[int(xs), int(ws)] = float(re) + 1j * float(im)
+            out[int(xs), int(ws)] = complex(float(re), float(im))
             seen += 1
     if seen != L * L:
         raise ValueError(f"expected {L * L} rows in {path}, found {seen}")
@@ -74,6 +86,4 @@ def write_transfer(path, values) -> None:
     channels = [f"{m},{n}" for m in range(M) for n in range(N)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("xi_index,m,n,re,im\n")
-        for xi, block in enumerate(values.reshape(size, M * N)):
-            cells = zip(channels, block.real.tolist(), block.imag.tolist())
-            fh.write("".join([f"{xi},{mn},{re:.17g},{im:.17g}\n" for mn, re, im in cells]))
+        _write_blocks(fh, values.reshape(size, M * N), channels)

@@ -9,8 +9,8 @@ is fixed.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["canonical_json", "format_float"]
 
@@ -35,7 +35,7 @@ def _encode(obj, parts: list[str]) -> None:
     elif isinstance(obj, complex):
         parts.append(f"[{format_float(obj.real)}, {format_float(obj.imag)}]")
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(encode_basestring_ascii(obj))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -43,7 +43,7 @@ def _encode(obj, parts: list[str]) -> None:
                 parts.append(", ")
             if not isinstance(k, str):
                 raise TypeError(f"report keys must be strings, got {k!r}")
-            parts.append(json.dumps(k))
+            parts.append(encode_basestring_ascii(k))
             parts.append(": ")
             _encode(v, parts)
         parts.append("}")

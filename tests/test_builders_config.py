@@ -167,3 +167,14 @@ def test_load_config_diagnostics(tmp_path):
 def test_rand_complex_unit_variance():
     draws = rand_complex(make_rng(0), 20000)
     assert abs(np.mean(np.abs(draws) ** 2) - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("shape", [15, (15, 15), (7, 3)])
+def test_rand_complex_matches_two_draw_formula_bit_for_bit(shape):
+    # oracle: the formula rand_complex used before it wrote into one buffer
+    for seed in range(5):
+        rng = make_rng(seed)
+        oracle = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        draws = rand_complex(make_rng(seed), shape)
+        assert draws.dtype == oracle.dtype and draws.shape == oracle.shape
+        assert draws.tobytes() == oracle.tobytes()

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import opsampler.cli
 from opsampler.cli import main
 from opsampler.config import parse_config
 from opsampler.gridio import read_phase_grid
@@ -145,6 +148,16 @@ def test_float_precision_in_reports():
     assert json.loads(text)["generator_riesz"]["alpha"] == alpha
 
 
+@pytest.mark.parametrize("text", [
+    'plain', 'quote " inside', "back\\slash \\\"", "tab\tnew\nline\rbell\x07nul\x00 del\x7f",
+    "caf\u00e9 \u03b1\u03b2 \u2028\u2029", "astral \U0001f600", "lone \ud800 surrogate", "",
+])
+def test_canonical_json_quotes_strings_like_json_dumps(text):
+    # oracle: canonical_json used to quote every key and string with json.dumps
+    assert canonical_json(text) == json.dumps(text) + "\n"
+    assert canonical_json({text: [text]}) == "{%s: [%s]}\n" % (json.dumps(text), json.dumps(text))
+
+
 # -------------------------------------------------------------------- export
 
 def test_export_writes_all_kinds(tmp_path, capsys):
@@ -198,6 +211,43 @@ def test_csv_grid_headers(tmp_path):
     run_export(cfg, "symbols", str(out))
     first = (out / "symbols_g0.csv").read_text().splitlines()[0]
     assert first == "x,omega,re,im"
+
+
+# ------------------------------------------------ repeated calls in one process
+
+def test_tolerance_flag_does_not_leak_into_next_call(tmp_path, capsys):
+    path = write_cfg(tmp_path, dict(BASE, tolerance=1e-9))
+    assert main(["roundtrip", "--config", path, "--tolerance", "1e-300"]) == 2
+    assert json.loads(capsys.readouterr().out)["reconstruction"]["tolerance"] == 1e-300
+    assert main(["roundtrip", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["reconstruction"]["tolerance"] == 1e-9
+
+
+def test_export_kind_does_not_leak_into_next_call(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE)
+    assert main(["export", "--config", path, "--out", str(tmp_path / "one"), "--what", "wigner"]) == 0
+    assert json.loads(capsys.readouterr().out)["export"]["files"] == ["wigner_g0.csv"]
+    assert main(["export", "--config", path, "--out", str(tmp_path / "all")]) == 0
+    manifest = json.loads(capsys.readouterr().out)["export"]
+    assert manifest["what"] == ["symbols", "wigner", "periodization", "transfer"]
+    assert sorted(manifest["files"]) == sorted(os.listdir(tmp_path / "all"))
+    assert {name.split("_")[0].split(".")[0] for name in manifest["files"]} == set(manifest["what"])
+
+
+def test_rejected_arguments_leave_next_call_as_in_fresh_process(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--config", path, "--what", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert main(["analyze", "--config", path]) == 0
+    in_process = json.loads(capsys.readouterr().out)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opsampler.cli.__file__)))
+    fresh = subprocess.run([sys.executable, "-m", "opsampler.cli", "analyze", "--config", path],
+                           capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert fresh.stderr == ""
+    assert strip_timing(in_process) == strip_timing(json.loads(fresh.stdout))
 
 
 # ------------------------------------------------------------ config errors

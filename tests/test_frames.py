@@ -4,6 +4,7 @@ import pytest
 from opsampler.errors import SingularTransfer
 from opsampler.frames import (
     ConvolutionMatrix,
+    _witnesses,
     TransferMatrix,
     dual_sequences,
     frame_bounds,
@@ -50,6 +51,18 @@ def delta_seq(lat):
     d = np.zeros(lat.size, complex)
     d[0] = 1
     return d
+
+
+# ------------------------------------------------------------------ witnesses
+
+@pytest.mark.parametrize("L,a,b", [(15, 3, 5), (15, 5, 3), (45, 3, 9), (21, 1, 7), (9, 9, 1)])
+def test_witness_points_are_dual_points(L, a, b):
+    lat = Lattice(L, a, b)
+    lows = rng.permutation(lat.size).astype(float)
+    order, points = _witnesses(lows, np.inf, lat)
+    assert sorted(order) == list(range(lat.size)) and order[0] == int(np.argmin(lows))
+    assert points == tuple((int(lat.dual_points[i, 0]), int(lat.dual_points[i, 1])) for i in order)
+    assert all(type(v) is int for p in points for v in p)
 
 
 # ------------------------------------------------------------ transfer matrix

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opsampler.gridio import write_dual_values, write_phase_grid, write_transfer
+from opsampler.gridio import read_phase_grid, write_dual_values, write_phase_grid, write_transfer
 from opsampler.report import format_float
 
 # ---------------------------------------------------- per-value oracle writers
@@ -86,3 +86,13 @@ def test_writers_refuse_non_finite_values(tmp_path, kind, bad):
     with pytest.raises(ValueError) as old:
         oracle(tmp_path / "old.csv", values)
     assert str(new.value) == str(old.value)
+
+
+def test_phase_grid_round_trip_is_bit_exact(tmp_path):
+    F = _complex_values((15, 15), 4)
+    zeros = [0.0, -0.0]
+    for i, (re, im) in enumerate([(r, m) for r in zeros for m in zeros] + [(-0.0, 2.5), (2.5, -0.0)]):
+        F[i, 0] = complex(re, im)
+    write_phase_grid(tmp_path / "grid.csv", F)
+    back = read_phase_grid(tmp_path / "grid.csv", 15)
+    assert back.tobytes() == F.tobytes()
