@@ -22,7 +22,8 @@ from .errors import ConfigError
 from .lattice import Lattice
 from .sampling import whiten_generator
 
-__all__ = ["BUILDER_KINDS", "build_operator", "spec_uses_rng", "validate_builder_spec"]
+__all__ = ["BUILDER_KINDS", "build_operator", "rand_complex", "spec_uses_rng",
+           "validate_builder_spec"]
 
 MAX_WRAPS = 100
 

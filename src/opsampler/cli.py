@@ -22,6 +22,8 @@ from .errors import ConfigError
 from .report import canonical_json
 from .runner import EXIT_CONFIG, EXPORT_KINDS, run_analyze, run_export, run_roundtrip
 
+__all__ = ["main"]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

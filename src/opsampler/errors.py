@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["SingularTransfer", "ConfigError"]
+
 
 class SingularTransfer(RuntimeError):
     """A sampling system whose transfer spectrum touches zero.

@@ -15,9 +15,9 @@ the scale being the corresponding maximum.  Reports always carry the
 dual-grid index attaining the minimum so failures can be localized.
 
 The verdict string is one of ``riesz_basis`` (pass with M == N, or a
-single-generator / Gram pass: a Riesz sequence is a Riesz basis for its
-span), ``frame`` (pass with M > N), ``fail`` (lower bound not positive;
-witnesses attached).
+Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
+(pass with M > N), ``fail`` (lower bound not positive; witnesses
+attached).
 
 Every stage is evaluated on the dual grid (see ``lattice``): transfer
 matrices and dual sequences are batched symplectic series, and the Gram
@@ -26,13 +26,12 @@ test reads the adjoint-coset fibers of the trace transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularTransfer
-from .lattice import Lattice, fibers, inverse_symplectic_series, symplectic_series
-from .weyl import fourier_wigner
+from .lattice import Lattice, inverse_symplectic_series, symplectic_series
 
 __all__ = [
     "DEFAULT_TOL_FACTOR",
@@ -41,9 +40,7 @@ __all__ = [
     "FrameReport",
     "transfer_matrix",
     "frame_bounds",
-    "single_gen_condition",
     "gram_matrix_bounds",
-    "pseudo_inverse",
     "left_inverse_family",
     "dual_sequences",
 ]
@@ -115,10 +112,9 @@ class FrameReport:
     """Spectral bounds of a system plus the pass/fail verdict.
 
     ``alpha``/``beta`` are the extreme eigenvalue bounds over the dual
-    grid (for single-generator checks: extreme moduli of the series, not
-    their squares).  ``delta`` is the minimum |det| for square systems,
-    None otherwise.  ``witnesses`` lists dual-grid indices where the
-    lower bound degenerates (the argmin always comes first).
+    grid.  ``delta`` is the minimum |det| for square systems, None
+    otherwise.  ``witnesses`` lists dual-grid indices where the lower
+    bound degenerates (the argmin always comes first).
     """
 
     alpha: float
@@ -128,7 +124,7 @@ class FrameReport:
     witnesses: tuple[int, ...]
     witness_points: tuple[tuple[int, int], ...]
     tol: float
-    kind: str = field(default="transfer")
+    kind: str
 
     @property
     def passed(self) -> bool:
@@ -146,6 +142,15 @@ class FrameReport:
             "kind": self.kind,
         }
 
+    def require(self, template: str) -> None:
+        """Raise SingularTransfer at the first witness unless passed; the
+        message is ``template`` formatted with alpha, beta, kind and xi."""
+        if not self.passed:
+            xi = self.witnesses[0]
+            raise SingularTransfer(
+                template.format(alpha=self.alpha, beta=self.beta, kind=self.kind, xi=xi),
+                witness_xi=xi, witness_point=self.witness_points[0])
+
 
 def _witnesses(lows: np.ndarray, tol: float, lat: Lattice) -> tuple[tuple[int, ...], tuple]:
     order = [int(np.argmin(lows))]
@@ -159,6 +164,24 @@ def transfer_matrix(A: ConvolutionMatrix) -> TransferMatrix:
     return TransferMatrix(A.lattice, np.moveaxis(symplectic_series(A.seqs, A.lattice), -1, 0))
 
 
+def _report(eigs: np.ndarray, lat: Lattice, tol_factor: float, kind: str,
+            pass_verdict: str, dets: np.ndarray | None = None) -> FrameReport:
+    """Report from per-xi ascending eigenvalues (size, K); with ``dets``
+    the smallest |det| must clear the relative gate too."""
+    lows = eigs[:, 0]
+    alpha = float(lows.min())
+    beta = float(eigs[:, -1].max())
+    tol = tol_factor * beta
+    passed = alpha > tol
+    delta = None
+    if dets is not None:
+        delta = float(dets.min())
+        passed = passed and delta > tol_factor * float(dets.max())
+    wit, pts = _witnesses(lows, -np.inf if passed else tol, lat)
+    return FrameReport(alpha, beta, delta, pass_verdict if passed else VERDICT_FAIL,
+                       wit, pts, tol, kind)
+
+
 def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
     """Extreme eigenvalues of A_hat(xi)* A_hat(xi) over the dual grid.
 
@@ -168,113 +191,54 @@ def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> F
     when M > N and alpha clears it, fail otherwise (with witnesses).  The
     alpha gate matters for square systems too: a rank-deficient system
     whose determinants are all roundoff can clear the delta gate alone.
+    For a 1 x 1 system with filter q, alpha = min |series q|^2.
     """
     if T.m < T.n:
         raise ValueError(f"system must have at least as many outputs as inputs, got {T.m} x {T.n}")
     gram = np.einsum("xmn,xmk->xnk", T.values.conj(), T.values)
-    eigs = np.linalg.eigvalsh(gram)
-    lows = eigs[:, 0]
-    alpha = float(lows.min())
-    beta = float(eigs[:, -1].max())
-    tol = tol_factor * beta
-    delta = None
-    passed = alpha > tol
-    if T.m == T.n:
-        dets = np.abs(np.linalg.det(T.values))
-        delta = float(dets.min())
-        passed = passed and delta > tol_factor * float(dets.max())
-        verdict = VERDICT_RIESZ if passed else VERDICT_FAIL
-    else:
-        verdict = VERDICT_FRAME if passed else VERDICT_FAIL
-    if passed:
-        wit, pts = _witnesses(lows, -np.inf, T.lattice)
-    else:
-        wit, pts = _witnesses(lows, tol, T.lattice)
-    return FrameReport(alpha, beta, delta, verdict, wit, pts, tol)
+    square = T.m == T.n
+    dets = np.abs(np.linalg.det(T.values)) if square else None
+    return _report(np.linalg.eigvalsh(gram), T.lattice, tol_factor, "transfer",
+                   VERDICT_RIESZ if square else VERDICT_FRAME, dets)
 
 
-def single_gen_condition(q, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
-    """Riesz condition for a single filter sequence q.
-
-    alpha/beta are the extreme moduli (not squares) of the symplectic
-    series of q over the dual grid; the translates of the involution of q
-    form a Riesz basis exactly when the minimum modulus is positive.
-    """
-    F = symplectic_series(q, lat)
-    mods = np.abs(F)
-    alpha = float(mods.min())
-    beta = float(mods.max())
-    tol = tol_factor * beta
-    passed = alpha > tol
-    wit, pts = _witnesses(mods, -np.inf if passed else tol, lat)
-    return FrameReport(alpha, beta, None, VERDICT_RIESZ if passed else VERDICT_FAIL,
-                       wit, pts, tol, kind="single_generator")
-
-
-def gram_matrix_bounds(generators, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR,
-                       *, spectra=None) -> FrameReport:
+def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
     """Riesz-sequence test for lattice translates of N operators.
 
-    Builds, per dual-grid representative z, the N x N Gram matrix
-    ``G(z) = sum_mu v(z + mu) v(z + mu)^H`` over the adjoint lattice,
-    where v stacks the phase-weighted trace transforms of the
-    generators; returns the extreme eigenvalues over the grid.  For a
-    single generator the bounds are |Lambda| times the extremes of the
+    ``V`` stacks the adjoint-coset fibers of the phase-weighted trace
+    transforms of the generators, shape (N, size, n_adjoint).  Builds, per
+    dual-grid representative z, the N x N Gram matrix
+    ``G(z) = sum_mu v(z + mu) v(z + mu)^H`` over the adjoint lattice and
+    returns the extreme eigenvalues over the grid.  For a single
+    generator the bounds are |Lambda| times the extremes of the
     periodized square (scaling documented in ``periodize_sq``).
-    ``spectra``, if given, must be those fibers, shape (N, size, n_adjoint);
-    the generators are then not transformed again.
     """
-    if len(generators) == 0:
+    if len(V) == 0:
         raise ValueError("need at least one generator")
-    V = fibers(fourier_wigner(generators), lat) if spectra is None else spectra
     gram = np.einsum("nxa,mxa->xnm", V, V.conj())
-    eigs = np.linalg.eigvalsh(gram)
-    lows = eigs[:, 0]
-    alpha = float(lows.min())
-    beta = float(eigs[:, -1].max())
-    tol = tol_factor * beta
-    passed = alpha > tol
-    wit, pts_w = _witnesses(lows, -np.inf if passed else tol, lat)
-    return FrameReport(alpha, beta, None, VERDICT_RIESZ if passed else VERDICT_FAIL,
-                       wit, pts_w, tol, kind="gram")
+    return _report(np.linalg.eigvalsh(gram), lat, tol_factor, "gram", VERDICT_RIESZ)
 
 
-def pseudo_inverse(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR,
-                   *, report: FrameReport | None = None) -> TransferMatrix:
-    """Per-xi Moore-Penrose left inverse (A* A)^{-1} A*.
-
-    Refuses (SingularTransfer) when the frame condition fails; never
-    returns NaN/Inf.  ``report`` is ``frame_bounds(T, tol_factor)`` when
-    the caller has it already; it is computed otherwise.
-    """
-    if report is None:
-        report = frame_bounds(T, tol_factor)
-    if not report.passed:
-        raise SingularTransfer(
-            f"transfer matrix is singular at dual index {report.witnesses[0]} "
-            f"(alpha={report.alpha:.3e}, beta={report.beta:.3e})",
-            witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
-    adj = T.values.conj().transpose(0, 2, 1)
-    return TransferMatrix(T.lattice, np.linalg.solve(np.matmul(adj, T.values), adj))
-
-
-def left_inverse_family(T: TransferMatrix, C: TransferMatrix | None = None,
-                        tol_factor: float = DEFAULT_TOL_FACTOR,
-                        *, report: FrameReport | None = None) -> TransferMatrix:
+def left_inverse_family(T: TransferMatrix, report: FrameReport,
+                        C: TransferMatrix | None = None) -> TransferMatrix:
     """Left inverses B_hat = A_dag + C (I - A A_dag), parametrized by C.
 
-    Every member satisfies ``B_hat(xi) A_hat(xi) = I`` for all xi; C = None
-    gives the Moore-Penrose member.  For square systems the projector
-    I - A A_dag vanishes and C is irrelevant.  ``report`` is passed on to
-    ``pseudo_inverse``.
+    ``report`` is ``frame_bounds(T)``; a system that fails it is refused
+    with SingularTransfer, so no NaN/Inf is returned.  A_dag is the
+    per-xi Moore-Penrose left inverse (A* A)^{-1} A*, the member C = None.
+    Every member satisfies ``B_hat(xi) A_hat(xi) = I`` for all xi; for
+    square systems the projector I - A A_dag vanishes and C is irrelevant.
     """
-    dag = pseudo_inverse(T, tol_factor, report=report)
+    report.require("transfer matrix is singular at dual index {xi} "
+                   "(alpha={alpha:.3e}, beta={beta:.3e})")
+    adj = T.values.conj().transpose(0, 2, 1)
+    dag = np.linalg.solve(np.matmul(adj, T.values), adj)
     if C is None:
-        return dag
-    if C.values.shape != dag.values.shape:
-        raise ValueError(f"C must have shape {dag.values.shape}, got {C.values.shape}")
-    proj = np.eye(T.m) - np.matmul(T.values, dag.values)
-    return TransferMatrix(T.lattice, dag.values + np.matmul(C.values, proj))
+        return TransferMatrix(T.lattice, dag)
+    if C.values.shape != dag.shape:
+        raise ValueError(f"C must have shape {dag.shape}, got {C.values.shape}")
+    proj = np.eye(T.m) - np.matmul(T.values, dag)
+    return TransferMatrix(T.lattice, dag + np.matmul(C.values, proj))
 
 
 def dual_sequences(B: TransferMatrix) -> ConvolutionMatrix:

@@ -48,7 +48,6 @@ from .core import validate_mod_size
 
 __all__ = [
     "Lattice",
-    "adjoint_lattice",
     "symplectic_series",
     "inverse_symplectic_series",
     "lattice_convolve",
@@ -124,11 +123,6 @@ class Lattice:
         j = (-np.arange(self.n_rows)) % self.n_rows
         k = (-np.arange(self.n_cols)) % self.n_cols
         return (j[:, None] * self.n_cols + k[None, :]).reshape(-1)
-
-
-def adjoint_lattice(lat: Lattice) -> Lattice:
-    """The annihilator lattice (L/b)*Z_L x (L/a)*Z_L."""
-    return lat.adjoint
 
 
 def _as_seq(c, lat: Lattice) -> np.ndarray:

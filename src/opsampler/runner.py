@@ -110,15 +110,12 @@ def run_analyze(cfg: ExperimentConfig) -> tuple[dict, int]:
     A = sample_filter_matrix(gens, avgs)
     system = frame_bounds(transfer_matrix(A), tol_factor=cfg.tol_pos)
     report["system_frame"] = system.to_jsonable()
-    passed = gens.riesz.passed and system.passed
-    if not passed:
-        bad = gens.riesz if not gens.riesz.passed else system
-        report["failure"] = {
-            "message": f"{bad.kind} condition failed at dual index {bad.witnesses[0]}",
-            "witness_xi": bad.witnesses[0],
-            "witness_point": list(bad.witness_points[0]),
-        }
-    return _finish(report, started, passed)
+    try:
+        for rep in (gens.riesz, system):
+            rep.require("{kind} condition failed at dual index {xi}")
+    except SingularTransfer as exc:
+        return _finish(_failure(report, exc), started, False)
+    return _finish(report, started, True)
 
 
 def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
@@ -144,14 +141,9 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
         C = TransferMatrix(gens.lattice,
                            rand_complex(rng, (gens.lattice.size, gens.n, avgs.m)))
     try:
-        if not gens.riesz.passed:
-            raise SingularTransfer(
-                f"generator translates are not a Riesz sequence "
-                f"(min Gram eigenvalue {gens.riesz.alpha:.3e} at dual index {gens.riesz.witnesses[0]})",
-                witness_xi=gens.riesz.witnesses[0],
-                witness_point=gens.riesz.witness_points[0])
-        rec = build_reconstructor_multi(gens, A, C=C, tol_factor=cfg.tol_pos,
-                                        transfer=That, report=system)
+        gens.riesz.require("generator translates are not a Riesz sequence "
+                           "(min Gram eigenvalue {alpha:.3e} at dual index {xi})")
+        rec = build_reconstructor_multi(gens, That, system, C)
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
 

@@ -17,7 +17,9 @@ yields reconstruction operators ``H_m`` in the generator span such that
 recovers every T in the subspace exactly.  For M == N the H_m are unique
 (the left inverse is the inverse) and their own samples interpolate the
 delta pattern; for M > N the family of left inverses, hence of valid
-reconstructor sets, is parametrized by a free transfer matrix C.
+reconstructor sets, is parametrized by a free transfer matrix C.  The
+one-generator theorem is the system N = M = 1: for a filter q without
+zeros on the dual grid, the reconstructor's fibers are those of S / series(q).
 
 Every stage runs on the dual grid.  The operator sets keep the
 adjoint-coset fibers P = fibers(fourier_wigner(op)) (see ``lattice``),
@@ -52,11 +54,8 @@ from .frames import (
     ConvolutionMatrix,
     FrameReport,
     TransferMatrix,
-    frame_bounds,
     gram_matrix_bounds,
     left_inverse_family,
-    single_gen_condition,
-    transfer_matrix,
 )
 from .lattice import Lattice, fibers, inverse_symplectic_series, symplectic_series, unfibers
 from .weyl import fourier_wigner, inverse_fourier_wigner, symplectic_ft, weyl_transform
@@ -68,7 +67,6 @@ __all__ = [
     "synthesize_element",
     "average_samples",
     "sample_filter_matrix",
-    "build_reconstructor_single",
     "build_reconstructor_multi",
     "reconstruct",
     "seq_operator_convolve",
@@ -96,8 +94,7 @@ class GeneratorSet:
     def build(ops, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
         ops = _stack_ops(ops, lattice.L)
         P = _spectra(ops, lattice)
-        riesz = gram_matrix_bounds(ops, lattice, tol_factor, spectra=P)
-        return GeneratorSet(ops, lattice, P, riesz)
+        return GeneratorSet(ops, lattice, P, gram_matrix_bounds(P, lattice, tol_factor))
 
     @property
     def n(self) -> int:
@@ -203,60 +200,23 @@ def sample_filter_matrix(gens: GeneratorSet, avg: AveragerSet) -> ConvolutionMat
     return ConvolutionMatrix(gens.lattice, _pairings(gens.fibers, avg.fibers, gens.lattice))
 
 
-def build_reconstructor_single(gens: GeneratorSet, q,
-                               tol_factor: float = DEFAULT_TOL_FACTOR) -> Reconstructor:
-    """Single-generator reconstruction from a scalar filter sequence q.
+def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: FrameReport,
+                              C: TransferMatrix | None = None) -> Reconstructor:
+    """Reconstruction operators from a transfer matrix T (M >= N) and its
+    ``frame_bounds`` report; refuses when the system is not a frame.
 
-    Requires the series of q to be zero-free on the dual grid; the dual
-    filter p has series 1/series(q), and the reconstruction operator is
-    sum_lambda p(lambda) alpha_lambda(S): its fibers are those of S divided
-    by series(q).
+    With B_hat the left inverse (Moore-Penrose for C = None, else the
+    C-parametrized member), the m-th operator is sum_n sum_lambda
+    B[n, m](lambda) alpha_lambda(S_n), with fibers sum_n B_hat[xi, n, m] * P_{S_n}[xi, mu].
     """
-    if gens.n != 1:
-        raise ValueError(f"single-generator path needs exactly one generator, got {gens.n}")
-    lat = gens.lattice
-    report = single_gen_condition(q, lat, tol_factor)
-    if not report.passed:
-        raise SingularTransfer(
-            f"filter series has a zero at dual index {report.witnesses[0]} "
-            f"(min modulus {report.alpha:.3e})",
-            witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
-    dual = 1.0 / symplectic_series(np.asarray(q, dtype=complex), lat)
-    P = dual[None, :, None] * gens.fibers
-    left = TransferMatrix(lat, dual[:, None, None])
-    return Reconstructor(P, lat, left, report)
-
-
-def build_reconstructor_multi(gens: GeneratorSet, A: ConvolutionMatrix,
-                              C: TransferMatrix | None = None,
-                              tol_factor: float = DEFAULT_TOL_FACTOR,
-                              *, transfer: TransferMatrix | None = None,
-                              report: FrameReport | None = None) -> Reconstructor:
-    """Reconstruction operators for a sampling system A (M >= N).
-
-    Left-inverts the transfer matrix (Moore-Penrose for C = None, else the
-    C-parametrized member) B_hat; the m-th reconstruction operator is
-    sum_n sum_lambda B[n, m](lambda) alpha_lambda(S_n), whose fibers are
-    sum_n B_hat[xi, n, m] * P_{S_n}[xi, mu].  Refuses when the system is
-    not a frame.  ``transfer`` (``transfer_matrix(A)``) and ``report``
-    (``frame_bounds`` of it at ``tol_factor``) are computed unless the
-    caller has them already.
-    """
-    if A.m < gens.n:
-        raise ValueError(f"need at least as many averagers as generators, got M={A.m} < N={gens.n}")
-    if A.n != gens.n:
-        raise ValueError(f"system has {A.n} input channels but there are {gens.n} generators")
-    lat = gens.lattice
-    That = transfer_matrix(A) if transfer is None else transfer
-    if report is None:
-        report = frame_bounds(That, tol_factor)
-    if not report.passed:
-        raise SingularTransfer(
-            f"sampling system is not a frame: lower bound {report.alpha:.3e} at "
-            f"dual index {report.witnesses[0]}",
-            witness_xi=report.witnesses[0], witness_point=report.witness_points[0])
-    Bhat = left_inverse_family(That, C, tol_factor, report=report)
-    return Reconstructor(_combine(Bhat.values.transpose(0, 2, 1), gens.fibers), lat, Bhat, report)
+    if T.m < gens.n:
+        raise ValueError(f"need at least as many averagers as generators, got M={T.m} < N={gens.n}")
+    if T.n != gens.n:
+        raise ValueError(f"system has {T.n} input channels but there are {gens.n} generators")
+    report.require("sampling system is not a frame: lower bound {alpha:.3e} at dual index {xi}")
+    Bhat = left_inverse_family(T, report, C)
+    return Reconstructor(_combine(Bhat.values.transpose(0, 2, 1), gens.fibers), gens.lattice,
+                         Bhat, report)
 
 
 def reconstruct(samples, rec: Reconstructor) -> np.ndarray:

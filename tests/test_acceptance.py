@@ -12,19 +12,18 @@ import numpy as np
 from opsampler.cli import main
 from opsampler.core import hs_inner, hs_norm
 from opsampler.frames import (
+    ConvolutionMatrix,
     TransferMatrix,
     frame_bounds,
     gram_matrix_bounds,
-    single_gen_condition,
     transfer_matrix,
 )
-from opsampler.lattice import Lattice, periodize_sq
+from opsampler.lattice import Lattice, fibers, periodize_sq
 from opsampler.sampling import (
     AveragerSet,
     GeneratorSet,
     average_samples,
     build_reconstructor_multi,
-    build_reconstructor_single,
     interpolation_check,
     reconstruct,
     relative_error,
@@ -130,8 +129,8 @@ def test_criterion_05_single_generator_roundtrip():
         gens = GeneratorSet.build([S], lat)
         for Q in (S, rand_op(L)):
             avgs = AveragerSet.build([Q], lat)
-            A = sample_filter_matrix(gens, avgs)
-            rec = build_reconstructor_single(gens, A.seqs[0, 0])
+            That = transfer_matrix(sample_filter_matrix(gens, avgs))
+            rec = build_reconstructor_multi(gens, That, frame_bounds(That))
             c = rand_coeffs(1, lat)
             T = synthesize_element(c, gens)
             err = relative_error(reconstruct(average_samples(T, avgs), rec), T)
@@ -155,8 +154,9 @@ def test_criterion_06_oversampled_roundtrip_and_left_inverse():
     worst_err, worst_res = 0.0, 0.0
     C = TransferMatrix(lat, rng.standard_normal((lat.size, 2, 3))
                        + 1j * rng.standard_normal((lat.size, 2, 3)))
+    report = frame_bounds(That)
     for free in (None, C):
-        rec = build_reconstructor_multi(gens, A, C=free)
+        rec = build_reconstructor_multi(gens, That, report, free)
         worst_err = max(worst_err, relative_error(reconstruct(s, rec), T))
         prod = np.einsum("xnm,xmk->xnk", rec.left_inverse.values, That.values)
         worst_res = max(worst_res, float(np.abs(prod - np.eye(2)).max()))
@@ -172,8 +172,8 @@ def test_criterion_07_interpolation_property():
     for n in (1, 2):
         gens = GeneratorSet.build([rand_op(15) for _ in range(n)], lat)
         avgs = AveragerSet.build([rand_op(15) for _ in range(n)], lat)
-        A = sample_filter_matrix(gens, avgs)
-        rec = build_reconstructor_multi(gens, A)
+        That = transfer_matrix(sample_filter_matrix(gens, avgs))
+        rec = build_reconstructor_multi(gens, That, frame_bounds(That))
         _, dev = interpolation_check(rec, avgs)
         worst = max(worst, dev)
     ok = worst <= 1e-9
@@ -189,8 +189,8 @@ def test_criterion_08_riesz_criterion_equivalence():
         aS = weyl_symbol(S)
         q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in lat.points])
         P = periodize_sq(fourier_wigner(S), lat)
-        return (single_gen_condition(q, lat).passed,
-                gram_matrix_bounds([S], lat).passed,
+        return (frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None]))).passed,
+                gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat).passed,
                 bool(P.min() > 1e-10 * P.max()))
 
     agreements = 0

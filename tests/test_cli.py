@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -359,3 +360,43 @@ def test_failure_fuzz_engineered_generators(tmp_path, capsys):
         assert rc == 2
         assert report["failure"]["witness_xi"] is not None
         assert "reconstruction" not in report
+
+
+# ------------------------------------------------------------ refusal texts
+
+NUMBER = r"-?\d\.\d{3}e[+-]\d{2,3}"
+REFUSALS = {
+    ("analyze", "generator_riesz"): r"gram condition failed at dual index (?P<xi>\d+)",
+    ("roundtrip", "generator_riesz"):
+        rf"generator translates are not a Riesz sequence "
+        rf"\(min Gram eigenvalue (?P<alpha>{NUMBER}) at dual index (?P<xi>\d+)\)",
+    ("analyze", "system_frame"): r"transfer condition failed at dual index (?P<xi>\d+)",
+    ("roundtrip", "system_frame"):
+        rf"sampling system is not a frame: lower bound (?P<alpha>{NUMBER}) "
+        rf"at dual index (?P<xi>\d+)",
+}
+FAILING = {
+    # a point-pair generator misses adjoint cosets: its Gram test fails
+    "generator_riesz": {"generators": [{"kind": "delta_pair", "t1": 1, "t2": 4}]},
+    # a Riesz generator, but a point-pair averager: the system fails
+    "system_frame": {"averagers": [{"kind": "delta_pair", "t1": 2, "t2": 9}]},
+}
+
+
+@pytest.mark.parametrize("command,section", sorted(REFUSALS))
+def test_refusal_message_and_witness_come_from_the_failing_section(tmp_path, capsys,
+                                                                   command, section):
+    rc = main([command, "--config", write_cfg(tmp_path, dict(BASE, **FAILING[section]))])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 2 and report["status"] == "condition_failure"
+    failing = report[section]
+    assert failing["verdict"] == "fail"
+    if section == "system_frame":
+        assert report["generator_riesz"]["verdict"] == "riesz_basis"
+    failure = report["failure"]
+    match = re.fullmatch(REFUSALS[command, section], failure["message"])
+    assert match, failure["message"]
+    assert int(match["xi"]) == failure["witness_xi"] == failing["witness_xi"][0]
+    assert failure["witness_point"] == failing["witness_points"][0]
+    if "alpha" in match.groupdict():
+        assert float(match["alpha"]) == pytest.approx(failing["alpha"], rel=1e-3, abs=1e-300)

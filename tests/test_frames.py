@@ -10,12 +10,11 @@ from opsampler.frames import (
     frame_bounds,
     gram_matrix_bounds,
     left_inverse_family,
-    pseudo_inverse,
-    single_gen_condition,
     transfer_matrix,
 )
 from opsampler.lattice import (
     Lattice,
+    fibers,
     involution,
     periodize_sq,
     symplectic_series,
@@ -154,10 +153,12 @@ def test_square_system_delta_and_alpha_verdicts_agree():
 
 
 # ------------------------------------------------------ single generator test
+# One generator and one averager form the 1 x 1 system with filter q; its
+# frame bounds are the extremes of |series q|^2.
 
 def test_single_gen_delta_passes():
     lat = Lattice(15, 3, 5)
-    rep = single_gen_condition(delta_seq(lat), lat)
+    rep = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, delta_seq(lat)[None, None])))
     assert rep.verdict == "riesz_basis"
     assert rep.alpha == pytest.approx(1.0) and rep.beta == pytest.approx(1.0)
 
@@ -167,24 +168,25 @@ def test_single_gen_difference_of_deltas_fails():
     lat = Lattice(15, 3, 5)
     q = delta_seq(lat)
     q[lat.index_of((3, 0))] -= 1.0
-    rep = single_gen_condition(q, lat)
+    rep = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])))
     assert rep.verdict == "fail"
     assert 0 in rep.witnesses
 
 
 def test_single_gen_autocorrelation_cross_check():
-    # min of |series(autocorrelation)| equals |Lambda|^2 times the minimum
-    # of the periodized squared trace transform
+    # min of |series(autocorrelation)| (the square root of alpha) equals
+    # |Lambda|^2 times the minimum of the periodized squared trace transform
     lat = Lattice(15, 3, 5)
     S = rand_op(15)
     from opsampler.weyl import weyl_symbol
 
     aS = weyl_symbol(S)
     q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in lat.points])
-    rep = single_gen_condition(q, lat)
+    rep = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])))
     P = periodize_sq(fourier_wigner(S), lat)
-    assert rep.alpha == pytest.approx(lat.size**2 * P.min(), rel=1e-9)
-    assert rep.beta == pytest.approx(lat.size**2 * P.max(), rel=1e-9)
+    assert np.sqrt(rep.alpha) == pytest.approx(lat.size**2 * P.min(), rel=1e-9)
+    assert np.sqrt(rep.beta) == pytest.approx(lat.size**2 * P.max(), rel=1e-9)
+    assert rep.alpha == pytest.approx(np.abs(symplectic_series(q, lat)).min() ** 2, rel=1e-9)
     assert rep.passed == (P.min() > 1e-10 * P.max())
 
 
@@ -193,7 +195,7 @@ def test_single_gen_autocorrelation_cross_check():
 def test_gram_single_generator_scaling():
     lat = Lattice(15, 3, 5)
     S = rand_op(15)
-    rep = gram_matrix_bounds([S], lat)
+    rep = gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat)
     P = periodize_sq(fourier_wigner(S), lat)
     assert rep.alpha == pytest.approx(lat.size * P.min(), rel=1e-9)
     assert rep.beta == pytest.approx(lat.size * P.max(), rel=1e-9)
@@ -202,7 +204,7 @@ def test_gram_single_generator_scaling():
 def test_gram_duplicated_generator_fails():
     lat = Lattice(15, 3, 5)
     S = rand_op(15)
-    rep = gram_matrix_bounds([S, S], lat)
+    rep = gram_matrix_bounds(fibers(fourier_wigner(np.stack([S, S])), lat), lat)
     assert rep.verdict == "fail"
     assert rep.alpha <= rep.tol
 
@@ -210,7 +212,7 @@ def test_gram_duplicated_generator_fails():
 def test_gram_two_random_generators_match_oracle():
     lat = Lattice(15, 3, 5)
     S1, S2 = rand_op(15), rand_op(15)
-    rep = gram_matrix_bounds([S1, S2], lat)
+    rep = gram_matrix_bounds(fibers(fourier_wigner(np.stack([S1, S2])), lat), lat)
     assert rep.verdict == "riesz_basis"
     V = np.stack([fourier_wigner(S1), fourier_wigner(S2)])
     lows, highs = [], []
@@ -230,12 +232,12 @@ def test_gram_two_random_generators_match_oracle():
 
 def test_pseudo_inverse_identity_and_square():
     lat = Lattice(9, 3, 3)
-    eye = np.stack([np.eye(2, dtype=complex)] * lat.size)
-    dag = pseudo_inverse(TransferMatrix(lat, eye))
-    assert np.allclose(dag.values, eye)
+    eye = TransferMatrix(lat, np.stack([np.eye(2, dtype=complex)] * lat.size))
+    dag = left_inverse_family(eye, frame_bounds(eye))
+    assert np.allclose(dag.values, eye.values)
     A = rand_system(lat, 2, 2)
     That = transfer_matrix(A)
-    dag = pseudo_inverse(That)
+    dag = left_inverse_family(That, frame_bounds(That))
     inv = np.stack([np.linalg.inv(That.values[xi]) for xi in range(lat.size)])
     assert np.abs(dag.values - inv).max() <= 1e-10 * np.abs(inv).max()
 
@@ -243,7 +245,7 @@ def test_pseudo_inverse_identity_and_square():
 def test_pseudo_inverse_rectangular_properties():
     lat = Lattice(15, 3, 5)
     That = transfer_matrix(rand_system(lat, 3, 2))
-    dag = pseudo_inverse(That)
+    dag = left_inverse_family(That, frame_bounds(That))
     for xi in range(lat.size):
         P = That.values[xi] @ dag.values[xi]
         assert np.abs(dag.values[xi] @ That.values[xi] - np.eye(2)).max() <= 1e-10
@@ -255,8 +257,9 @@ def test_pseudo_inverse_refuses_singular():
     lat = Lattice(9, 3, 3)
     vals = np.stack([np.eye(2, dtype=complex)] * lat.size)
     vals[3] = 0.0
+    T = TransferMatrix(lat, vals)
     with pytest.raises(SingularTransfer) as err:
-        pseudo_inverse(TransferMatrix(lat, vals))
+        left_inverse_family(T, frame_bounds(T))
     assert err.value.witness_xi == 3
 
 
@@ -265,8 +268,8 @@ def test_pseudo_inverse_refuses_singular():
 def test_left_inverse_family_zero_c_is_pseudo_inverse():
     lat = Lattice(9, 3, 3)
     That = transfer_matrix(rand_system(lat, 3, 2))
-    B0 = left_inverse_family(That, None)
-    assert np.allclose(B0.values, pseudo_inverse(That).values)
+    B0 = left_inverse_family(That, frame_bounds(That), None)
+    assert np.allclose(B0.values, np.linalg.pinv(That.values))
 
 
 def test_left_inverse_family_square_ignores_c():
@@ -274,8 +277,9 @@ def test_left_inverse_family_square_ignores_c():
     That = transfer_matrix(rand_system(lat, 2, 2))
     C = TransferMatrix(lat, rng.standard_normal((lat.size, 2, 2))
                        + 1j * rng.standard_normal((lat.size, 2, 2)))
-    B = left_inverse_family(That, C)
-    assert np.abs(B.values - pseudo_inverse(That).values).max() <= 1e-9
+    rep = frame_bounds(That)
+    B = left_inverse_family(That, rep, C)
+    assert np.abs(B.values - left_inverse_family(That, rep).values).max() <= 1e-9
 
 
 def test_left_inverse_family_is_left_inverse():
@@ -283,7 +287,7 @@ def test_left_inverse_family_is_left_inverse():
     That = transfer_matrix(rand_system(lat, 3, 2))
     C = TransferMatrix(lat, rng.standard_normal((lat.size, 2, 3))
                        + 1j * rng.standard_normal((lat.size, 2, 3)))
-    B = left_inverse_family(That, C)
+    B = left_inverse_family(That, frame_bounds(That), C)
     prod = np.einsum("xnm,xmk->xnk", B.values, That.values)
     assert np.abs(prod - np.eye(2)).max() <= 1e-10
 
@@ -309,7 +313,7 @@ def test_frame_expansion_recovers_coefficients():
     lat = Lattice(9, 3, 3)
     A = rand_system(lat, 3, 2)
     That = transfer_matrix(A)
-    B = dual_sequences(left_inverse_family(That, None))
+    B = dual_sequences(left_inverse_family(That, frame_bounds(That)))
     c = np.stack([rand_seq(lat), rand_seq(lat)])
     recovered = np.zeros_like(c)
     for m in range(3):
@@ -336,7 +340,7 @@ def test_empirical_frame_inequality():
 
 
 def test_three_way_riesz_verdict_consistency():
-    # single_gen_condition on the autocorrelation, gram_matrix_bounds and
+    # the 1 x 1 system of the autocorrelation, gram_matrix_bounds and
     # positivity of the periodization agree for passing and failing cases
     lat = Lattice(15, 3, 5)
     from opsampler.weyl import weyl_symbol
@@ -344,8 +348,8 @@ def test_three_way_riesz_verdict_consistency():
     def verdicts(S):
         aS = weyl_symbol(S)
         q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in lat.points])
-        v1 = single_gen_condition(q, lat).passed
-        v2 = gram_matrix_bounds([S], lat).passed
+        v1 = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None]))).passed
+        v2 = gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat).passed
         P = periodize_sq(fourier_wigner(S), lat)
         v3 = P.min() > 1e-10 * P.max()
         return v1, v2, v3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,36 @@ def test_phase_grid_round_trip_is_bit_exact(tmp_path):
     write_phase_grid(tmp_path / "grid.csv", F)
     back = read_phase_grid(tmp_path / "grid.csv", 15)
     assert back.tobytes() == F.tobytes()
+
+
+def _replace_fields(lineno, **fields):
+    """Edit: rewrite some fields (x, omega, re, im; None drops one) of one line."""
+    names = ("x", "omega", "re", "im")
+
+    def edit(lines):
+        row = dict(zip(names, lines[lineno - 1].rstrip("\n").split(",")), **fields)
+        return ",".join(row[k] for k in names if row[k] is not None) + "\n"
+    return lineno, edit
+
+
+# Defects a 3x3 grid file can have; line 1 is the header, cell (x, w) is
+# written on line 2 + 3*x + w.
+MALFORMED = {
+    "negative_index": _replace_fields(8, x="-1"),          # cell (2, 0) as row -1
+    "index_beyond_grid": _replace_fields(5, x="3"),        # cell (1, 0) as row 3
+    "cell_listed_twice": (10, lambda lines: lines[1]),     # (0, 0) again, (2, 2) left out
+    "nan_value": _replace_fields(6, re="nan"),
+    "three_fields": _replace_fields(4, im=None),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED))
+def test_read_phase_grid_refuses_malformed_rows(tmp_path, defect):
+    path = tmp_path / "grid.csv"
+    write_phase_grid(path, _values((3, 3), 5) + 1j * _values((3, 3), 6))
+    lines = path.read_text().splitlines(keepends=True)
+    lineno, edit = MALFORMED[defect]
+    lines[lineno - 1] = edit(lines)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line {lineno}: ")):
+        read_phase_grid(path, 3)

@@ -4,7 +4,6 @@ import pytest
 from opsampler.core import symplectic_form
 from opsampler.lattice import (
     Lattice,
-    adjoint_lattice,
     inverse_symplectic_series,
     involution,
     lattice_convolve,
@@ -49,7 +48,7 @@ def test_lattice_validation():
 
 def test_adjoint_lattice_parameters():
     lat = Lattice(15, 3, 5)
-    adj = adjoint_lattice(lat)
+    adj = lat.adjoint
     assert (adj.a, adj.b) == (3, 5)  # L/b = 3, L/a = 5
     full = Lattice(15, 1, 1)
     assert full.adjoint.size == 1

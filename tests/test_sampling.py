@@ -8,14 +8,26 @@ from opsampler.core import (
     translate_operator,
 )
 from opsampler.errors import SingularTransfer
-from opsampler.frames import TransferMatrix, frame_bounds, pseudo_inverse, transfer_matrix
-from opsampler.lattice import Lattice, periodize_sq, symplectic_series
+from opsampler.frames import (
+    ConvolutionMatrix,
+    TransferMatrix,
+    frame_bounds,
+    gram_matrix_bounds,
+    left_inverse_family,
+    transfer_matrix,
+)
+from opsampler.lattice import (
+    Lattice,
+    fibers,
+    inverse_symplectic_series,
+    periodize_sq,
+    symplectic_series,
+)
 from opsampler.sampling import (
     AveragerSet,
     GeneratorSet,
     average_samples,
     build_reconstructor_multi,
-    build_reconstructor_single,
     interpolation_check,
     reconstruct,
     relative_error,
@@ -181,7 +193,8 @@ def test_single_reconstructor_delta_filter():
     gens = GeneratorSet.build([S], LAT)
     q = np.zeros(LAT.size, complex)
     q[0] = 1
-    rec = build_reconstructor_single(gens, q)
+    T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
+    rec = build_reconstructor_multi(gens, T, frame_bounds(T))
     assert np.allclose(rec.ops[0], S, atol=1e-11)
 
 
@@ -189,8 +202,8 @@ def test_single_roundtrip_q_equals_s():
     S = rand_op()
     gens = GeneratorSet.build([S], LAT)
     avgs = AveragerSet.build([S], LAT)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_single(gens, A.seqs[0, 0])
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     c = rand_coeffs(1)
     T = synthesize_element(c, gens)
     assert relative_error(reconstruct(average_samples(T, avgs), rec), T) <= 1e-9
@@ -199,8 +212,8 @@ def test_single_roundtrip_q_equals_s():
 def test_single_roundtrip_random_averager():
     gens = gen_set(1)
     avgs = avg_set(1)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_single(gens, A.seqs[0, 0])
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     c = rand_coeffs(1)
     T = synthesize_element(c, gens)
     assert relative_error(reconstruct(average_samples(T, avgs), rec), T) <= 1e-9
@@ -211,9 +224,25 @@ def test_single_reconstructor_refuses_zero_spectrum():
     q = np.zeros(LAT.size, complex)
     q[0] = 1
     q[LAT.index_of((3, 0))] -= 1.0  # series vanishes at xi = 0
+    T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
     with pytest.raises(SingularTransfer) as err:
-        build_reconstructor_single(gens, q)
+        build_reconstructor_multi(gens, T, frame_bounds(T))
     assert err.value.witness_xi is not None
+
+
+def test_single_filter_is_gated_on_squared_moduli():
+    # |series q| ranges over [1e-7, 1]: its square falls below the 1e-10
+    # gate, so the 1 x 1 system is refused at the dual index of the dip
+    gens = gen_set(1)
+    F = np.ones(LAT.size, complex)
+    F[3] = 1e-7
+    T = transfer_matrix(ConvolutionMatrix(LAT, inverse_symplectic_series(F, LAT)[None, None]))
+    rep = frame_bounds(T)
+    assert rep.verdict == "fail" and rep.witnesses[0] == 3
+    assert rep.alpha == pytest.approx(1e-14, rel=1e-6) and rep.beta == pytest.approx(1.0)
+    with pytest.raises(SingularTransfer) as err:
+        build_reconstructor_multi(gens, T, rep)
+    assert err.value.witness_xi == 3
 
 
 # ------------------------------------------------------- multi reconstruction
@@ -223,9 +252,11 @@ def test_multi_reduces_to_single():
     gens = GeneratorSet.build([S], LAT)
     avgs = AveragerSet.build([rand_op()], LAT)
     A = sample_filter_matrix(gens, avgs)
-    rec_multi = build_reconstructor_multi(gens, A)
-    rec_single = build_reconstructor_single(gens, A.seqs[0, 0])
-    assert np.allclose(rec_multi.ops[0], rec_single.ops[0], atol=1e-9)
+    That = transfer_matrix(A)
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
+    # the one-generator closed form: the fibers of S divided by series(q)
+    closed = gens.fibers / symplectic_series(A.seqs[0, 0], LAT)[:, None]
+    assert np.allclose(rec.fibers, closed, atol=1e-9)
 
 
 def test_multi_roundtrip_oversampled():
@@ -234,11 +265,13 @@ def test_multi_roundtrip_oversampled():
     c = rand_coeffs(2)
     T = synthesize_element(c, gens)
     s = average_samples(T, avgs)
-    rec0 = build_reconstructor_multi(gens, A)
+    That = transfer_matrix(A)
+    rep = frame_bounds(That)
+    rec0 = build_reconstructor_multi(gens, That, rep)
     assert relative_error(reconstruct(s, rec0), T) <= 1e-9
     C = TransferMatrix(LAT, rng.standard_normal((LAT.size, 2, 3))
                        + 1j * rng.standard_normal((LAT.size, 2, 3)))
-    recC = build_reconstructor_multi(gens, A, C=C)
+    recC = build_reconstructor_multi(gens, That, rep, C)
     assert relative_error(reconstruct(s, recC), T) <= 1e-9
     # different left inverses, same reconstruction on the subspace
     assert not np.allclose(rec0.ops, recC.ops)
@@ -249,18 +282,25 @@ def test_multi_square_ignores_c():
     A = sample_filter_matrix(gens, avgs)
     C = TransferMatrix(LAT, rng.standard_normal((LAT.size, 2, 2))
                        + 1j * rng.standard_normal((LAT.size, 2, 2)))
-    rec0 = build_reconstructor_multi(gens, A)
-    recC = build_reconstructor_multi(gens, A, C=C)
+    That = transfer_matrix(A)
+    rep = frame_bounds(That)
+    rec0 = build_reconstructor_multi(gens, That, rep)
+    recC = build_reconstructor_multi(gens, That, rep, C)
     assert np.abs(rec0.ops - recC.ops).max() <= 1e-8
 
 
 def test_multi_refuses_more_generators_than_averagers():
-    # building the undersampled filter matrix is fine; the reconstructor
-    # is where M >= N is enforced
+    # building the undersampled filter matrix is fine; its frame analysis
+    # and the reconstructor are where M >= N is enforced
     gens, avgs = gen_set(2), avg_set(1)
-    A = sample_filter_matrix(gens, avgs)
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
     with pytest.raises(ValueError):
-        build_reconstructor_multi(gens, A)
+        frame_bounds(That)
+    # even handed the passing report of a 2 x 2 system, the build refuses
+    square = frame_bounds(transfer_matrix(sample_filter_matrix(gens, avg_set(2))))
+    assert square.passed
+    with pytest.raises(ValueError):
+        build_reconstructor_multi(gens, That, square)
 
 
 def test_rank_deficient_square_system_is_refused():
@@ -278,17 +318,17 @@ def test_rank_deficient_square_system_is_refused():
         rep = frame_bounds(T)
         assert rep.verdict == "fail" and rep.alpha <= rep.tol and rep.delta is not None
         with pytest.raises(SingularTransfer):
-            pseudo_inverse(T)
+            left_inverse_family(T, rep)
         with pytest.raises(SingularTransfer):
-            build_reconstructor_multi(gens, A)
+            build_reconstructor_multi(gens, T, rep)
 
 
 # --------------------------------------------------------------- reconstruct
 
 def test_reconstruct_zero_samples():
     gens, avgs = gen_set(1), avg_set(1)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_multi(gens, A)
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     out = reconstruct(np.zeros((1, LAT.size)), rec)
     assert np.abs(out).max() <= 1e-14
 
@@ -297,8 +337,8 @@ def test_reconstruct_projection_idempotent():
     # arbitrary operator: sample->reconstruct lands in the subspace and is
     # reproduced exactly by a second pass
     gens, avgs = gen_set(2), avg_set(3)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_multi(gens, A)
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     T = rand_op()
     T1 = reconstruct(average_samples(T, avgs), rec)
     T2 = reconstruct(average_samples(T1, avgs), rec)
@@ -308,8 +348,8 @@ def test_reconstruct_projection_idempotent():
 def test_reconstruct_order_invariance():
     # explicit operator-route synthesis in two different summation orders
     gens, avgs = gen_set(1), avg_set(1)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_multi(gens, A)
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     T = synthesize_element(rand_coeffs(1), gens)
     s = average_samples(T, avgs)
     terms = [s[0, i] * translate_operator(tuple(lam), rec.ops[0])
@@ -367,8 +407,8 @@ def test_full_convolution_form_of_sampling_formula():
     gens = GeneratorSet.build([S], LAT)
     Q = rand_op()
     avgs = AveragerSet.build([Q], LAT)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_single(gens, A.seqs[0, 0])
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     T = synthesize_element(rand_coeffs(1), gens)
     Qtilde = check_operator(Q.conj().T)
     conv = operator_convolve(T, Qtilde)
@@ -383,24 +423,24 @@ def test_interpolation_whitened_single():
     S = whiten_generator(rand_op(), LAT)
     gens = GeneratorSet.build([S], LAT)
     avgs = AveragerSet.build([S], LAT)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_single(gens, A.seqs[0, 0])
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     ok, dev = interpolation_check(rec, avgs)
     assert ok and dev <= 1e-9
 
 
 def test_interpolation_square_system():
     gens, avgs = gen_set(2), avg_set(2)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_multi(gens, A)
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     ok, dev = interpolation_check(rec, avgs)
     assert ok and dev <= 1e-9
 
 
 def test_interpolation_rejects_oversampled():
     gens, avgs = gen_set(2), avg_set(3)
-    A = sample_filter_matrix(gens, avgs)
-    rec = build_reconstructor_multi(gens, A)
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     with pytest.raises(ValueError):
         interpolation_check(rec, avgs)
 
@@ -414,27 +454,24 @@ def test_refusal_no_nan_reaches_caller():
         avgs = AveragerSet.build([bad], LAT)
         A = sample_filter_matrix(gens, avgs)
         assert np.isfinite(A.seqs).all()
+        That = transfer_matrix(A)
         with pytest.raises(SingularTransfer) as err:
-            build_reconstructor_single(gens, A.seqs[0, 0])
+            build_reconstructor_multi(gens, That, frame_bounds(That))
         assert err.value.witness_xi is not None
-        with pytest.raises(SingularTransfer):
-            build_reconstructor_multi(gens, A)
         with pytest.raises(SingularTransfer):
             whiten_generator(bad, LAT)
 
 
 def test_reconstructor_riesz_and_filter_condition_consistent():
     # admissible instances: the reconstructor translates pass the Riesz
-    # check exactly when the filter passes the scalar condition
-    from opsampler.frames import gram_matrix_bounds, single_gen_condition
-
+    # check exactly when the filter passes the 1 x 1 frame condition
     for _ in range(5):
         gens, avgs = gen_set(1), avg_set(1)
-        A = sample_filter_matrix(gens, avgs)
-        rep = single_gen_condition(A.seqs[0, 0], LAT)
+        That = transfer_matrix(sample_filter_matrix(gens, avgs))
+        rep = frame_bounds(That)
         assert rep.passed
-        rec = build_reconstructor_single(gens, A.seqs[0, 0])
-        assert gram_matrix_bounds([rec.ops[0]], LAT).passed
+        rec = build_reconstructor_multi(gens, That, rep)
+        assert gram_matrix_bounds(fibers(fourier_wigner(rec.ops), LAT), LAT).passed
 
 
 @pytest.mark.parametrize("L,a,b", [(9, 3, 3), (15, 3, 5), (33, 3, 11)])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsampler.errors import SingularTransfer
-from opsampler.frames import TransferMatrix
+from opsampler.frames import TransferMatrix, frame_bounds, transfer_matrix
 from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
 from opsampler.sampling import (
     AveragerSet,
@@ -71,12 +71,14 @@ def test_spectral_core_matches_direct_routes(system):
     assert np.linalg.norm(samples - expect) <= 1e-12 * np.linalg.norm(expect)
 
     C = TransferMatrix(lat, rand_complex(rng, (lat.size, n, m)))
+    That = transfer_matrix(A)
+    report = frame_bounds(That)
     if n > lat.a * lat.b:
         # each transfer matrix has rank <= |adjoint| = a*b < N: never a frame,
         # whether the system is square or oversampled
         assert not gens.riesz.passed
         with pytest.raises(SingularTransfer):
-            build_reconstructor_multi(gens, A, C=C)
+            build_reconstructor_multi(gens, That, report, C)
         return
-    rec = build_reconstructor_multi(gens, A, C=C)
+    rec = build_reconstructor_multi(gens, That, report, C)
     assert relative_error(reconstruct(samples, rec), T) <= 1e-9
