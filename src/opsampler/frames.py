@@ -6,13 +6,18 @@ Its transfer matrix collects, per dual-grid index xi, the M x N matrix of
 symplectic series values.  The extreme eigenvalues of the Hermitian
 matrices ``A_hat(xi)* A_hat(xi)`` over the dual grid decide whether the
 associated system of translates is a frame (lower bound strictly
-positive) and, when M == N, whether it is a Riesz basis (lower bound
-strictly positive and determinant bounded away from zero).
+positive), which for M == N makes it a Riesz basis.  Every shape is
+gated the same way, on the lower bound alone.
 
 Positivity of a floating-point minimum is gated relatively:
-``value > tol_factor * scale`` with ``tol_factor = 1e-10`` by default,
-the scale being the corresponding maximum.  Reports always carry the
-dual-grid index attaining the minimum so failures can be localized.
+``alpha > tol_factor * beta`` with ``tol_factor = 1e-10`` by default,
+``beta`` being the largest eigenvalue.  Reports always carry a dual-grid
+index attaining the minimum, up to a roundoff band, so failures can be
+localized.
+
+Each transfer matrix is factorized once: one batched ``eigh`` of its
+Gram matrices gives the bounds, ``delta`` and the Moore-Penrose left
+inverse.
 
 The verdict string is one of ``riesz_basis`` (pass with M == N, or a
 Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
@@ -26,7 +31,7 @@ test reads the adjoint-coset fibers of the trace transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +55,10 @@ DEFAULT_TOL_FACTOR = 1e-10
 VERDICT_RIESZ = "riesz_basis"
 VERDICT_FRAME = "frame"
 VERDICT_FAIL = "fail"
+
+# Width of the roundoff band, in units of beta, within which lower
+# eigenvalues tie for the first witness.
+WITNESS_BAND = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -112,9 +121,19 @@ class FrameReport:
     """Spectral bounds of a system plus the pass/fail verdict.
 
     ``alpha``/``beta`` are the extreme eigenvalue bounds over the dual
-    grid.  ``delta`` is the minimum |det| for square systems, None
-    otherwise.  ``witnesses`` lists dual-grid indices where the lower
-    bound degenerates (the argmin always comes first).
+    grid; the verdict passes when ``alpha > tol``, ``tol = tol_factor *
+    beta``.  ``delta`` is the minimum |det| for square systems, None
+    otherwise; it is information only and takes no part in the verdict.
+    ``witnesses`` lists dual-grid indices where the lower bound
+    degenerates.  The first is the lowest index whose lower eigenvalue
+    lies within ``WITNESS_BAND * beta`` of ``alpha``, so that roundoff
+    ties do not make it depend on summation order; a failing report then
+    lists every other index whose lower eigenvalue is ``<= tol``.
+
+    ``eigenpairs`` holds the per-xi ascending eigenvalues and
+    eigenvectors ``(w, V)`` of the transfer Gram matrices that
+    ``frame_bounds`` factorized, for ``left_inverse_family``; it is None
+    for Gram reports and takes no part in the JSON form, equality or repr.
     """
 
     alpha: float
@@ -125,6 +144,8 @@ class FrameReport:
     witness_points: tuple[tuple[int, int], ...]
     tol: float
     kind: str
+    eigenpairs: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -152,9 +173,13 @@ class FrameReport:
                 witness_xi=xi, witness_point=self.witness_points[0])
 
 
-def _witnesses(lows: np.ndarray, tol: float, lat: Lattice) -> tuple[tuple[int, ...], tuple]:
-    order = [int(np.argmin(lows))]
-    order += [int(i) for i in np.flatnonzero(lows <= tol) if int(i) != order[0]]
+def _witnesses(lows: np.ndarray, tol: float, lat: Lattice,
+               band: float = 0.0) -> tuple[tuple[int, ...], tuple]:
+    """The lowest index with ``lows <= min + band``, then the other
+    indices with ``lows <= tol``."""
+    first = int(np.argmax(lows <= lows.min() + band))
+    order = [first]
+    order += [int(i) for i in np.flatnonzero(lows <= tol) if int(i) != first]
     points = tuple(divmod(i, lat.n_rows) for i in order)  # the rows of lat.dual_points
     return tuple(order), points
 
@@ -164,42 +189,49 @@ def transfer_matrix(A: ConvolutionMatrix) -> TransferMatrix:
     return TransferMatrix(A.lattice, np.moveaxis(symplectic_series(A.seqs, A.lattice), -1, 0))
 
 
-def _report(eigs: np.ndarray, lat: Lattice, tol_factor: float, kind: str,
-            pass_verdict: str, dets: np.ndarray | None = None) -> FrameReport:
-    """Report from per-xi ascending eigenvalues (size, K); with ``dets``
-    the smallest |det| must clear the relative gate too."""
-    lows = eigs[:, 0]
+def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verdict: str,
+            delta: float | None = None, eigenpairs=None) -> FrameReport:
+    """Report from per-xi ascending eigenvalues w, shape (size, K)."""
+    lows = w[:, 0]
     alpha = float(lows.min())
-    beta = float(eigs[:, -1].max())
+    beta = float(w[:, -1].max())
     tol = tol_factor * beta
     passed = alpha > tol
-    delta = None
-    if dets is not None:
-        delta = float(dets.min())
-        passed = passed and delta > tol_factor * float(dets.max())
-    wit, pts = _witnesses(lows, -np.inf if passed else tol, lat)
+    wit, pts = _witnesses(lows, -np.inf if passed else tol, lat, WITNESS_BAND * beta)
     return FrameReport(alpha, beta, delta, pass_verdict if passed else VERDICT_FAIL,
-                       wit, pts, tol, kind)
+                       wit, pts, tol, kind, eigenpairs)
+
+
+def _adjoint(values: np.ndarray) -> np.ndarray:
+    """Per-xi conjugate transpose of a (size, M, N) stack."""
+    return values.conj().transpose(0, 2, 1)
 
 
 def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
     """Extreme eigenvalues of A_hat(xi)* A_hat(xi) over the dual grid.
 
-    alpha is the global smallest eigenvalue, beta the largest; for square
-    systems delta is the smallest |det A_hat(xi)|.  Verdict: riesz_basis
-    when M == N and both alpha and delta clear the relative gate, frame
-    when M > N and alpha clears it, fail otherwise (with witnesses).  The
-    alpha gate matters for square systems too: a rank-deficient system
-    whose determinants are all roundoff can clear the delta gate alone.
-    For a 1 x 1 system with filter q, alpha = min |series q|^2.
+    alpha is the global smallest eigenvalue, beta the largest.  Verdict:
+    when alpha > tol_factor * beta, riesz_basis for M == N and frame for
+    M > N; fail otherwise, with witnesses (first one within
+    ``WITNESS_BAND * beta`` of alpha, see ``FrameReport``).  For square
+    systems delta = min |det A_hat(xi)| = min sqrt(prod of eigenvalues),
+    negative roundoff eigenvalues clipped to 0.  delta is information
+    only: a gate on it would give the same Gram matrices different
+    verdicts by shape (diag(1e-4, 1e-4, 1e-4) at one xi has a |det| ratio
+    of 1e-12 as a 3 x 3 system, while alpha / beta = 1e-8 in that shape
+    and with a zero row appended).  For a 1 x 1 system with filter q,
+    alpha = min |series q|^2.
+
+    One batched ``eigh`` factorizes the Gram matrices; the report keeps
+    its eigenpairs for ``left_inverse_family``.
     """
     if T.m < T.n:
         raise ValueError(f"system must have at least as many outputs as inputs, got {T.m} x {T.n}")
-    gram = np.einsum("xmn,xmk->xnk", T.values.conj(), T.values)
+    w, V = np.linalg.eigh(np.matmul(_adjoint(T.values), T.values))
     square = T.m == T.n
-    dets = np.abs(np.linalg.det(T.values)) if square else None
-    return _report(np.linalg.eigvalsh(gram), T.lattice, tol_factor, "transfer",
-                   VERDICT_RIESZ if square else VERDICT_FRAME, dets)
+    delta = float(np.sqrt(np.clip(w, 0.0, None).prod(axis=1).min())) if square else None
+    return _report(w, T.lattice, tol_factor, "transfer",
+                   VERDICT_RIESZ if square else VERDICT_FRAME, delta, (w, V))
 
 
 def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
@@ -215,7 +247,8 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     """
     if len(V) == 0:
         raise ValueError("need at least one generator")
-    gram = np.einsum("nxa,mxa->xnm", V, V.conj())
+    Vx = V.transpose(1, 0, 2)
+    gram = np.matmul(Vx, _adjoint(Vx))
     return _report(np.linalg.eigvalsh(gram), lat, tol_factor, "gram", VERDICT_RIESZ)
 
 
@@ -225,14 +258,18 @@ def left_inverse_family(T: TransferMatrix, report: FrameReport,
 
     ``report`` is ``frame_bounds(T)``; a system that fails it is refused
     with SingularTransfer, so no NaN/Inf is returned.  A_dag is the
-    per-xi Moore-Penrose left inverse (A* A)^{-1} A*, the member C = None.
-    Every member satisfies ``B_hat(xi) A_hat(xi) = I`` for all xi; for
-    square systems the projector I - A A_dag vanishes and C is irrelevant.
+    per-xi Moore-Penrose left inverse (A* A)^{-1} A* = V diag(1/w) V* A*,
+    read from the eigenpairs (w, V) the report carries, the member
+    C = None.  Every member satisfies ``B_hat(xi) A_hat(xi) = I`` for all
+    xi; for square systems the projector I - A A_dag vanishes and C is
+    irrelevant.
     """
     report.require("transfer matrix is singular at dual index {xi} "
                    "(alpha={alpha:.3e}, beta={beta:.3e})")
-    adj = T.values.conj().transpose(0, 2, 1)
-    dag = np.linalg.solve(np.matmul(adj, T.values), adj)
+    if report.eigenpairs is None or report.eigenpairs[0].shape != (T.lattice.size, T.n):
+        raise ValueError("report must be frame_bounds(T) of this transfer matrix")
+    w, V = report.eigenpairs
+    dag = np.matmul(V / w[:, None, :], np.matmul(_adjoint(V), _adjoint(T.values)))
     if C is None:
         return TransferMatrix(T.lattice, dag)
     if C.values.shape != dag.shape:

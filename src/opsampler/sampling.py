@@ -172,7 +172,8 @@ def _combine(W, P) -> np.ndarray:
 
 def _pairings(P, Q, lat: Lattice) -> np.ndarray:
     """out[m, n](lambda) = <op_n, alpha_lambda(q_m)>_HS from fibers P (N, ...) and Q (M, ...)."""
-    return inverse_symplectic_series(lat.size * np.einsum("nxa,mxa->mnx", P, Q.conj()), lat)
+    gram = np.matmul(Q.conj().transpose(1, 0, 2), P.transpose(1, 2, 0))  # (size, M, N)
+    return inverse_symplectic_series(lat.size * gram.transpose(1, 2, 0), lat)
 
 
 def synthesize_element(c, gens: GeneratorSet) -> np.ndarray:

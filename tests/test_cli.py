@@ -336,6 +336,28 @@ def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkey
                      "inverse_fourier_wigner": 2 + (m if m == n else 0)}
 
 
+@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
+def test_roundtrip_factorizes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
+    # one batched eigh of the transfer Gram gives the bounds and the left
+    # inverse; no determinant and no linear solve
+    shapes = {"eigh": [], "det": [], "solve": []}
+
+    def recording(name, fn):
+        def wrapper(a, *args, **kwargs):
+            shapes[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in shapes:
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    n = 2
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
+                averagers=[{"kind": "random_hs"}] * m, c_matrix="random")
+    assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert shapes == {"eigh": [(report["lattice"]["size"], n, n)], "det": [], "solve": []}
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_analyze_without_averagers_transforms_generators_once(tmp_path, capsys, monkeypatch, n):
     calls = _count_calls(monkeypatch, {"fourier_wigner": "ops"})

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from opsampler.builders import build_operator
 from opsampler.errors import SingularTransfer
 from opsampler.frames import (
+    DEFAULT_TOL_FACTOR,
     ConvolutionMatrix,
+    _report,
     _witnesses,
     TransferMatrix,
     dual_sequences,
@@ -15,11 +20,13 @@ from opsampler.frames import (
 from opsampler.lattice import (
     Lattice,
     fibers,
+    inverse_symplectic_series,
     involution,
     periodize_sq,
     symplectic_series,
     translate_seq,
 )
+from opsampler.sampling import AveragerSet, GeneratorSet, sample_filter_matrix
 from opsampler.weyl import fourier_wigner, symplectic_ft, weyl_transform
 
 rng = np.random.default_rng(333)
@@ -62,6 +69,52 @@ def test_witness_points_are_dual_points(L, a, b):
     assert sorted(order) == list(range(lat.size)) and order[0] == int(np.argmin(lows))
     assert points == tuple((int(lat.dual_points[i, 0]), int(lat.dual_points[i, 1])) for i in order)
     assert all(type(v) is int for p in points for v in p)
+
+
+def test_first_witness_is_the_lowest_index_in_the_band():
+    lat = Lattice(9, 3, 3)
+    lows = np.full(lat.size, 5.0)
+    lows[[2, 6]] = 1.0 + 1e-15
+    lows[7] = 1.0
+    assert _witnesses(lows, -np.inf, lat)[0] == (7,)
+    assert _witnesses(lows, -np.inf, lat, 1e-14)[0] == (2,)
+    assert _witnesses(lows, 1.5, lat, 1e-14)[0] == (2, 6, 7)
+
+
+def _einsum_report(gram, lat, kind, verdict):
+    """Report of Gram matrices summed by the einsum oracle, under the library's witness rule."""
+    return _report(np.linalg.eigvalsh(gram), lat, DEFAULT_TOL_FACTOR, kind, verdict)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_witnesses_do_not_depend_on_summation_order(seed):
+    # Roundoff ties for the smallest eigenvalue: a whitened generator has a
+    # flat Gram spectrum, and delta averagers see only two phase-space
+    # lines, so every other coset of the system is exactly zero.  The
+    # library's matmul sums and einsum sums differ in the last bits there;
+    # the witnesses must not.
+    lat = Lattice(45, 3, 3)
+    draw = np.random.default_rng(seed)
+    white = GeneratorSet.build(
+        [build_operator({"kind": "whitened", "inner": {"kind": "random_hs"}}, lat, draw)], lat)
+    P = white.fibers
+    oracle = _einsum_report(np.einsum("nxa,mxa->xnm", P, P.conj()), lat, "gram", "riesz_basis")
+    assert white.riesz.verdict == oracle.verdict == "riesz_basis"
+    assert white.riesz.witnesses == oracle.witnesses
+    assert white.riesz.witness_points == oracle.witness_points
+
+    gens = GeneratorSet.build([build_operator({"kind": "random_hs"}, lat, draw)], lat)
+    avgs = AveragerSet.build([build_operator({"kind": "delta_pair", "t1": t1, "t2": t2}, lat, None)
+                              for t1, t2 in ((1, 2), (0, 4))], lat)
+    system = frame_bounds(transfer_matrix(sample_filter_matrix(gens, avgs)))
+    Q = avgs.fibers
+    seqs = inverse_symplectic_series(
+        lat.size * np.einsum("nxa,mxa->mnx", gens.fibers, Q.conj()), lat)
+    T = transfer_matrix(ConvolutionMatrix(lat, seqs)).values
+    oracle = _einsum_report(np.einsum("xmn,xmk->xnk", T.conj(), T), lat, "transfer", "frame")
+    assert system.verdict == oracle.verdict == "fail"
+    assert system.witnesses == oracle.witnesses
+    assert system.witness_points == oracle.witness_points
 
 
 # ------------------------------------------------------------ transfer matrix
@@ -150,6 +203,40 @@ def test_square_system_delta_and_alpha_verdicts_agree():
     vals[4, :, 1] = 0.0
     rep = frame_bounds(TransferMatrix(lat, vals))
     assert rep.verdict == "fail" and rep.alpha <= rep.tol and rep.delta <= rep.tol
+
+
+def _pad_zero_row(vals):
+    return np.concatenate([vals, np.zeros_like(vals[:, :1])], axis=1)
+
+
+@pytest.mark.parametrize("diag,passes", [((1e-4, 1e-4, 1e-4), True), ((1.0, 1e-6), False)],
+                         ids=["3x3-small-det", "2x2-small-eig"])
+def test_gate_does_not_depend_on_shape(diag, passes):
+    # the identity but for diag(...) at xi = 4, square and with a zero row
+    # appended: the same Gram matrices, so the same verdict.  A determinant
+    # gate would fail the 3x3 case (|det| ratio 1e-12) though alpha/beta is
+    # 1e-8 in both shapes.
+    lat = Lattice(15, 3, 5)
+    vals = np.stack([np.eye(len(diag), dtype=complex)] * lat.size)
+    vals[4] = np.diag(diag)
+    square = frame_bounds(TransferMatrix(lat, vals))
+    tall = frame_bounds(TransferMatrix(lat, _pad_zero_row(vals)))
+    assert square.passed == tall.passed == passes
+    assert square.verdict == ("riesz_basis" if passes else "fail")
+    assert tall.verdict == ("frame" if passes else "fail")
+    assert (square.alpha, square.beta) == (tall.alpha, tall.beta)
+    assert square.alpha == pytest.approx(min(diag) ** 2, rel=1e-12)
+    assert square.beta == pytest.approx(1.0)
+    assert square.delta == pytest.approx(np.prod(diag), rel=1e-12) and tall.delta is None
+    assert square.witnesses[0] == tall.witnesses[0] == 4
+    if passes:
+        for T, rep in ((TransferMatrix(lat, vals), square),
+                       (TransferMatrix(lat, _pad_zero_row(vals)), tall)):
+            B = left_inverse_family(T, rep).values
+            assert np.abs(np.matmul(B, T.values) - np.eye(len(diag))).max() <= 1e-12
+    else:
+        assert square.witnesses == tall.witnesses == (4,)
+        assert square.witness_points == tall.witness_points == (tuple(lat.dual_points[4]),)
 
 
 # ------------------------------------------------------ single generator test
@@ -261,6 +348,52 @@ def test_pseudo_inverse_refuses_singular():
     with pytest.raises(SingularTransfer) as err:
         left_inverse_family(T, frame_bounds(T))
     assert err.value.witness_xi == 3
+
+
+def _unitary(draw, k):
+    q, r = np.linalg.qr(draw.standard_normal((k, k)) + 1j * draw.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("M,N", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 3), (6, 4)])
+def test_left_inverse_accuracy(M, N):
+    # per xi, A = U diag(s) W* with cond(A) log-spaced from 1 to 1e5 and a
+    # scale spread over four decades; errors are bounded relative to
+    # cond(G) * eps, G = A* A, against the SVD pseudo-inverse, and the
+    # linear-solve route meets the same bounds
+    lat = Lattice(15, 3, 5)
+    draw = np.random.default_rng(10 * M + N)
+    eps = np.finfo(float).eps
+    conds = np.logspace(0, 5, lat.size)
+    scales = 10.0 ** draw.uniform(-2, 2, lat.size)
+    vals = np.empty((lat.size, M, N), complex)
+    for xi in range(lat.size):
+        s = scales[xi] * np.logspace(0, -np.log10(conds[xi]), N)
+        vals[xi] = (_unitary(draw, M)[:, :N] * s) @ _unitary(draw, N).conj().T
+    T = TransferMatrix(lat, vals)
+    B = left_inverse_family(T, frame_bounds(T, tol_factor=1e-20)).values
+    norm = lambda X: np.linalg.norm(X, 2)  # noqa: E731
+    for xi in range(lat.size):
+        A = vals[xi]
+        adj = A.conj().T
+        bound = 32 * np.linalg.cond(A) ** 2 * eps
+        pinv = np.linalg.pinv(A)
+        for Bx in (B[xi], np.linalg.solve(adj @ A, adj)):
+            assert norm(Bx - pinv) <= bound * norm(pinv)
+            assert norm(Bx @ A - np.eye(N)) <= bound
+
+
+def test_left_inverse_reads_the_reports_eigenpairs():
+    lat = Lattice(9, 3, 3)
+    T = transfer_matrix(rand_system(lat, 3, 2))
+    rep = frame_bounds(T)
+    bare = dataclasses.replace(rep, eigenpairs=None)
+    # the eigenpairs are not part of the report's value
+    assert rep == bare and repr(rep) == repr(bare) and rep.to_jsonable() == bare.to_jsonable()
+    with pytest.raises(ValueError):
+        left_inverse_family(T, bare)
+    with pytest.raises(ValueError):
+        left_inverse_family(transfer_matrix(rand_system(lat, 3, 1)), rep)
 
 
 # -------------------------------------------------------- left-inverse family
