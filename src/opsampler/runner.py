@@ -68,15 +68,27 @@ def _base_report(cfg: ExperimentConfig, command: str) -> dict:
     }
 
 
-def _build_sets(cfg: ExperimentConfig, rng) -> tuple[GeneratorSet, AveragerSet]:
+def _operator_stack(specs, lat: Lattice, rng) -> np.ndarray:
+    """Each spec's operator built into its slot of one (K, L, L) stack, in spec order."""
+    ops = np.empty((len(specs), lat.L, lat.L), dtype=complex)
+    for k, spec in enumerate(specs):
+        ops[k] = build_operator(spec, lat, rng)
+    return ops
+
+
+def _build_sets(cfg: ExperimentConfig, rng, keep_generators: bool = False):
+    """(generators, averagers, generator stack or None).  The sets hold only
+    fibers; the generator operators are returned only when asked for, so
+    no other stack outlives its trace transform."""
     lat = Lattice(cfg.L, cfg.a, cfg.b)
-    gen_ops = [build_operator(s, lat, rng) for s in cfg.generators]
+    gen_ops = _operator_stack(cfg.generators, lat, rng)
     gens = GeneratorSet.build(gen_ops, lat, tol_factor=cfg.tol_pos)
+    if not keep_generators:
+        gen_ops = None
     if cfg.averagers is None:
         # the generators average themselves: reuse their trace transforms
-        return gens, AveragerSet(gens.ops, lat, gens.fibers)
-    avg_ops = [build_operator(s, lat, rng) for s in cfg.averagers]
-    return gens, AveragerSet.build(avg_ops, lat)
+        return gens, AveragerSet(lat, gens.fibers), gen_ops
+    return gens, AveragerSet.build(_operator_stack(cfg.averagers, lat, rng), lat), gen_ops
 
 
 def _failure(report: dict, exc: SingularTransfer) -> dict:
@@ -103,7 +115,7 @@ def run_analyze(cfg: ExperimentConfig) -> tuple[dict, int]:
     started = time.monotonic()
     report = _base_report(cfg, "analyze")
     try:
-        gens, avgs = _build_sets(cfg, _make_rng(cfg))
+        gens, avgs, _ = _build_sets(cfg, _make_rng(cfg))
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     report["generator_riesz"] = gens.riesz.to_jsonable()
@@ -126,7 +138,7 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     report = _base_report(cfg, "roundtrip")
     rng = _make_rng(cfg)
     try:
-        gens, avgs = _build_sets(cfg, rng)
+        gens, avgs, _ = _build_sets(cfg, rng)
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     report["generator_riesz"] = gens.riesz.to_jsonable()
@@ -175,7 +187,8 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
     os.makedirs(out_dir, exist_ok=True)
     report = _base_report(cfg, "export")
     try:
-        gens, avgs = _build_sets(cfg, _make_rng(cfg))
+        gens, avgs, gen_ops = _build_sets(cfg, _make_rng(cfg),
+                                          keep_generators="symbols" in kinds)
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     lat = gens.lattice
@@ -189,7 +202,7 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
     for kind in kinds:
         if kind == "symbols":
             for n in range(gens.n):
-                _emit(f"symbols_g{n}.csv", write_phase_grid, weyl_symbol(gens.ops[n]))
+                _emit(f"symbols_g{n}.csv", write_phase_grid, weyl_symbol(gen_ops[n]))
         elif kind == "wigner":
             for n in range(gens.n):
                 _emit(f"wigner_g{n}.csv", write_phase_grid, unfibers(gens.fibers[n], lat))

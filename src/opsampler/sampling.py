@@ -21,10 +21,12 @@ reconstructor sets, is parametrized by a free transfer matrix C.  The
 one-generator theorem is the system N = M = 1: for a filter q without
 zeros on the dual grid, the reconstructor's fibers are those of S / series(q).
 
-Every stage runs on the dual grid.  The operator sets keep the
-adjoint-coset fibers P = fibers(fourier_wigner(op)) (see ``lattice``),
-and two identities do the rest, both exact since the quantization is
-unitary:
+Every stage runs on the dual grid.  The operator sets are their
+adjoint-coset fibers P = fibers(fourier_wigner(op)) (see ``lattice``):
+no stage reads an operator once its trace transform exists, so the sets
+keep no operators (only ``runner.run_export`` keeps the generator stack,
+for the symbols it writes).  Two identities do the rest, both exact
+since the quantization is unitary:
 
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
   is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
@@ -36,9 +38,8 @@ unitary:
   |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]), so samples and the
   filter system are coset Gram sums followed by one inverse series.
 
-Sums of translated operators (``seq_operator_convolve`` with
-``core.translate_operator``) compute the same things directly and serve
-as the oracle in the test suite.
+Sums of translated operators compute the same things directly; they
+live with the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import hs_norm, translate_operator
+from .core import hs_norm
 from .errors import SingularTransfer
 from .frames import (
     DEFAULT_TOL_FACTOR,
@@ -69,54 +70,45 @@ __all__ = [
     "sample_filter_matrix",
     "build_reconstructor_multi",
     "reconstruct",
-    "seq_operator_convolve",
     "interpolation_check",
     "whiten_generator",
     "relative_error",
 ]
 
 
-def _check_same_size(A, B):
-    if A.shape != B.shape:
-        raise ValueError(f"size mismatch: {A.shape} vs {B.shape}")
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
-    """N generator operators over a lattice, with the fibers of their trace transforms."""
+    """N generators over a lattice, as the fibers of their trace transforms,
+    with the Riesz report of their translates."""
 
-    ops: np.ndarray          # (N, L, L)
     lattice: Lattice
     fibers: np.ndarray       # (N, size, n_adjoint)
     riesz: FrameReport
 
     @staticmethod
     def build(ops, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
-        ops = _stack_ops(ops, lattice.L)
-        P = _spectra(ops, lattice)
-        return GeneratorSet(ops, lattice, P, gram_matrix_bounds(P, lattice, tol_factor))
+        P = _spectra(_stack_ops(ops, lattice.L), lattice)
+        return GeneratorSet(lattice, P, gram_matrix_bounds(P, lattice, tol_factor))
 
     @property
     def n(self) -> int:
-        return self.ops.shape[0]
+        return self.fibers.shape[0]
 
 
 @dataclass(frozen=True)
 class AveragerSet:
-    """M averaging operators over a lattice, with the fibers of their trace transforms."""
+    """M averaging operators over a lattice, as the fibers of their trace transforms."""
 
-    ops: np.ndarray          # (M, L, L)
     lattice: Lattice
     fibers: np.ndarray       # (M, size, n_adjoint)
 
     @staticmethod
     def build(ops, lattice: Lattice) -> "AveragerSet":
-        ops = _stack_ops(ops, lattice.L)
-        return AveragerSet(ops, lattice, _spectra(ops, lattice))
+        return AveragerSet(lattice, _spectra(_stack_ops(ops, lattice.L), lattice))
 
     @property
     def m(self) -> int:
-        return self.ops.shape[0]
+        return self.fibers.shape[0]
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,8 @@ class Reconstructor:
 
 
 def _stack_ops(ops, L: int) -> np.ndarray:
-    arr = np.stack([np.asarray(op, dtype=complex) for op in ops])
+    """ops as one (K, L, L) complex stack; a complex array is used as it is, not copied."""
+    arr = np.asarray(ops, dtype=complex)
     if arr.ndim != 3 or arr.shape[1:] != (L, L):
         raise ValueError(f"expected operators of shape ({L}, {L}), got {arr.shape[1:]}")
     return arr
@@ -172,7 +165,10 @@ def _combine(W, P) -> np.ndarray:
 
 def _pairings(P, Q, lat: Lattice) -> np.ndarray:
     """out[m, n](lambda) = <op_n, alpha_lambda(q_m)>_HS from fibers P (N, ...) and Q (M, ...)."""
-    gram = np.matmul(Q.conj().transpose(1, 0, 2), P.transpose(1, 2, 0))  # (size, M, N)
+    # the conjugate of sum_mu Q * conj(P): copies P, which never has more
+    # channels than Q, and conjugates the small product in place
+    gram = np.matmul(Q.transpose(1, 0, 2), P.conj().transpose(1, 2, 0))  # (size, M, N)
+    np.conjugate(gram, out=gram)
     return inverse_symplectic_series(lat.size * gram.transpose(1, 2, 0), lat)
 
 
@@ -186,7 +182,9 @@ def synthesize_element(c, gens: GeneratorSet) -> np.ndarray:
 def average_samples(T, avg: AveragerSet) -> np.ndarray:
     """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS, shape (M, size)."""
     T = np.asarray(T, dtype=complex)
-    _check_same_size(T, avg.ops[0])
+    L = avg.lattice.L
+    if T.shape != (L, L):
+        raise ValueError(f"size mismatch: {T.shape} vs {(L, L)}")
     return _pairings(_spectra(T[None], avg.lattice), avg.fibers, avg.lattice)[:, 0]
 
 
@@ -225,20 +223,6 @@ def reconstruct(samples, rec: Reconstructor) -> np.ndarray:
     lat = rec.lattice
     s = _as_coeffs(samples, rec.m, lat.size)
     return _quantize(_combine(symplectic_series(s, lat).T[:, None, :], rec.fibers)[0], lat)
-
-
-def seq_operator_convolve(c, S, lat: Lattice) -> np.ndarray:
-    """sum_lambda c(lambda) alpha_lambda(S); the span of all such sums is
-    the sampling subspace of S."""
-    c = np.asarray(c, dtype=complex)
-    if c.shape != (lat.size,):
-        raise ValueError(f"expected a sequence of length {lat.size}, got {c.shape}")
-    S = np.asarray(S, dtype=complex)
-    out = np.zeros_like(S)
-    for i, (x, w) in enumerate(lat.points):
-        if c[i] != 0:
-            out += c[i] * translate_operator((x, w), S)
-    return out
 
 
 def interpolation_check(rec: Reconstructor, avg: AveragerSet, tol: float = 1e-9):

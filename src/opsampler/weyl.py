@@ -165,7 +165,7 @@ def fourier_wigner(S) -> np.ndarray:
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
     diagonals = _flat(S).take(((t + x) % L) * L + t, axis=-1)  # S[..., (t + x) % L, t]
-    trp = np.fft.fft(diagonals, axis=-1)
+    trp = np.fft.fft(diagonals, axis=-1, out=diagonals)  # the gather is a fresh buffer
     roots = np.exp(2j * np.pi * np.arange(L) / L)
     np.multiply(roots[(-c * x * t) % L], trp, out=trp)
     trp /= np.sqrt(L)

@@ -1,5 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from opsampler import runner
+from opsampler.config import parse_config
 
 from opsampler.core import (
     check_operator,
@@ -32,11 +38,11 @@ from opsampler.sampling import (
     reconstruct,
     relative_error,
     sample_filter_matrix,
-    seq_operator_convolve,
     synthesize_element,
     whiten_generator,
 )
-from opsampler.weyl import fourier_wigner, symplectic_ft, weyl_transform
+from opsampler.weyl import fourier_wigner, inverse_fourier_wigner, symplectic_ft, weyl_transform
+from oracles import seq_operator_convolve
 
 rng = np.random.default_rng(77)
 LAT = Lattice(15, 3, 5)
@@ -58,11 +64,11 @@ def avg_set(m, lat=LAT):
     return AveragerSet.build([rand_op(lat.L) for _ in range(m)], lat)
 
 
-def operator_route_synthesis(c, gens):
-    out = np.zeros((gens.lattice.L, gens.lattice.L), complex)
-    for n in range(gens.n):
-        for i, lam in enumerate(gens.lattice.points):
-            out += c[n, i] * translate_operator(tuple(lam), gens.ops[n])
+def operator_route_synthesis(c, ops, lat=LAT):
+    out = np.zeros((lat.L, lat.L), complex)
+    for n, op in enumerate(ops):
+        for i, lam in enumerate(lat.points):
+            out += c[n, i] * translate_operator(tuple(lam), op)
     return out
 
 
@@ -96,10 +102,11 @@ def failing_generator(lat=LAT):
 # ---------------------------------------------------------------- synthesis
 
 def test_synthesize_delta_coefficients():
-    gens = gen_set(2)
+    ops = [rand_op() for _ in range(2)]
+    gens = GeneratorSet.build(ops, LAT)
     c = np.zeros((2, LAT.size), complex)
     c[0, 0] = 1
-    assert np.allclose(synthesize_element(c, gens), gens.ops[0], atol=1e-12)
+    assert np.allclose(synthesize_element(c, gens), ops[0], atol=1e-12)
 
 
 def test_synthesize_linearity():
@@ -111,10 +118,11 @@ def test_synthesize_linearity():
 
 
 def test_synthesize_two_routes_agree():
-    gens = gen_set(2)
+    ops = [rand_op() for _ in range(2)]
+    gens = GeneratorSet.build(ops, LAT)
     c = rand_coeffs(2)
     symbol_route = synthesize_element(c, gens)
-    operator_route = operator_route_synthesis(c, gens)
+    operator_route = operator_route_synthesis(c, ops)
     assert np.linalg.norm(symbol_route - operator_route) <= 1e-10 * np.linalg.norm(operator_route)
 
 
@@ -136,12 +144,13 @@ def test_average_samples_linearity():
 
 
 def test_average_samples_operator_route_oracle():
-    avgs = avg_set(3)
+    ops = [rand_op() for _ in range(3)]
+    avgs = AveragerSet.build(ops, LAT)
     T = rand_op()
     s = average_samples(T, avgs)
     for m in range(3):
         for i, lam in enumerate(LAT.points):
-            direct = hs_inner(T, translate_operator(tuple(lam), avgs.ops[m]))
+            direct = hs_inner(T, translate_operator(tuple(lam), ops[m]))
             assert abs(s[m, i] - direct) <= 1e-10 * (1 + abs(direct))
 
 
@@ -484,3 +493,70 @@ def test_sampling_is_convolution_across_sizes(L, a, b):
         c = rand_coeffs(n, lat)
         s = average_samples(synthesize_element(c, gens), avgs)
         assert np.linalg.norm(s - A.convolve(c)) <= 1e-9 * np.linalg.norm(s)
+
+
+# ------------------------------------------------------------ memory layout
+
+def test_operator_sets_keep_only_fibers():
+    for cls in (GeneratorSet, AveragerSet):
+        assert "ops" not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_many_channels_roundtrip_transient_memory_budget():
+    # perfbench's many_channels shape: |Lambda| = 315, N = 4, M = 6.  Each
+    # (L, L) complex stack of ten operators is 1.68 MiB; the roundtrip used
+    # to hold the operator list, its stacked copy and a second FFT buffer
+    # at once, a traced peak of 6.33 MiB
+    cfg = parse_config({"L": 105, "lattice": {"a": 7, "b": 5}, "seed": 11,
+                        "generators": [{"kind": "random_hs"}] * 4,
+                        "averagers": [{"kind": "random_hs"}] * 6,
+                        "c_matrix": "random"})
+    assert runner.run_roundtrip(cfg)[1] == 0  # warm-up: caches and lazy imports
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report, code = runner.run_roundtrip(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert code == 0 and report["reconstruction"]["pass"]
+    assert peak - base <= 4.5 * 2**20, f"transient peak {(peak - base) / 2**20:.2f} MiB"
+
+
+def _read_only(a):
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("name", ["fourier_wigner", "inverse_fourier_wigner",
+                                  "GeneratorSet.build", "AveragerSet.build",
+                                  "average_samples"])
+def test_read_only_inputs_are_accepted_and_left_unchanged(name):
+    ops = _read_only(np.stack([rand_op() for _ in range(3)]))
+    T = _read_only(rand_op())
+    avgs = avg_set(2)
+    calls = {
+        "fourier_wigner": (fourier_wigner, ops),
+        "inverse_fourier_wigner": (inverse_fourier_wigner, ops),
+        "GeneratorSet.build": (lambda x: GeneratorSet.build(x, LAT).fibers, ops),
+        "AveragerSet.build": (lambda x: AveragerSet.build(x, LAT).fibers, ops),
+        "average_samples": (lambda x: average_samples(x, avgs), T),
+    }
+    fn, arg = calls[name]
+    before = arg.copy()
+    out = fn(arg)
+    assert np.array_equal(arg.view(np.uint64), before.view(np.uint64))
+    # the same bits as from a writable copy of the input
+    assert np.array_equal(out.view(np.uint64), fn(before).view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (15, 15, 1)])
+def test_average_samples_refuses_wrong_operator_shape(shape):
+    avgs = avg_set(2)
+    with pytest.raises(ValueError) as err:
+        average_samples(np.zeros(shape, complex), avgs)
+    assert str(shape) in str(err.value) and str((15, 15)) in str(err.value)
