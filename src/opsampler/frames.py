@@ -24,9 +24,10 @@ Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
 (pass with M > N), ``fail`` (lower bound not positive; witnesses
 attached).
 
-Every stage is evaluated on the dual grid (see ``lattice``): transfer
-matrices and dual sequences are batched symplectic series, and the Gram
-test reads the adjoint-coset fibers of the trace transforms.
+Every stage is evaluated on the dual grid (see ``lattice``): the sampling
+system's transfer matrix is the coset Gram of the fibers itself
+(``sampling.system_transfer``), its dual sequences add one inverse series,
+and the Gram test reads the adjoint-coset fibers of the trace transforms.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import numpy as np
 from .builders import build_operator, rand_complex
 from .config import ExperimentConfig, config_echo
 from .errors import ConfigError, SingularTransfer
-from .frames import TransferMatrix, frame_bounds, transfer_matrix
+from .frames import TransferMatrix, frame_bounds
 from .gridio import write_dual_values, write_phase_grid, write_transfer
 from .lattice import Lattice, periodize_sq, unfibers
 from .sampling import (
@@ -34,8 +34,8 @@ from .sampling import (
     interpolation_check,
     reconstruct,
     relative_error,
-    sample_filter_matrix,
     synthesize_element,
+    system_transfer,
 )
 from .weyl import weyl_symbol
 
@@ -119,8 +119,7 @@ def run_analyze(cfg: ExperimentConfig) -> tuple[dict, int]:
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     report["generator_riesz"] = gens.riesz.to_jsonable()
-    A = sample_filter_matrix(gens, avgs)
-    system = frame_bounds(transfer_matrix(A), tol_factor=cfg.tol_pos)
+    system = frame_bounds(system_transfer(gens, avgs), tol_factor=cfg.tol_pos)
     report["system_frame"] = system.to_jsonable()
     try:
         for rep in (gens.riesz, system):
@@ -142,8 +141,7 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     report["generator_riesz"] = gens.riesz.to_jsonable()
-    A = sample_filter_matrix(gens, avgs)
-    That = transfer_matrix(A)
+    That = system_transfer(gens, avgs)
     system = frame_bounds(That, tol_factor=cfg.tol_pos)
     report["system_frame"] = system.to_jsonable()
 
@@ -211,7 +209,6 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
                 _emit(f"periodization_g{n}.csv", write_dual_values,
                       periodize_sq(unfibers(gens.fibers[n], lat), lat))
         elif kind == "transfer":
-            A = sample_filter_matrix(gens, avgs)
-            _emit("transfer.csv", write_transfer, transfer_matrix(A).values)
+            _emit("transfer.csv", write_transfer, system_transfer(gens, avgs).values)
     report["export"] = {"what": list(kinds), "directory": str(out_dir), "files": files}
     return _finish(report, started, True)

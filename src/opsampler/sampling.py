@@ -35,8 +35,8 @@ since the quantization is unitary:
   ``weyl.inverse_fourier_wigner``; reconstructors are kept as fibers and
   quantized only when their operators are read;
 * pairing: <S, alpha_lambda(Q)>_HS is the inverse series of
-  |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]), so samples and the
-  filter system are coset Gram sums followed by one inverse series.
+  |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]): that coset Gram sum is
+  the transfer matrix, and samples and filter sequences add one inverse series.
 
 Sums of translated operators compute the same things directly; they
 live with the test suite as its oracle.
@@ -55,6 +55,7 @@ from .frames import (
     ConvolutionMatrix,
     FrameReport,
     TransferMatrix,
+    dual_sequences,
     gram_matrix_bounds,
     left_inverse_family,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "Reconstructor",
     "synthesize_element",
     "average_samples",
+    "system_transfer",
     "sample_filter_matrix",
     "build_reconstructor_multi",
     "reconstruct",
@@ -163,13 +165,18 @@ def _combine(W, P) -> np.ndarray:
     return np.matmul(W, P.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
-def _pairings(P, Q, lat: Lattice) -> np.ndarray:
-    """out[m, n](lambda) = <op_n, alpha_lambda(q_m)>_HS from fibers P (N, ...) and Q (M, ...)."""
+def _coset_gram(P, Q, lat: Lattice) -> np.ndarray:
+    """out[xi, m, n] = |Lambda| * sum_mu P[n, xi, mu] * conj(Q[m, xi, mu]) from fibers P, Q."""
     # the conjugate of sum_mu Q * conj(P): copies P, which never has more
     # channels than Q, and conjugates the small product in place
-    gram = np.matmul(Q.transpose(1, 0, 2), P.conj().transpose(1, 2, 0))  # (size, M, N)
+    gram = np.matmul(Q.transpose(1, 0, 2), P.conj().transpose(1, 2, 0))
     np.conjugate(gram, out=gram)
-    return inverse_symplectic_series(lat.size * gram.transpose(1, 2, 0), lat)
+    return np.multiply(gram, lat.size, out=gram)
+
+
+def _pairings(P, Q, lat: Lattice) -> np.ndarray:
+    """out[m, n](lambda) = <op_n, alpha_lambda(q_m)>_HS: one inverse series of the coset Gram."""
+    return inverse_symplectic_series(np.moveaxis(_coset_gram(P, Q, lat), 0, -1), lat)
 
 
 def synthesize_element(c, gens: GeneratorSet) -> np.ndarray:
@@ -188,15 +195,20 @@ def average_samples(T, avg: AveragerSet) -> np.ndarray:
     return _pairings(_spectra(T[None], avg.lattice), avg.fibers, avg.lattice)[:, 0]
 
 
+def system_transfer(gens: GeneratorSet, avg: AveragerSet) -> TransferMatrix:
+    """Transfer matrix of the filter system: the coset Gram of the fibers, no series."""
+    if gens.lattice != avg.lattice:
+        raise ValueError("generator and averager sets must share a lattice")
+    return TransferMatrix(gens.lattice, _coset_gram(gens.fibers, avg.fibers, gens.lattice))
+
+
 def sample_filter_matrix(gens: GeneratorSet, avg: AveragerSet) -> ConvolutionMatrix:
     """The M x N filter system A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS.
 
     Sampling a synthesized element is the same as applying this system to
     its coefficients: average_samples(synthesize_element(c)) == A * c.
     """
-    if gens.lattice != avg.lattice:
-        raise ValueError("generator and averager sets must share a lattice")
-    return ConvolutionMatrix(gens.lattice, _pairings(gens.fibers, avg.fibers, gens.lattice))
+    return dual_sequences(system_transfer(gens, avg))
 
 
 def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: FrameReport,
@@ -236,7 +248,7 @@ def interpolation_check(rec: Reconstructor, avg: AveragerSet, tol: float = 1e-9)
     n_gens = rec.left_inverse.m
     if rec.m != n_gens:
         raise ValueError(f"interpolation pattern needs a square system, got M={rec.m}, N={n_gens}")
-    s = _pairings(_spectra(rec.ops, avg.lattice), avg.fibers, avg.lattice)  # s[:, n]: samples of H_n
+    s = _pairings(rec.fibers, avg.fibers, avg.lattice)  # s[:, n]: samples of H_n
     expect = np.zeros_like(s)
     expect[:, :, 0] = np.eye(rec.m)
     dev = float(np.abs(s - expect).max())

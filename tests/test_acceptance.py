@@ -168,7 +168,7 @@ def test_criterion_06_oversampled_roundtrip_and_left_inverse():
 
 def test_criterion_07_interpolation_property():
     lat = Lattice(15, 3, 5)
-    worst = 0.0
+    worst = worst_ops = 0.0
     for n in (1, 2):
         gens = GeneratorSet.build([rand_op(15) for _ in range(n)], lat)
         avgs = AveragerSet.build([rand_op(15) for _ in range(n)], lat)
@@ -176,10 +176,15 @@ def test_criterion_07_interpolation_property():
         rec = build_reconstructor_multi(gens, That, frame_bounds(That))
         _, dev = interpolation_check(rec, avgs)
         worst = max(worst, dev)
-    ok = worst <= 1e-9
+        # the quantized operators H_n, sampled as any element is
+        s = np.stack([average_samples(H, avgs) for H in rec.ops], axis=1)
+        expect = np.zeros_like(s)
+        expect[:, :, 0] = np.eye(n)
+        worst_ops = max(worst_ops, float(np.abs(s - expect).max()))
+    ok = worst <= 1e-9 and worst_ops <= 1e-9
     _report(7, "interpolation-property", ok,
             f"square systems N=M in (1,2); max |samples - delta pattern| "
-            f"{worst:.2e} <= 1e-9")
+            f"{worst:.2e} from the fibers, {worst_ops:.2e} from the operators, <= 1e-9")
 
 
 def test_criterion_08_riesz_criterion_equivalence():

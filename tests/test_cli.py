@@ -309,7 +309,7 @@ def _count_calls(monkeypatch, counted):
         return wrapper
 
     for name, weight in counted.items():
-        source = weyl if hasattr(weyl, name) else frames
+        source = next(mod for mod in (weyl, frames, sampling) if hasattr(mod, name))
         wrapped = counting(name, getattr(source, name), weight)
         for mod in (frames, sampling, runner):
             if hasattr(mod, name):
@@ -317,9 +317,15 @@ def _count_calls(monkeypatch, counted):
     return calls
 
 
+# The sampling system's transfer matrix is the coset Gram of the fibers:
+# no CLI path builds the filter sequences or takes their series.
+SYSTEM_CALLS = {"system_transfer": 1, "sample_filter_matrix": 1, "transfer_matrix": 1}
+SYSTEM_ONCE = {"system_transfer": 1, "sample_filter_matrix": 0, "transfer_matrix": 0}
+
+
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
 def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkeypatch, m):
-    calls = _count_calls(monkeypatch, {"frame_bounds": 1, "transfer_matrix": 1,
+    calls = _count_calls(monkeypatch, {"frame_bounds": 1, **SYSTEM_CALLS,
                                        "fourier_wigner": "ops", "inverse_fourier_wigner": "ops"})
     n = 2
     data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
@@ -327,13 +333,39 @@ def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkey
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["interpolation"] is not None) == (m == n)
-    # N generators, M averagers and the synthesized element, plus the M
-    # reconstructors for the square-system interpolation check; only the
-    # synthesized and the reconstructed element are quantized, plus the M
-    # reconstructors where the interpolation check reads them
-    assert calls == {"frame_bounds": 1, "transfer_matrix": 1,
-                     "fourier_wigner": n + m + 1 + (m if m == n else 0),
-                     "inverse_fourier_wigner": 2 + (m if m == n else 0)}
+    # N generators, M averagers and the synthesized element are transformed;
+    # only the synthesized and the reconstructed element are quantized (the
+    # interpolation check pairs the reconstructors' fibers directly)
+    assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
+                     "fourier_wigner": n + m + 1, "inverse_fourier_wigner": 2}
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
+def test_analyze_computes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
+    calls = _count_calls(monkeypatch, {"frame_bounds": 1, **SYSTEM_CALLS,
+                                       "fourier_wigner": "ops", "inverse_fourier_wigner": "ops"})
+    n = 2
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
+                averagers=[{"kind": "random_hs"}] * m)
+    assert main(["analyze", "--config", write_cfg(tmp_path, data)]) == 0
+    assert json.loads(capsys.readouterr().out)["system_frame"]["verdict"] in ("riesz_basis", "frame")
+    assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
+                     "fourier_wigner": n + m, "inverse_fourier_wigner": 0}
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
+def test_export_transfer_computes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
+    calls = _count_calls(monkeypatch, {**SYSTEM_CALLS, "fourier_wigner": "ops"})
+    n = 2
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
+                averagers=[{"kind": "random_hs"}] * m)
+    out = tmp_path / "export"
+    assert main(["export", "--config", write_cfg(tmp_path, data), "--out", str(out),
+                 "--what", "transfer"]) == 0
+    size = json.loads(capsys.readouterr().out)["lattice"]["size"]
+    assert calls == {**SYSTEM_ONCE, "fourier_wigner": n + m}
+    lines = (out / "transfer.csv").read_text().splitlines()
+    assert lines[0] == "xi_index,m,n,re,im" and len(lines) == 1 + size * m * n
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])

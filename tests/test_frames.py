@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opsampler.builders import build_operator
+from opsampler.config import parse_config
 from opsampler.errors import SingularTransfer
 from opsampler.frames import (
     DEFAULT_TOL_FACTOR,
@@ -26,7 +27,8 @@ from opsampler.lattice import (
     symplectic_series,
     translate_seq,
 )
-from opsampler.sampling import AveragerSet, GeneratorSet, sample_filter_matrix
+from opsampler.runner import run_analyze
+from opsampler.sampling import AveragerSet, GeneratorSet, sample_filter_matrix, system_transfer
 from opsampler.weyl import fourier_wigner, symplectic_ft, weyl_transform
 
 rng = np.random.default_rng(333)
@@ -168,6 +170,30 @@ def test_frame_bounds_zero_column_fails_with_witness():
     assert rep.alpha == pytest.approx(0.0)
     assert 7 in rep.witnesses
     assert rep.witness_points[rep.witnesses.index(7)] == tuple(lat.dual_points[7])
+
+
+def test_delta_averagers_leave_exactly_zero_transfer_blocks():
+    # point-pair averagers see only two phase-space lines, so every other
+    # adjoint coset carries exactly zero averager fibers; built from the
+    # fibers with no series round trip, those transfer blocks are exactly
+    # zero, and so is alpha, and they are exactly the witnesses
+    L, deltas = 45, [{"kind": "delta_pair", "t1": 1, "t2": 2},
+                     {"kind": "delta_pair", "t1": 0, "t2": 4}]
+    lat = Lattice(L, 3, 3)
+    gens = GeneratorSet.build([rand_op(L)], lat)
+    avgs = AveragerSet.build([build_operator(spec, lat, None) for spec in deltas], lat)
+    T = system_transfer(gens, avgs)
+    zero = [int(i) for i in np.flatnonzero(~T.values.reshape(lat.size, -1).any(axis=1))]
+    assert 0 < len(zero) < lat.size
+    report, code = run_analyze(parse_config(
+        {"L": L, "lattice": {"a": 3, "b": 3}, "seed": 5,
+         "generators": [{"kind": "random_hs"}], "averagers": deltas}))
+    system = report["system_frame"]
+    assert code == 2 and system["verdict"] == "fail"
+    assert system["alpha"] == 0.0
+    assert sorted(system["witness_xi"]) == zero
+    rep = frame_bounds(T)
+    assert rep.alpha == 0.0 and sorted(rep.witnesses) == zero
 
 
 def test_frame_bounds_match_closed_form_oracle():

@@ -444,6 +444,19 @@ def test_interpolation_square_system():
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     ok, dev = interpolation_check(rec, avgs)
     assert ok and dev <= 1e-9
+    # the check pairs the fibers; the operators they quantize sample the same way
+    s = np.stack([average_samples(H, avgs) for H in rec.ops], axis=1)  # s[:, n]: samples of H_n
+    expect = np.zeros_like(s)
+    expect[:, :, 0] = np.eye(2)
+    assert np.abs(s - expect).max() <= 1e-9
+
+
+def test_interpolation_rejects_scaled_reconstructor():
+    gens, avgs = gen_set(2), avg_set(2)
+    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
+    ok, dev = interpolation_check(dataclasses.replace(rec, fibers=2 * rec.fibers), avgs)
+    assert not ok and dev == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interpolation_rejects_oversampled():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsampler.errors import SingularTransfer
-from opsampler.frames import TransferMatrix, frame_bounds, transfer_matrix
+from opsampler.frames import TransferMatrix, dual_sequences, frame_bounds, transfer_matrix
 from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
 from opsampler.sampling import (
     AveragerSet,
@@ -23,6 +23,7 @@ from opsampler.sampling import (
     relative_error,
     sample_filter_matrix,
     synthesize_element,
+    system_transfer,
 )
 from oracles import seq_operator_convolve
 from test_lattice import naive_series
@@ -83,3 +84,20 @@ def test_spectral_core_matches_direct_routes(system):
         return
     rec = build_reconstructor_multi(gens, That, report, C)
     assert relative_error(reconstruct(samples, rec), T) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(systems())
+def test_system_transfer_is_the_series_of_the_filter_system(system):
+    # the coset Gram of the fibers is the transfer matrix of the filter
+    # system, and the filter sequences are exactly its inverse series
+    lat, n, m, seed = system
+    rng = np.random.default_rng(seed)
+    gens = GeneratorSet.build(rand_complex(rng, (n, lat.L, lat.L)), lat)
+    avgs = AveragerSet.build(rand_complex(rng, (m, lat.L, lat.L)), lat)
+    T = system_transfer(gens, avgs)
+    A = sample_filter_matrix(gens, avgs)
+    assert T.values.shape == (lat.size, m, n)
+    oracle = transfer_matrix(A).values
+    assert np.abs(T.values - oracle).max() <= 1e-13 * np.abs(T.values).max()
+    assert A.seqs.tobytes() == dual_sequences(T).seqs.tobytes()
