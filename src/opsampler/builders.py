@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import rank_one
+from .core import _divide_real, rank_one
 from .errors import ConfigError
 from .lattice import Lattice
 from .sampling import whiten_generator
@@ -46,8 +46,7 @@ def rand_complex(rng: np.random.Generator, shape) -> np.ndarray:
     out = np.empty(shape, dtype=complex)
     out.real = rng.standard_normal(shape)
     out.imag = rng.standard_normal(shape)
-    out /= np.sqrt(2.0)
-    return out
+    return _divide_real(out, np.sqrt(2.0))
 
 
 def validate_builder_spec(spec: dict, L: int, field: str) -> dict:

@@ -53,6 +53,21 @@ def half_inverse(L: int) -> int:
     return (L + 1) // 2
 
 
+def _divide_real(z: np.ndarray, s) -> np.ndarray:
+    """``z /= s`` in place for a complex array z and a real scalar s; returns z.
+
+    numpy divides by ``s + 0j``: ``((re + im*0) * (1/s), (im - re*0) * (1/s))``.
+    Without zero components (which would move signed zeros) that is, for
+    finite z, a multiply of the float view of a C-contiguous z by ``1/s``.
+    """
+    flat = z.view(np.float64) if z.flags.c_contiguous else None
+    if flat is not None and flat.all():
+        flat *= 1.0 / s
+    else:
+        z /= s
+    return z
+
+
 def _as_signal(f) -> np.ndarray:
     f = np.asarray(f, dtype=complex)
     if f.ndim != 1:

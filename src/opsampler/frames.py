@@ -208,6 +208,16 @@ def _adjoint(values: np.ndarray) -> np.ndarray:
     return values.conj().transpose(0, 2, 1)
 
 
+def _eigh(G: np.ndarray, vectors: bool = True):
+    """``np.linalg.eigh(G)``, or ``eigvalsh`` without ``vectors``, of a Hermitian
+    stack.  For 1 x 1 matrices that is the real part and the eigenvector 1
+    (LAPACK's bits, signed zeros included), with no LAPACK call per matrix."""
+    if G.shape[-1] == 1:
+        w = G.real[..., 0]
+        return (w, np.ones_like(G)) if vectors else w
+    return np.linalg.eigh(G) if vectors else np.linalg.eigvalsh(G)
+
+
 def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
     """Extreme eigenvalues of A_hat(xi)* A_hat(xi) over the dual grid.
 
@@ -228,7 +238,7 @@ def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> F
     """
     if T.m < T.n:
         raise ValueError(f"system must have at least as many outputs as inputs, got {T.m} x {T.n}")
-    w, V = np.linalg.eigh(np.matmul(_adjoint(T.values), T.values))
+    w, V = _eigh(np.matmul(_adjoint(T.values), T.values))
     square = T.m == T.n
     delta = float(np.sqrt(np.clip(w, 0.0, None).prod(axis=1).min())) if square else None
     return _report(w, T.lattice, tol_factor, "transfer",
@@ -250,7 +260,7 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
         raise ValueError("need at least one generator")
     Vx = V.transpose(1, 0, 2)
     gram = np.matmul(Vx, _adjoint(Vx))
-    return _report(np.linalg.eigvalsh(gram), lat, tol_factor, "gram", VERDICT_RIESZ)
+    return _report(_eigh(gram, vectors=False), lat, tol_factor, "gram", VERDICT_RIESZ)
 
 
 def left_inverse_family(T: TransferMatrix, report: FrameReport,

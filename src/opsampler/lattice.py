@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import validate_mod_size
+from .core import _divide_real, validate_mod_size
 
 __all__ = [
     "Lattice",
@@ -159,7 +159,7 @@ def inverse_symplectic_series(F, lat: Lattice) -> np.ndarray:
     c(lambda) = (1/|Lambda|) * sum_xi F(xi) * exp(-2*pi*i*sigma(lambda, z_xi)/L).
     Batches over leading axes.
     """
-    return _grid_dft(_as_seq(F, lat), lat.n_cols, lat.n_rows) / lat.size
+    return _divide_real(_grid_dft(_as_seq(F, lat), lat.n_cols, lat.n_rows), lat.size)
 
 
 def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:
@@ -194,10 +194,14 @@ def unfibers(P, lat: Lattice) -> np.ndarray:
     P = np.asarray(P)
     if P.shape[-2:] != (lat.size, lat.a * lat.b):
         raise ValueError(f"expected ({lat.size}, {lat.a * lat.b}) fibers, got {P.shape}")
-    lead = P.shape[:-2]
-    grid = P.reshape(lead + (lat.n_cols, lat.n_rows, lat.b, lat.a))
-    grid = np.moveaxis(grid, (-2, -1), (-4, -2))
-    return grid.reshape(lead + (lat.L, lat.L))
+    return _fiber_grid(P, lat).reshape(P.shape[:-2] + (lat.L, lat.L))
+
+
+def _fiber_grid(P, lat: Lattice) -> np.ndarray:
+    """Fibers ``(..., |Lambda|, |adjoint|)`` as a ``(..., b, L/b, a, L/a)`` view
+    whose element ``[p, x, q, omega]`` is grid cell ``(x + (L/b)*p, omega + (L/a)*q)``."""
+    grid = P.reshape(P.shape[:-2] + (lat.n_cols, lat.n_rows, lat.b, lat.a))
+    return np.moveaxis(grid, (-2, -1), (-4, -2))
 
 
 def involution(c, lat: Lattice) -> np.ndarray:

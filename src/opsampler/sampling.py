@@ -59,7 +59,7 @@ from .frames import (
     gram_matrix_bounds,
     left_inverse_family,
 )
-from .lattice import Lattice, fibers, inverse_symplectic_series, symplectic_series, unfibers
+from .lattice import Lattice, inverse_symplectic_series, symplectic_series, unfibers
 from .weyl import fourier_wigner, inverse_fourier_wigner, symplectic_ft, weyl_transform
 
 __all__ = [
@@ -152,7 +152,7 @@ def _as_coeffs(c, n: int, size: int) -> np.ndarray:
 
 def _spectra(ops, lat: Lattice) -> np.ndarray:
     """Fibers of the trace transforms of operators, (..., size, n_adjoint) from (..., L, L)."""
-    return fibers(fourier_wigner(ops), lat)
+    return fourier_wigner(ops, lat)
 
 
 def _quantize(P, lat: Lattice) -> np.ndarray:

@@ -41,6 +41,12 @@ without their three FFT passes.
 ``inverse_fourier_wigner`` batch over leading axes: they map
 ``(..., L, L)`` stacks slice by slice, and each slice of the result
 equals the single-slice call bit for bit.
+
+``fourier_wigner(S, lat)`` returns the adjoint-coset fibers
+``fibers(fourier_wigner(S), lat)`` bit for bit without the reordering
+copy: its phase multiply writes into the fiber buffer through a strided
+view.  Its factor L**-0.5 is ``core._divide_real`` by ``sqrt(L)``: the
+bits of numpy's complex division at the cost of a real multiply.
 """
 
 from __future__ import annotations
@@ -50,10 +56,12 @@ import numpy as np
 from .core import (
     _as_operator,
     _as_signal,
+    _divide_real,
     _reduce_point,
     half_inverse,
     translate_operator,
 )
+from .lattice import _fiber_grid
 
 __all__ = [
     "cross_wigner",
@@ -150,14 +158,15 @@ def symplectic_ft(F) -> np.ndarray:
     return np.fft.fft(np.fft.ifft(F, axis=-1), axis=-2).swapaxes(-1, -2)
 
 
-def fourier_wigner(S) -> np.ndarray:
+def fourier_wigner(S, lat=None) -> np.ndarray:
     """Phase-weighted trace transform of an operator.
 
     out(x, omega) = L**-0.5 * exp(-2*pi*i*c*x*omega/L) * tr(pi(-z) S),
     where tr(pi(-z) S) = sum_t exp(-2*pi*i*omega*t/L) * S[t + x, t].
 
     Coincides exactly with ``symplectic_ft(weyl_symbol(S))``.  Batches
-    over leading axes.
+    over leading axes.  Given a lattice, returns the fibers
+    ``(..., |Lambda|, |adjoint|)`` instead.
     """
     S = _as_square_stack(S, "operator kernel")
     L = S.shape[-1]
@@ -166,10 +175,16 @@ def fourier_wigner(S) -> np.ndarray:
     t = np.arange(L)[None, :]
     diagonals = _flat(S).take(((t + x) % L) * L + t, axis=-1)  # S[..., (t + x) % L, t]
     trp = np.fft.fft(diagonals, axis=-1, out=diagonals)  # the gather is a fresh buffer
-    roots = np.exp(2j * np.pi * np.arange(L) / L)
-    np.multiply(roots[(-c * x * t) % L], trp, out=trp)
-    trp /= np.sqrt(L)
-    return trp
+    phase = np.exp(2j * np.pi * np.arange(L) / L)[(-c * x * t) % L]
+    out = dest = trp
+    if lat is not None:
+        if lat.L != L:
+            raise ValueError(f"expected {lat.L} x {lat.L} operators, got {S.shape}")
+        out = np.empty(S.shape[:-2] + (lat.size, lat.a * lat.b), dtype=complex)
+        dest = _fiber_grid(out, lat)
+        phase, trp = phase.reshape(dest.shape[-4:]), trp.reshape(dest.shape)
+    np.multiply(phase, trp, out=dest)
+    return _divide_real(out, np.sqrt(L))
 
 
 def inverse_fourier_wigner(F) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opsampler.core import (
+    _divide_real,
     check_operator,
     half_inverse,
     hs_inner,
@@ -224,3 +225,52 @@ def test_size_mismatch_errors():
         hs_inner(rand_op(5), rand_op(7))
     with pytest.raises(ValueError):
         tf_shift((0, 0), rand_op(5))
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def _scaled_draws(shape):
+    """Complex draws over 600 decades, no component exactly zero."""
+    mags = 10.0 ** rng.uniform(-300, 300, (2,) + shape)
+    return rng.standard_normal(shape) * mags[0] + 1j * rng.standard_normal(shape) * mags[1]
+
+
+# the divisors the library scales by: sqrt(L), |Lambda| and sqrt(2)
+DIVISORS = [np.sqrt(105), 2601, np.sqrt(2.0), 3.0]
+
+
+@pytest.mark.parametrize("s", DIVISORS)
+@pytest.mark.parametrize("shape", [(7,), (4, 15, 15), (3, 25, 9)])
+def test_divide_real_matches_complex_division_bit_for_bit(shape, s):
+    z = _scaled_draws(shape)
+    expect = z / s
+    out = _divide_real(z, s)
+    assert out is z
+    assert np.array_equal(_bits(out), _bits(expect))
+
+
+@pytest.mark.parametrize("s", DIVISORS)
+def test_divide_real_keeps_signed_zeros(s):
+    # (re + im*0) / s and (im - re*0) / s: the signed zeros of a real
+    # multiply would differ, so arrays with a zero component are divided
+    parts = [0.0, -0.0, 1.5, -2.0e-300]
+    z = np.array([complex(re, im) for re in parts for im in parts])
+    z = np.concatenate([z, _scaled_draws((40,))])
+    expect = z / s
+    assert np.array_equal(_bits(_divide_real(z, s)), _bits(expect))
+
+
+@pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T, lambda a: a[1:, 3]])
+def test_divide_real_on_non_contiguous_views(view):
+    base = _scaled_draws((6, 10))
+    before = base.copy()
+    v = view(base)
+    expect = v / np.sqrt(15)
+    _divide_real(v, np.sqrt(15))
+    assert np.array_equal(_bits(v), _bits(expect))
+    # only the viewed elements of the base array are scaled
+    untouched = np.ones(base.shape, bool)
+    view(untouched)[...] = False
+    assert np.array_equal(_bits(base[untouched]), _bits(before[untouched]))

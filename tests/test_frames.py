@@ -9,6 +9,7 @@ from opsampler.errors import SingularTransfer
 from opsampler.frames import (
     DEFAULT_TOL_FACTOR,
     ConvolutionMatrix,
+    _eigh,
     _report,
     _witnesses,
     TransferMatrix,
@@ -194,6 +195,43 @@ def test_delta_averagers_leave_exactly_zero_transfer_blocks():
     assert sorted(system["witness_xi"]) == zero
     rep = frame_bounds(T)
     assert rep.alpha == 0.0 and sorted(rep.witnesses) == zero
+
+
+def _one_by_one_stacks():
+    """1 x 1 Hermitian stacks: signed zeros, tiny and huge values, and the
+    delta-averager system's Gram matrices, exactly zero on most cosets."""
+    G = np.zeros((8, 1, 1), complex)
+    G.real[:, 0, 0] = [-0.0, 0.0, 2.5, -2.0, 5e-324, -1e-300, 1e300, 0.0]
+    G.imag[:, 0, 0] = [0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 1e-17]
+    L, deltas = 45, [{"kind": "delta_pair", "t1": 1, "t2": 2}]
+    lat = Lattice(L, 3, 3)
+    local = np.random.default_rng(45)  # collection time: leaves the module's draws alone
+    gens = GeneratorSet.build([local.standard_normal((L, L)) + 1j * local.standard_normal((L, L))], lat)
+    avgs = AveragerSet.build([build_operator(spec, lat, None) for spec in deltas], lat)
+    T = system_transfer(gens, avgs).values
+    gram = np.matmul(T.conj().transpose(0, 2, 1), T)
+    assert (gram == 0).any() and (gram != 0).any()
+    return [G, gram, local.standard_normal((3, 4, 1, 1)) + 0j]
+
+
+@pytest.mark.parametrize("G", _one_by_one_stacks(), ids=["signed", "delta_system", "batched"])
+def test_eigh_of_one_by_one_stacks_is_lapacks_bit_for_bit(G):
+    w, V = _eigh(G)
+    w_lapack, V_lapack = np.linalg.eigh(G)
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)  # noqa: E731
+    assert w.shape == w_lapack.shape and V.shape == V_lapack.shape and V.dtype == V_lapack.dtype
+    assert np.array_equal(bits(w), bits(w_lapack))
+    assert np.array_equal(bits(V), bits(V_lapack))
+    assert np.array_equal(bits(_eigh(G, vectors=False)), bits(np.linalg.eigvalsh(G)))
+
+
+def test_eigh_of_larger_stacks_is_lapacks():
+    A = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+    G = np.matmul(A.conj().transpose(0, 2, 1), A)
+    w, V = _eigh(G)
+    w_lapack, V_lapack = np.linalg.eigh(G)
+    assert np.array_equal(w, w_lapack) and np.array_equal(V, V_lapack)
+    assert np.array_equal(_eigh(G, vectors=False), np.linalg.eigvalsh(G))
 
 
 def test_frame_bounds_match_closed_form_oracle():

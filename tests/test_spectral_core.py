@@ -25,6 +25,7 @@ from opsampler.sampling import (
     synthesize_element,
     system_transfer,
 )
+from opsampler.weyl import fourier_wigner
 from oracles import seq_operator_convolve
 from test_lattice import naive_series
 
@@ -61,6 +62,13 @@ def test_spectral_core_matches_direct_routes(system):
     assert np.allclose(symplectic_series(c[0], lat), naive_series(c[0], lat), rtol=0, atol=1e-10)
 
     gen_ops = rand_complex(rng, (n, L, L))
+    # the fibers written by the trace transform's phase multiply, for a
+    # stack, one operator, and an operator whose transform has exact zeros
+    for S in (gen_ops, gen_ops[0], np.diag(rand_complex(rng, L))):
+        direct = fourier_wigner(S, lat)
+        assert direct.flags.c_contiguous
+        oracle = np.ascontiguousarray(fibers(fourier_wigner(S), lat))
+        assert np.array_equal(direct.view(np.uint64), oracle.view(np.uint64))
     gens = GeneratorSet.build(gen_ops, lat)
     avgs = AveragerSet.build(rand_complex(rng, (m, L, L)), lat)
     T = synthesize_element(c, gens)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opsampler.core import half_inverse, hs_inner, rank_one, tf_shift, translate_operator
+from opsampler.lattice import Lattice
 from opsampler.weyl import (
     cross_wigner,
     fourier_wigner,
@@ -308,3 +309,8 @@ def test_weyl_maps_refuse_non_square_trailing_axes(shape):
     for fn in (fourier_wigner, inverse_fourier_wigner, weyl_transform, symplectic_ft):
         with pytest.raises(ValueError):
             fn(np.zeros(shape, complex))
+
+
+def test_fourier_wigner_refuses_a_lattice_of_another_size():
+    with pytest.raises(ValueError, match="15 x 15"):
+        fourier_wigner(rand_op(9), Lattice(15, 3, 5))
