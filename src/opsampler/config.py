@@ -140,6 +140,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deep
+        raise ConfigError(f"cannot decode config file {path}: {exc}")
     return parse_config(data)
 
 

@@ -17,7 +17,8 @@ localized.
 
 Each transfer matrix is factorized once: one batched ``eigh`` of its
 Gram matrices gives the bounds, ``delta`` and the Moore-Penrose left
-inverse.
+inverse.  A 1 x 1 Gram matrix (N = 1) is its own eigendecomposition and a
+product over a contracted dimension of 1 is elementwise: no LAPACK or BLAS.
 
 The verdict string is one of ``riesz_basis`` (pass with M == N, or a
 Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
@@ -208,6 +209,12 @@ def _adjoint(values: np.ndarray) -> np.ndarray:
     return values.conj().transpose(0, 2, 1)
 
 
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.matmul(A, B)``; over a contracted dimension of 1 the outer
+    products ``A * B``, which numpy would hand to BLAS once per matrix."""
+    return A * B if A.shape[-1] == 1 else np.matmul(A, B)
+
+
 def _eigh(G: np.ndarray, vectors: bool = True):
     """``np.linalg.eigh(G)``, or ``eigvalsh`` without ``vectors``, of a Hermitian
     stack.  For 1 x 1 matrices that is the real part and the eigenvector 1
@@ -238,7 +245,7 @@ def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> F
     """
     if T.m < T.n:
         raise ValueError(f"system must have at least as many outputs as inputs, got {T.m} x {T.n}")
-    w, V = _eigh(np.matmul(_adjoint(T.values), T.values))
+    w, V = _eigh(_matmul(_adjoint(T.values), T.values))
     square = T.m == T.n
     delta = float(np.sqrt(np.clip(w, 0.0, None).prod(axis=1).min())) if square else None
     return _report(w, T.lattice, tol_factor, "transfer",
@@ -259,7 +266,7 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     if len(V) == 0:
         raise ValueError("need at least one generator")
     Vx = V.transpose(1, 0, 2)
-    gram = np.matmul(Vx, _adjoint(Vx))
+    gram = _matmul(Vx, _adjoint(Vx))
     return _report(_eigh(gram, vectors=False), lat, tol_factor, "gram", VERDICT_RIESZ)
 
 
@@ -280,13 +287,13 @@ def left_inverse_family(T: TransferMatrix, report: FrameReport,
     if report.eigenpairs is None or report.eigenpairs[0].shape != (T.lattice.size, T.n):
         raise ValueError("report must be frame_bounds(T) of this transfer matrix")
     w, V = report.eigenpairs
-    dag = np.matmul(V / w[:, None, :], np.matmul(_adjoint(V), _adjoint(T.values)))
+    dag = _matmul(V / w[:, None, :], _matmul(_adjoint(V), _adjoint(T.values)))
     if C is None:
         return TransferMatrix(T.lattice, dag)
     if C.values.shape != dag.shape:
         raise ValueError(f"C must have shape {dag.shape}, got {C.values.shape}")
-    proj = np.eye(T.m) - np.matmul(T.values, dag)
-    return TransferMatrix(T.lattice, dag + np.matmul(C.values, proj))
+    proj = np.eye(T.m) - _matmul(T.values, dag)
+    return TransferMatrix(T.lattice, dag + _matmul(C.values, proj))
 
 
 def dual_sequences(B: TransferMatrix) -> ConvolutionMatrix:

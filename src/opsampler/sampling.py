@@ -21,9 +21,9 @@ reconstructor sets, is parametrized by a free transfer matrix C.  The
 one-generator theorem is the system N = M = 1: for a filter q without
 zeros on the dual grid, the reconstructor's fibers are those of S / series(q).
 
-Every stage runs on the dual grid.  The operator sets are their
-adjoint-coset fibers P = fibers(fourier_wigner(op)) (see ``lattice``):
-no stage reads an operator once its trace transform exists, so the sets
+Every stage runs on the dual grid.  The operator sets are the
+adjoint-coset fibers P = fourier_wigner(op, lat) of their trace transforms
+(see ``lattice``): no stage reads an operator once they exist, so the sets
 keep no operators (only ``runner.run_export`` keeps the generator stack,
 for the symbols it writes).  Two identities do the rest, both exact
 since the quantization is unitary:
@@ -55,6 +55,7 @@ from .frames import (
     ConvolutionMatrix,
     FrameReport,
     TransferMatrix,
+    _matmul,
     dual_sequences,
     gram_matrix_bounds,
     left_inverse_family,
@@ -89,7 +90,7 @@ class GeneratorSet:
 
     @staticmethod
     def build(ops, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
-        P = _spectra(_stack_ops(ops, lattice.L), lattice)
+        P = fourier_wigner(_stack_ops(ops, lattice.L), lattice)
         return GeneratorSet(lattice, P, gram_matrix_bounds(P, lattice, tol_factor))
 
     @property
@@ -106,7 +107,7 @@ class AveragerSet:
 
     @staticmethod
     def build(ops, lattice: Lattice) -> "AveragerSet":
-        return AveragerSet(lattice, _spectra(_stack_ops(ops, lattice.L), lattice))
+        return AveragerSet(lattice, fourier_wigner(_stack_ops(ops, lattice.L), lattice))
 
     @property
     def m(self) -> int:
@@ -150,26 +151,21 @@ def _as_coeffs(c, n: int, size: int) -> np.ndarray:
     return c
 
 
-def _spectra(ops, lat: Lattice) -> np.ndarray:
-    """Fibers of the trace transforms of operators, (..., size, n_adjoint) from (..., L, L)."""
-    return fourier_wigner(ops, lat)
-
-
 def _quantize(P, lat: Lattice) -> np.ndarray:
-    """Operators whose trace transforms have the fibers P; inverse of ``_spectra``."""
+    """Operators whose trace transforms have the fibers P; inverse of ``fourier_wigner(., lat)``."""
     return inverse_fourier_wigner(unfibers(P, lat))
 
 
 def _combine(W, P) -> np.ndarray:
     """out[k, xi, mu] = sum_n W[xi, k, n] * P[n, xi, mu]: one matrix product per fiber."""
-    return np.matmul(W, P.transpose(1, 0, 2)).transpose(1, 0, 2)
+    return _matmul(W, P.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 def _coset_gram(P, Q, lat: Lattice) -> np.ndarray:
     """out[xi, m, n] = |Lambda| * sum_mu P[n, xi, mu] * conj(Q[m, xi, mu]) from fibers P, Q."""
     # the conjugate of sum_mu Q * conj(P): copies P, which never has more
     # channels than Q, and conjugates the small product in place
-    gram = np.matmul(Q.transpose(1, 0, 2), P.conj().transpose(1, 2, 0))
+    gram = _matmul(Q.transpose(1, 0, 2), P.conj().transpose(1, 2, 0))
     np.conjugate(gram, out=gram)
     return np.multiply(gram, lat.size, out=gram)
 
@@ -192,7 +188,7 @@ def average_samples(T, avg: AveragerSet) -> np.ndarray:
     L = avg.lattice.L
     if T.shape != (L, L):
         raise ValueError(f"size mismatch: {T.shape} vs {(L, L)}")
-    return _pairings(_spectra(T[None], avg.lattice), avg.fibers, avg.lattice)[:, 0]
+    return _pairings(fourier_wigner(T[None], avg.lattice), avg.fibers, avg.lattice)[:, 0]
 
 
 def system_transfer(gens: GeneratorSet, avg: AveragerSet) -> TransferMatrix:
@@ -270,7 +266,7 @@ def whiten_generator(S, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) ->
     ``inverse_fourier_wigner`` to roundoff but not bit for bit, so that
     the same config keeps giving the same generator.
     """
-    P = _spectra(S, lat)
+    P = fourier_wigner(S, lat)
     power = (np.abs(P) ** 2).sum(axis=1)
     if power.min() <= tol_factor * power.max():
         xi = int(np.argmin(power))

@@ -42,11 +42,9 @@ without their three FFT passes.
 ``(..., L, L)`` stacks slice by slice, and each slice of the result
 equals the single-slice call bit for bit.
 
-``fourier_wigner(S, lat)`` returns the adjoint-coset fibers
-``fibers(fourier_wigner(S), lat)`` bit for bit without the reordering
-copy: its phase multiply writes into the fiber buffer through a strided
-view.  Its factor L**-0.5 is ``core._divide_real`` by ``sqrt(L)``: the
-bits of numpy's complex division at the cost of a real multiply.
+``fourier_wigner(S, lat)`` is ``fibers(fourier_wigner(S), lat)`` bit for
+bit, its phase multiply writing into the fiber buffer through a strided
+view instead of a reordering copy.  Its L**-0.5 is ``core._divide_real``.
 """
 
 from __future__ import annotations
@@ -180,9 +178,12 @@ def fourier_wigner(S, lat=None) -> np.ndarray:
     if lat is not None:
         if lat.L != L:
             raise ValueError(f"expected {lat.L} x {lat.L} operators, got {S.shape}")
-        out = np.empty(S.shape[:-2] + (lat.size, lat.a * lat.b), dtype=complex)
-        dest = _fiber_grid(out, lat)
-        phase, trp = phase.reshape(dest.shape[-4:]), trp.reshape(dest.shape)
+        if lat.a * lat.b == 1:  # the fibers are the grid, flattened: multiply in place
+            out = trp.reshape(S.shape[:-2] + (lat.size, 1))
+        else:
+            out = np.empty(S.shape[:-2] + (lat.size, lat.a * lat.b), dtype=complex)
+            dest = _fiber_grid(out, lat)
+            phase, trp = phase.reshape(dest.shape[-4:]), trp.reshape(dest.shape)
     np.multiply(phase, trp, out=dest)
     return _divide_real(out, np.sqrt(L))
 

@@ -68,6 +68,17 @@ def test_analyze_config_error_exit_1(tmp_path, capsys):
     assert "lattice.a" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{\"L\": 15}", b"[" * 100000],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_undecodable_config_file_exit_1(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "Traceback" not in captured.err
+
+
 # ----------------------------------------------------------------- roundtrip
 
 def test_roundtrip_single_channel(tmp_path, capsys):
@@ -388,6 +399,32 @@ def test_roundtrip_factorizes_the_transfer_once(tmp_path, capsys, monkeypatch, m
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert shapes == {"eigh": [(report["lattice"]["size"], n, n)], "det": [], "solve": []}
+
+
+def test_one_by_one_roundtrip_calls_no_blas_or_lapack(tmp_path, capsys, monkeypatch):
+    # N = M = 1 on a = b = 1: every matrix of the fiber algebra is 1 x 1,
+    # so every product is elementwise and every eigenproblem is read off
+    calls = {"eigh": 0, "eigvalsh": 0, "matmul": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(np, "matmul", counting("matmul", np.matmul))
+    data = dict(BASE, lattice={"a": 1, "b": 1}, averagers=[{"kind": "random_hs"}])
+    assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["interpolation"]["pass"] is True
+    assert calls == {"eigh": 0, "eigvalsh": 0, "matmul": 0}
+    # the counters see the calls a system with N = 2 does make (a*b >= N)
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * 2, averagers=[{"kind": "random_hs"}] * 2)
+    assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
+    capsys.readouterr()
+    assert calls["eigh"] == 1 and calls["eigvalsh"] == 1 and calls["matmul"] > 0
 
 
 @pytest.mark.parametrize("n", [1, 3])

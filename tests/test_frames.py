@@ -10,6 +10,7 @@ from opsampler.frames import (
     DEFAULT_TOL_FACTOR,
     ConvolutionMatrix,
     _eigh,
+    _matmul,
     _report,
     _witnesses,
     TransferMatrix,
@@ -232,6 +233,25 @@ def test_eigh_of_larger_stacks_is_lapacks():
     w_lapack, V_lapack = np.linalg.eigh(G)
     assert np.array_equal(w, w_lapack) and np.array_equal(V, V_lapack)
     assert np.array_equal(_eigh(G, vectors=False), np.linalg.eigvalsh(G))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((6, 3, 2), (6, 2, 4)), ((6, 1, 5), (6, 5, 1)), ((2, 6, 4, 3), (6, 3, 3)),  # matmul itself
+    ((6, 3, 1), (6, 1, 4)), ((6, 1, 1), (6, 1, 1)), ((2, 6, 4, 1), (6, 1, 3)),  # outer products
+])
+def test_matmul_is_numpys_product(a_shape, b_shape):
+    local = np.random.default_rng(sum(a_shape) * 7 + len(b_shape))
+    draw = lambda shape: (local.standard_normal(shape) + 1j * local.standard_normal(shape)) \
+        * 10.0 ** local.uniform(-8, 8, shape)  # noqa: E731
+    A, B = draw(a_shape), draw(b_shape)
+    out, expect = _matmul(A, B), np.matmul(A, B)
+    assert out.shape == expect.shape and out.dtype == expect.dtype
+    if a_shape[-1] > 1:
+        assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
+    else:
+        # BLAS may fuse the multiply-adds: the two agree to roundoff only
+        bound = 4 * np.finfo(float).eps * np.abs(A) * np.abs(B)
+        assert (np.abs(out - expect) <= bound).all()
 
 
 def test_frame_bounds_match_closed_form_oracle():

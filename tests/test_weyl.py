@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opsampler.core import half_inverse, hs_inner, rank_one, tf_shift, translate_operator
-from opsampler.lattice import Lattice
+from opsampler.lattice import Lattice, fibers
 from opsampler.weyl import (
     cross_wigner,
     fourier_wigner,
@@ -309,6 +309,16 @@ def test_weyl_maps_refuse_non_square_trailing_axes(shape):
     for fn in (fourier_wigner, inverse_fourier_wigner, weyl_transform, symplectic_ft):
         with pytest.raises(ValueError):
             fn(np.zeros(shape, complex))
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (3, 5), (1, 15), (15, 15)])
+def test_fourier_wigner_writes_the_fibers_bit_for_bit(a, b):
+    # a = b = 1 multiplies in place (the fibers are the grid, flattened);
+    # other lattices write through the strided view of the fiber buffer
+    lat = Lattice(15, a, b)
+    for S in (np.stack([rand_op(15), rand_op(15)]), np.eye(15, dtype=complex)):
+        oracle = np.ascontiguousarray(fibers(fourier_wigner(S), lat))
+        assert np.array_equal(fourier_wigner(S, lat).view(np.uint64), oracle.view(np.uint64))
 
 
 def test_fourier_wigner_refuses_a_lattice_of_another_size():
