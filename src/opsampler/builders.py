@@ -1,14 +1,26 @@
 """Test-fixture operator builders used by the experiment harness.
 
 Each builder spec names a construction recipe for a generator or
-averaging operator.  Deterministic kinds (delta_pair, boxcar,
-periodized_gaussian) never touch the random stream; random kinds consume
-it in a documented order, so a fixed seed reproduces every operator.
+averaging operator, and ``build_operator`` yields the operator as the
+``(|Lambda|, a*b)`` adjoint-coset fibers of its trace transform (see
+``lattice``), the one form every later stage reads.  The rank-one kinds
+(delta_pair, boxcar, periodized_gaussian, random_signal_pair) form their
+kernel and transform it once.  ``random_hs`` draws its fibers directly:
+the trace transform is unitary, so an i.i.d. standard complex Gaussian
+kernel has i.i.d. standard complex Gaussian fibers.  ``whitened``
+whitens the fibers of its inner operator.  Deterministic kinds never
+touch the random stream; random kinds consume it in a documented order,
+so a fixed seed reproduces every operator.
 
 A periodized Gaussian needs a width whose square is a positive finite
 float (else its kernel is NaN or overflows) and at most ``MAX_WRAPS``
 wraps on each side: the wrap loop runs 2*wraps + 1 times, and beyond 3
 wraps the tail is already below 1e-15 for width <= L/3.
+
+A whitened spec nests at most ``MAX_WHITENED_NESTING`` whitened levels.
+Whitening twice is whitening once, since the coset power of whitened
+fibers is already flat, and the validation and the build recurse once
+per level.
 """
 
 from __future__ import annotations
@@ -21,11 +33,13 @@ from .core import _divide_real, rank_one
 from .errors import ConfigError
 from .lattice import Lattice
 from .sampling import whiten_generator
+from .weyl import fourier_wigner
 
 __all__ = ["BUILDER_KINDS", "build_operator", "rand_complex", "spec_uses_rng",
            "validate_builder_spec"]
 
 MAX_WRAPS = 100
+MAX_WHITENED_NESTING = 8
 
 BUILDER_KINDS = (
     "delta_pair",
@@ -90,6 +104,12 @@ def validate_builder_spec(spec: dict, L: int, field: str) -> dict:
         inner = spec.get("inner")
         if inner is None:
             raise ConfigError("whitened spec needs an 'inner' builder", field=f"{field}.inner")
+        depth, link = 1, inner
+        while isinstance(link, dict) and link.get("kind") == "whitened":
+            depth, link = depth + 1, link.get("inner")
+        if depth > MAX_WHITENED_NESTING:
+            raise ConfigError(f"{depth} nested whitened levels; at most {MAX_WHITENED_NESTING} "
+                              f"(whitening twice is whitening once)", field=field)
         out["inner"] = validate_builder_spec(inner, L, field=f"{field}.inner")
         known.add("inner")
     extra = set(spec) - known
@@ -122,27 +142,24 @@ def _periodized_gaussian(L: int, width: float, wraps: int, center: int) -> np.nd
 
 
 def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None) -> np.ndarray:
-    """Materialize one validated builder spec as an L x L operator."""
+    """Materialize one validated builder spec as the (|Lambda|, a*b) fibers of
+    its operator's trace transform."""
     L = lat.L
     kind = spec["kind"]
-    if kind == "delta_pair":
-        return rank_one(_delta(L, spec["t1"]), _delta(L, spec["t2"]))
-    if kind == "boxcar":
-        u = np.zeros(L, dtype=complex)
-        u[: spec["width"]] = 1.0
-        return rank_one(u, u)
-    if kind == "periodized_gaussian":
-        g = _periodized_gaussian(L, spec["width"], spec["wraps"], spec["center"])
-        return rank_one(g, g)
-    if kind == "random_signal_pair":
-        if rng is None:
-            raise ConfigError("random builder requires a seed")
-        return rank_one(rand_complex(rng, L), rand_complex(rng, L))
+    if kind in ("random_signal_pair", "random_hs") and rng is None:
+        raise ConfigError("random builder requires a seed")
     if kind == "random_hs":
-        if rng is None:
-            raise ConfigError("random builder requires a seed")
-        return rand_complex(rng, (L, L))
+        return rand_complex(rng, (lat.size, lat.a * lat.b))
     if kind == "whitened":
-        inner = build_operator(spec["inner"], lat, rng)
-        return whiten_generator(inner, lat)
-    raise ConfigError(f"unknown builder kind {kind!r}")
+        return whiten_generator(build_operator(spec["inner"], lat, rng), lat)
+    if kind == "delta_pair":
+        u, v = _delta(L, spec["t1"]), _delta(L, spec["t2"])
+    elif kind == "boxcar":
+        u = v = (np.arange(L) < spec["width"]).astype(complex)
+    elif kind == "periodized_gaussian":
+        u = v = _periodized_gaussian(L, spec["width"], spec["wraps"], spec["center"])
+    elif kind == "random_signal_pair":
+        u, v = rand_complex(rng, L), rand_complex(rng, L)
+    else:
+        raise ConfigError(f"unknown builder kind {kind!r}")
+    return fourier_wigner(rank_one(u, v), lat)

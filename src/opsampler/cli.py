@@ -6,8 +6,8 @@
 
 Reports are canonical JSON on stdout unless --out names a file; export
 writes CSV files into the --out directory (default: current directory)
-and prints a manifest.  Exit codes: 0 pass, 1 config error, 2 condition
-failure.
+and prints a manifest.  Exit codes: 0 pass, 1 config error or an --out
+that cannot be written, 2 condition failure.
 """
 
 from __future__ import annotations
@@ -65,18 +65,18 @@ def main(argv=None) -> int:
             if not (math.isfinite(args.tolerance) and args.tolerance > 0):
                 raise ConfigError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
             cfg = replace(cfg, tolerance=args.tolerance)
-        if args.command == "analyze":
-            report, code = run_analyze(cfg)
-            _emit(report, args.out)
-        elif args.command == "roundtrip":
-            report, code = run_roundtrip(cfg)
-            _emit(report, args.out)
-        else:
+        if args.command == "export":
             out_dir = args.out if args.out is not None else "."
             report, code = run_export(cfg, args.what, out_dir)
             sys.stdout.write(canonical_json(report))
+        else:
+            report, code = (run_analyze if args.command == "analyze" else run_roundtrip)(cfg)
+            _emit(report, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # the config was read: only the output step writes
+        print(f"output error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return code
 

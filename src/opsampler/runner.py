@@ -37,7 +37,7 @@ from .sampling import (
     synthesize_element,
     system_transfer,
 )
-from .weyl import weyl_symbol
+from .weyl import symplectic_ft
 
 __all__ = ["run_analyze", "run_roundtrip", "run_export", "EXPORT_KINDS"]
 
@@ -68,27 +68,22 @@ def _base_report(cfg: ExperimentConfig, command: str) -> dict:
     }
 
 
-def _operator_stack(specs, lat: Lattice, rng) -> np.ndarray:
-    """Each spec's operator built into its slot of one (K, L, L) stack, in spec order."""
-    ops = np.empty((len(specs), lat.L, lat.L), dtype=complex)
+def _fibers(specs, lat: Lattice, rng) -> np.ndarray:
+    """Each spec's fibers built into its slot of one (K, |Lambda|, a*b) stack, in spec order."""
+    P = np.empty((len(specs), lat.size, lat.a * lat.b), dtype=complex)
     for k, spec in enumerate(specs):
-        ops[k] = build_operator(spec, lat, rng)
-    return ops
+        P[k] = build_operator(spec, lat, rng)
+    return P
 
 
-def _build_sets(cfg: ExperimentConfig, rng, keep_generators: bool = False):
-    """(generators, averagers, generator stack or None).  The sets hold only
-    fibers; the generator operators are returned only when asked for, so
-    no other stack outlives its trace transform."""
+def _build_sets(cfg: ExperimentConfig, rng):
+    """(generators, averagers), both held as fibers."""
     lat = Lattice(cfg.L, cfg.a, cfg.b)
-    gen_ops = _operator_stack(cfg.generators, lat, rng)
-    gens = GeneratorSet.build(gen_ops, lat, tol_factor=cfg.tol_pos)
-    if not keep_generators:
-        gen_ops = None
+    gens = GeneratorSet.build(_fibers(cfg.generators, lat, rng), lat, tol_factor=cfg.tol_pos)
     if cfg.averagers is None:
-        # the generators average themselves: reuse their trace transforms
-        return gens, AveragerSet(lat, gens.fibers), gen_ops
-    return gens, AveragerSet.build(_operator_stack(cfg.averagers, lat, rng), lat), gen_ops
+        # the generators average themselves: reuse their fibers
+        return gens, AveragerSet(lat, gens.fibers)
+    return gens, AveragerSet.build(_fibers(cfg.averagers, lat, rng), lat)
 
 
 def _failure(report: dict, exc: SingularTransfer) -> dict:
@@ -115,7 +110,7 @@ def run_analyze(cfg: ExperimentConfig) -> tuple[dict, int]:
     started = time.monotonic()
     report = _base_report(cfg, "analyze")
     try:
-        gens, avgs, _ = _build_sets(cfg, _make_rng(cfg))
+        gens, avgs = _build_sets(cfg, _make_rng(cfg))
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     report["generator_riesz"] = gens.riesz.to_jsonable()
@@ -137,7 +132,7 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     report = _base_report(cfg, "roundtrip")
     rng = _make_rng(cfg)
     try:
-        gens, avgs, _ = _build_sets(cfg, rng)
+        gens, avgs = _build_sets(cfg, rng)
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     report["generator_riesz"] = gens.riesz.to_jsonable()
@@ -185,8 +180,7 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
     os.makedirs(out_dir, exist_ok=True)
     report = _base_report(cfg, "export")
     try:
-        gens, avgs, gen_ops = _build_sets(cfg, _make_rng(cfg),
-                                          keep_generators="symbols" in kinds)
+        gens, avgs = _build_sets(cfg, _make_rng(cfg))
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
     lat = gens.lattice
@@ -200,7 +194,9 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
     for kind in kinds:
         if kind == "symbols":
             for n in range(gens.n):
-                _emit(f"symbols_g{n}.csv", write_phase_grid, weyl_symbol(gen_ops[n]))
+                # the symbol is the symplectic FT of the trace transform (self-inverse)
+                _emit(f"symbols_g{n}.csv", write_phase_grid,
+                      symplectic_ft(unfibers(gens.fibers[n], lat)))
         elif kind == "wigner":
             for n in range(gens.n):
                 _emit(f"wigner_g{n}.csv", write_phase_grid, unfibers(gens.fibers[n], lat))

@@ -21,12 +21,11 @@ reconstructor sets, is parametrized by a free transfer matrix C.  The
 one-generator theorem is the system N = M = 1: for a filter q without
 zeros on the dual grid, the reconstructor's fibers are those of S / series(q).
 
-Every stage runs on the dual grid.  The operator sets are the
+Every stage runs on the dual grid.  The operator sets are built from the
 adjoint-coset fibers P = fourier_wigner(op, lat) of their trace transforms
-(see ``lattice``): no stage reads an operator once they exist, so the sets
-keep no operators (only ``runner.run_export`` keeps the generator stack,
-for the symbols it writes).  Two identities do the rest, both exact
-since the quantization is unitary:
+(see ``lattice``), which is the form the builders yield: no stage reads a
+set's operators, so none is ever formed.  Two identities do the rest,
+both exact since the quantization is unitary:
 
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
   is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
@@ -61,7 +60,7 @@ from .frames import (
     left_inverse_family,
 )
 from .lattice import Lattice, inverse_symplectic_series, symplectic_series, unfibers
-from .weyl import fourier_wigner, inverse_fourier_wigner, symplectic_ft, weyl_transform
+from .weyl import fourier_wigner, inverse_fourier_wigner
 
 __all__ = [
     "GeneratorSet",
@@ -89,8 +88,8 @@ class GeneratorSet:
     riesz: FrameReport
 
     @staticmethod
-    def build(ops, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
-        P = fourier_wigner(_stack_ops(ops, lattice.L), lattice)
+    def build(P, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
+        P = _fiber_stack(P, lattice)
         return GeneratorSet(lattice, P, gram_matrix_bounds(P, lattice, tol_factor))
 
     @property
@@ -106,8 +105,8 @@ class AveragerSet:
     fibers: np.ndarray       # (M, size, n_adjoint)
 
     @staticmethod
-    def build(ops, lattice: Lattice) -> "AveragerSet":
-        return AveragerSet(lattice, fourier_wigner(_stack_ops(ops, lattice.L), lattice))
+    def build(P, lattice: Lattice) -> "AveragerSet":
+        return AveragerSet(lattice, _fiber_stack(P, lattice))
 
     @property
     def m(self) -> int:
@@ -134,12 +133,12 @@ class Reconstructor:
         return self.fibers.shape[0]
 
 
-def _stack_ops(ops, L: int) -> np.ndarray:
-    """ops as one (K, L, L) complex stack; a complex array is used as it is, not copied."""
-    arr = np.asarray(ops, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1:] != (L, L):
-        raise ValueError(f"expected operators of shape ({L}, {L}), got {arr.shape[1:]}")
-    return arr
+def _fiber_stack(P, lat: Lattice) -> np.ndarray:
+    """Fibers as one (K, |Lambda|, a*b) complex stack; a complex array is used as it is."""
+    P = np.asarray(P, dtype=complex)
+    if P.ndim != 3 or P.shape[1:] != (lat.size, lat.a * lat.b):
+        raise ValueError(f"expected fibers of shape ({lat.size}, {lat.a * lat.b}), got {P.shape}")
+    return P
 
 
 def _as_coeffs(c, n: int, size: int) -> np.ndarray:
@@ -251,29 +250,22 @@ def interpolation_check(rec: Reconstructor, avg: AveragerSet, tol: float = 1e-9)
     return dev <= tol, dev
 
 
-def whiten_generator(S, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> np.ndarray:
-    """Generator whose lattice translates are exactly orthonormal.
+def whiten_generator(P, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> np.ndarray:
+    """Fibers of a generator whose lattice translates are exactly orthonormal.
 
-    Divides the phase-weighted trace transform of S pointwise by the
-    square root of |Lattice| times its adjoint-lattice periodization, then
-    maps back to an operator.  Refuses when the periodization has a zero
-    (the translates of S are not a Riesz sequence).
-
-    A whitened generator is an input: its bits show in exported symbol
-    files and, its periodization being flat, decide which dual index wins
-    the roundoff tie for the smallest Gram eigenvalue.  It is quantized as
-    ``weyl_transform(symplectic_ft(.))``, which agrees with
-    ``inverse_fourier_wigner`` to roundoff but not bit for bit, so that
-    the same config keeps giving the same generator.
+    Divides the (|Lambda|, a*b) fibers P of a generator's trace transform
+    by the square root of |Lambda| times their coset power, the
+    adjoint-lattice periodization.  Refuses when that power has a zero
+    (the translates are not a Riesz sequence).  Whitened fibers have flat
+    coset power, so whitening them again changes them only in roundoff.
     """
-    P = fourier_wigner(S, lat)
-    power = (np.abs(P) ** 2).sum(axis=1)
+    power = (np.abs(P) ** 2).sum(axis=-1)
     if power.min() <= tol_factor * power.max():
         xi = int(np.argmin(power))
         raise SingularTransfer(
             f"cannot whiten: periodized spectrum vanishes near dual index {xi}",
             witness_xi=xi, witness_point=tuple(int(v) for v in lat.dual_points[xi]))
-    return weyl_transform(symplectic_ft(unfibers(P / np.sqrt(lat.size * power)[:, None], lat)))
+    return P / np.sqrt(lat.size * power)[:, None]
 
 
 def relative_error(T_rec, T) -> float:

@@ -57,7 +57,6 @@ from .core import (
     _divide_real,
     _reduce_point,
     half_inverse,
-    translate_operator,
 )
 from .lattice import _fiber_grid
 
@@ -70,7 +69,6 @@ __all__ = [
     "inverse_fourier_wigner",
     "stft",
     "translate_phase",
-    "translation_covariance_check",
 ]
 
 
@@ -234,16 +232,3 @@ def translate_phase(z, F) -> np.ndarray:
     L = F.shape[0]
     x, w = _reduce_point(z, L)
     return np.roll(F, (x, w), axis=(0, 1))
-
-
-def translation_covariance_check(F, z) -> float:
-    """HS-norm residual of the covariance identity at the point z.
-
-    Quantizing a translated symbol must agree with translating the
-    quantized operator; returns
-    ``|| weyl_transform(translate_phase(z, F)) - alpha_z(weyl_transform(F)) ||``.
-    """
-    F = _as_phase_function(F)
-    direct = weyl_transform(translate_phase(z, F))
-    conjugated = translate_operator(z, weyl_transform(F))
-    return float(np.linalg.norm(direct - conjugated))

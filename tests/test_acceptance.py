@@ -33,10 +33,10 @@ from opsampler.sampling import (
 from opsampler.weyl import (
     fourier_wigner,
     symplectic_ft,
-    translation_covariance_check,
     weyl_symbol,
     weyl_transform,
 )
+from oracles import translation_covariance_check
 
 rng = np.random.default_rng(20240809)
 
@@ -107,8 +107,8 @@ def test_criterion_04_samples_are_convolutions():
     worst = 0.0
     for n, m in ((1, 1), (1, 2), (2, 2), (2, 3)):
         for _ in range(50):
-            gens = GeneratorSet.build([rand_op(15) for _ in range(n)], lat)
-            avgs = AveragerSet.build([rand_op(15) for _ in range(m)], lat)
+            gens = GeneratorSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
+            avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(m)], lat), lat)
             A = sample_filter_matrix(gens, avgs)
             c = rand_coeffs(n, lat)
             s = average_samples(synthesize_element(c, gens), avgs)
@@ -126,9 +126,9 @@ def test_criterion_05_single_generator_roundtrip():
     for L, a, b in ((15, 3, 5), (33, 3, 11)):
         lat = Lattice(L, a, b)
         S = rand_op(L)
-        gens = GeneratorSet.build([S], lat)
+        gens = GeneratorSet.build(fourier_wigner([S], lat), lat)
         for Q in (S, rand_op(L)):
-            avgs = AveragerSet.build([Q], lat)
+            avgs = AveragerSet.build(fourier_wigner([Q], lat), lat)
             That = transfer_matrix(sample_filter_matrix(gens, avgs))
             rec = build_reconstructor_multi(gens, That, frame_bounds(That))
             c = rand_coeffs(1, lat)
@@ -144,8 +144,8 @@ def test_criterion_05_single_generator_roundtrip():
 
 def test_criterion_06_oversampled_roundtrip_and_left_inverse():
     lat = Lattice(15, 3, 5)
-    gens = GeneratorSet.build([rand_op(15), rand_op(15)], lat)
-    avgs = AveragerSet.build([rand_op(15) for _ in range(3)], lat)
+    gens = GeneratorSet.build(fourier_wigner([rand_op(15), rand_op(15)], lat), lat)
+    avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(3)], lat), lat)
     A = sample_filter_matrix(gens, avgs)
     That = transfer_matrix(A)
     c = rand_coeffs(2, lat)
@@ -170,8 +170,8 @@ def test_criterion_07_interpolation_property():
     lat = Lattice(15, 3, 5)
     worst = worst_ops = 0.0
     for n in (1, 2):
-        gens = GeneratorSet.build([rand_op(15) for _ in range(n)], lat)
-        avgs = AveragerSet.build([rand_op(15) for _ in range(n)], lat)
+        gens = GeneratorSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
+        avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
         That = transfer_matrix(sample_filter_matrix(gens, avgs))
         rec = build_reconstructor_multi(gens, That, frame_bounds(That))
         _, dev = interpolation_check(rec, avgs)
@@ -217,8 +217,8 @@ def test_criterion_09_empirical_frame_inequality():
     slack = 1e-12
     ok = True
     for n, m in ((1, 1), (1, 2), (2, 2), (2, 3)):
-        gens = GeneratorSet.build([rand_op(15) for _ in range(n)], lat)
-        avgs = AveragerSet.build([rand_op(15) for _ in range(m)], lat)
+        gens = GeneratorSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
+        avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(m)], lat), lat)
         A = sample_filter_matrix(gens, avgs)
         rep = frame_bounds(transfer_matrix(A))
         for _ in range(100):

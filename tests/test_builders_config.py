@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
-from opsampler.builders import build_operator, rand_complex, spec_uses_rng, validate_builder_spec
+from opsampler.builders import (
+    MAX_WHITENED_NESTING,
+    build_operator,
+    rand_complex,
+    spec_uses_rng,
+    validate_builder_spec,
+)
 from opsampler.config import config_echo, load_config, parse_config
 from opsampler.core import hs_inner, translate_operator
 from opsampler.errors import ConfigError
 from opsampler.lattice import Lattice
+from oracles import operator_of
 
 LAT = Lattice(15, 3, 5)
 
@@ -26,28 +33,32 @@ BASE = {
 
 def test_delta_pair_builder():
     spec = validate_builder_spec({"kind": "delta_pair", "t1": 2, "t2": 9}, 15, "g")
-    op = build_operator(spec, LAT, None)
-    assert op[2, 9] == 1 and np.count_nonzero(op) == 1
+    P = build_operator(spec, LAT, None)
+    assert P.shape == (LAT.size, LAT.a * LAT.b)
+    expect = np.zeros((15, 15))
+    expect[2, 9] = 1
+    assert np.abs(operator_of(P, LAT) - expect).max() <= 1e-14
 
 
 def test_boxcar_builder():
     spec = validate_builder_spec({"kind": "boxcar", "width": 4}, 15, "g")
-    op = build_operator(spec, LAT, None)
-    assert np.allclose(op[:4, :4], 1.0)
-    assert np.count_nonzero(op) == 16
+    op = operator_of(build_operator(spec, LAT, None), LAT)
+    expect = np.zeros((15, 15))
+    expect[:4, :4] = 1
+    assert np.abs(op - expect).max() <= 1e-14
 
 
 def test_periodized_gaussian_builder_and_tail():
     spec = validate_builder_spec({"kind": "periodized_gaussian", "width": 4.0}, 15, "g")
-    op = build_operator(spec, LAT, None)
+    P = build_operator(spec, LAT, None)
+    op = operator_of(P, LAT)
     # rank one, hermitian, positive at the center
     assert np.allclose(op, op.conj().T)
     assert op[0, 0].real > 0
     # adding more wraps changes nothing at width <= L/3 (tail < 1e-15)
     spec7 = validate_builder_spec(
         {"kind": "periodized_gaussian", "width": 4.0, "wraps": 7}, 15, "g")
-    op7 = build_operator(spec7, LAT, None)
-    assert np.abs(op - op7).max() < 1e-14
+    assert np.abs(P - build_operator(spec7, LAT, None)).max() < 1e-14
 
 
 def test_random_builders_seeded():
@@ -55,25 +66,59 @@ def test_random_builders_seeded():
     a = build_operator(spec, LAT, make_rng(3))
     b = build_operator(spec, LAT, make_rng(3))
     assert np.array_equal(a, b)
+    # random_hs is drawn as fibers: one (|Lambda|, a*b) draw per operator
+    assert a.tobytes() == rand_complex(make_rng(3), (LAT.size, LAT.a * LAT.b)).tobytes()
     pair = validate_builder_spec({"kind": "random_signal_pair"}, 15, "g")
-    op = build_operator(pair, LAT, make_rng(4))
+    op = operator_of(build_operator(pair, LAT, make_rng(4)), LAT)
     assert np.linalg.matrix_rank(op) == 1
 
 
+@pytest.mark.parametrize("lat", [LAT, Lattice(45, 3, 3), Lattice(51, 1, 1)],
+                         ids=["15-3-5", "45-3-3", "51-1-1"])
+def test_random_hs_fibers_are_the_transform_of_an_iid_kernel(lat):
+    # the trace transform is unitary, so the fiber draw and its quantized
+    # operator both look like i.i.d. standard complex Gaussian entries:
+    # mean 0, E|z|^2 = 1 and E z^2 = 0, within five standard errors
+    spec = validate_builder_spec({"kind": "random_hs"}, lat.L, "g")
+    rng = make_rng(17)
+    P = np.stack([build_operator(spec, lat, rng) for _ in range(max(1, 20000 // lat.L**2))])
+    ops = operator_of(P, lat)
+    assert np.linalg.norm(ops) == pytest.approx(np.linalg.norm(P), rel=1e-13)
+    for z in (P.ravel(), ops.ravel()):
+        bound = 5 / np.sqrt(z.size)
+        assert abs(z.mean()) <= bound
+        assert abs(np.mean(np.abs(z) ** 2) - 1) <= bound       # Var |z|^2 = 1
+        assert abs(np.mean(z * z)) <= np.sqrt(2) * bound      # E |z|^4 = 2
+
+
 def test_random_builder_requires_rng():
-    spec = validate_builder_spec({"kind": "random_hs"}, 15, "g")
-    with pytest.raises(ConfigError):
-        build_operator(spec, LAT, None)
+    for kind in ("random_hs", "random_signal_pair"):
+        spec = validate_builder_spec({"kind": kind}, 15, "g")
+        with pytest.raises(ConfigError):
+            build_operator(spec, LAT, None)
 
 
 def test_whitened_builder_orthonormal_translates():
     spec = validate_builder_spec(
         {"kind": "whitened", "inner": {"kind": "random_hs"}}, 15, "g")
     assert spec_uses_rng(spec)
-    op = build_operator(spec, LAT, make_rng(6))
+    op = operator_of(build_operator(spec, LAT, make_rng(6)), LAT)
     for i, lam in enumerate(LAT.points):
         val = hs_inner(op, translate_operator(tuple(lam), op))
         assert abs(val - (1.0 if i == 0 else 0.0)) < 1e-10
+
+
+def test_whitened_nesting_is_capped():
+    spec = {"kind": "random_hs"}
+    for _ in range(MAX_WHITENED_NESTING):
+        spec = {"kind": "whitened", "inner": spec}
+    # up to the cap the spec validates and builds; whitening again changes nothing
+    once = build_operator({"kind": "whitened", "inner": {"kind": "random_hs"}}, LAT, make_rng(8))
+    P = build_operator(validate_builder_spec(spec, 15, "g"), LAT, make_rng(8))
+    assert np.linalg.norm(P - once) <= 1e-14 * np.linalg.norm(once)
+    with pytest.raises(ConfigError) as err:
+        validate_builder_spec({"kind": "whitened", "inner": spec}, 15, "g")
+    assert err.value.field == "g"
 
 
 def test_builder_validation_errors():

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 import opsampler.cli
+from opsampler.builders import rand_complex
 from opsampler.cli import main
 from opsampler.config import parse_config
 from opsampler.gridio import read_phase_grid
+from opsampler.lattice import Lattice, unfibers
 from opsampler.report import canonical_json
 from opsampler.runner import run_analyze, run_export, run_roundtrip
-from opsampler.weyl import weyl_symbol, weyl_transform
+from opsampler.weyl import inverse_fourier_wigner, weyl_symbol, weyl_transform
 
 BASE = {
     "L": 15,
@@ -77,6 +79,39 @@ def test_undecodable_config_file_exit_1(tmp_path, capsys, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(path) in captured.err and "Traceback" not in captured.err
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh process, with a shallow stack as from the console script."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(opsampler.cli.__file__)))
+    return subprocess.run([sys.executable, "-m", "opsampler.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_deeply_nested_whitened_spec_is_config_error(tmp_path):
+    # 980 levels decode and used to validate, then ran the recursive build
+    # into a RecursionError; whitening twice is whitening once
+    spec = '{"kind": "whitened", "inner": ' * 980 + '{"kind": "random_hs"}' + "}" * 980
+    path = tmp_path / "cfg.json"
+    path.write_text('{"L": 15, "lattice": {"a": 3, "b": 5}, "seed": 1, "generators": [%s]}' % spec)
+    proc = _run_cli("analyze", "--config", str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "generators[0]" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, target", [
+    ("export", "existing_file"),
+    ("roundtrip", "directory"),
+    ("analyze", "missing_dir/r.json"),
+])
+def test_unwritable_out_exit_1(tmp_path, capsys, command, target):
+    (tmp_path / "existing_file").write_text("")
+    (tmp_path / "directory").mkdir()
+    out = tmp_path / target
+    assert main([command, "--config", write_cfg(tmp_path, BASE), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--out" in err and str(out) in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # ----------------------------------------------------------------- roundtrip
@@ -210,9 +245,10 @@ def test_exported_symbol_reimports_to_operator(tmp_path, capsys):
     out = tmp_path / "exp"
     run_export(cfg, "symbols", str(out))
     sym = read_phase_grid(out / "symbols_g0.csv", 15)
-    # rebuild the generator the same way the runner does
-    rng = np.random.Generator(np.random.Philox(1234))
-    S = (rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))) / np.sqrt(2)
+    # redraw the generator's fibers the way the random_hs builder does
+    lat = Lattice(15, 3, 5)
+    P = rand_complex(np.random.Generator(np.random.Philox(1234)), (lat.size, lat.a * lat.b))
+    S = inverse_fourier_wigner(unfibers(P, lat))
     assert np.linalg.norm(weyl_transform(sym) - S) <= 1e-10 * np.linalg.norm(S)
     assert np.linalg.norm(sym - weyl_symbol(S)) <= 1e-12 * np.linalg.norm(sym)
 
@@ -254,11 +290,8 @@ def test_rejected_arguments_leave_next_call_as_in_fresh_process(tmp_path, capsys
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
     assert main(["analyze", "--config", path]) == 0
     in_process = json.loads(capsys.readouterr().out)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(opsampler.cli.__file__)))
-    fresh = subprocess.run([sys.executable, "-m", "opsampler.cli", "analyze", "--config", path],
-                           capture_output=True, text=True, check=True,
-                           env=dict(os.environ, PYTHONPATH=src))
-    assert fresh.stderr == ""
+    fresh = _run_cli("analyze", "--config", path)
+    assert fresh.returncode == 0 and fresh.stderr == ""
     assert strip_timing(in_process) == strip_timing(json.loads(fresh.stdout))
 
 
@@ -306,6 +339,7 @@ def test_unrunnable_periodized_gaussian_is_config_error(tmp_path, capsys, param,
 
 def _count_calls(monkeypatch, counted):
     """Count calls (weight 1) or transformed operators (weight "ops") per function name."""
+    import opsampler.builders as builders
     import opsampler.frames as frames
     import opsampler.runner as runner
     import opsampler.sampling as sampling
@@ -322,7 +356,7 @@ def _count_calls(monkeypatch, counted):
     for name, weight in counted.items():
         source = next(mod for mod in (weyl, frames, sampling) if hasattr(mod, name))
         wrapped = counting(name, getattr(source, name), weight)
-        for mod in (frames, sampling, runner):
+        for mod in (builders, frames, sampling, runner):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
     return calls
@@ -344,11 +378,12 @@ def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkey
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["interpolation"] is not None) == (m == n)
-    # N generators, M averagers and the synthesized element are transformed;
-    # only the synthesized and the reconstructed element are quantized (the
-    # interpolation check pairs the reconstructors' fibers directly)
+    # random_hs operators are drawn as fibers, so only the synthesized
+    # element is transformed; only the synthesized and the reconstructed
+    # element are quantized (the interpolation check pairs the
+    # reconstructors' fibers directly)
     assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
-                     "fourier_wigner": n + m + 1, "inverse_fourier_wigner": 2}
+                     "fourier_wigner": 1, "inverse_fourier_wigner": 2}
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
@@ -361,7 +396,7 @@ def test_analyze_computes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
     assert main(["analyze", "--config", write_cfg(tmp_path, data)]) == 0
     assert json.loads(capsys.readouterr().out)["system_frame"]["verdict"] in ("riesz_basis", "frame")
     assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
-                     "fourier_wigner": n + m, "inverse_fourier_wigner": 0}
+                     "fourier_wigner": 0, "inverse_fourier_wigner": 0}
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
@@ -374,7 +409,7 @@ def test_export_transfer_computes_the_transfer_once(tmp_path, capsys, monkeypatc
     assert main(["export", "--config", write_cfg(tmp_path, data), "--out", str(out),
                  "--what", "transfer"]) == 0
     size = json.loads(capsys.readouterr().out)["lattice"]["size"]
-    assert calls == {**SYSTEM_ONCE, "fourier_wigner": n + m}
+    assert calls == {**SYSTEM_ONCE, "fourier_wigner": 0}
     lines = (out / "transfer.csv").read_text().splitlines()
     assert lines[0] == "xi_index,m,n,re,im" and len(lines) == 1 + size * m * n
 
@@ -429,8 +464,9 @@ def test_one_by_one_roundtrip_calls_no_blas_or_lapack(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_analyze_without_averagers_transforms_generators_once(tmp_path, capsys, monkeypatch, n):
+    # rank-one generators are formed as kernels and transformed once each
     calls = _count_calls(monkeypatch, {"fourier_wigner": "ops"})
-    data = dict(BASE, lattice={"a": 3, "b": 3}, generators=[{"kind": "random_hs"}] * n)
+    data = dict(BASE, lattice={"a": 3, "b": 3}, generators=[{"kind": "random_signal_pair"}] * n)
     assert main(["analyze", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["system_frame"]["verdict"] == "riesz_basis"

@@ -182,7 +182,7 @@ def test_delta_averagers_leave_exactly_zero_transfer_blocks():
     L, deltas = 45, [{"kind": "delta_pair", "t1": 1, "t2": 2},
                      {"kind": "delta_pair", "t1": 0, "t2": 4}]
     lat = Lattice(L, 3, 3)
-    gens = GeneratorSet.build([rand_op(L)], lat)
+    gens = GeneratorSet.build(fourier_wigner([rand_op(L)], lat), lat)
     avgs = AveragerSet.build([build_operator(spec, lat, None) for spec in deltas], lat)
     T = system_transfer(gens, avgs)
     zero = [int(i) for i in np.flatnonzero(~T.values.reshape(lat.size, -1).any(axis=1))]
@@ -207,7 +207,8 @@ def _one_by_one_stacks():
     L, deltas = 45, [{"kind": "delta_pair", "t1": 1, "t2": 2}]
     lat = Lattice(L, 3, 3)
     local = np.random.default_rng(45)  # collection time: leaves the module's draws alone
-    gens = GeneratorSet.build([local.standard_normal((L, L)) + 1j * local.standard_normal((L, L))], lat)
+    S = local.standard_normal((L, L)) + 1j * local.standard_normal((L, L))
+    gens = GeneratorSet.build(fourier_wigner([S], lat), lat)
     avgs = AveragerSet.build([build_operator(spec, lat, None) for spec in deltas], lat)
     T = system_transfer(gens, avgs).values
     gram = np.matmul(T.conj().transpose(0, 2, 1), T)

@@ -42,7 +42,7 @@ from opsampler.sampling import (
     whiten_generator,
 )
 from opsampler.weyl import fourier_wigner, inverse_fourier_wigner, symplectic_ft, weyl_transform
-from oracles import seq_operator_convolve
+from oracles import operator_of, seq_operator_convolve, whiten_operator
 
 rng = np.random.default_rng(77)
 LAT = Lattice(15, 3, 5)
@@ -57,11 +57,11 @@ def rand_coeffs(n, lat=LAT):
 
 
 def gen_set(n, lat=LAT):
-    return GeneratorSet.build([rand_op(lat.L) for _ in range(n)], lat)
+    return GeneratorSet.build(fourier_wigner([rand_op(lat.L) for _ in range(n)], lat), lat)
 
 
 def avg_set(m, lat=LAT):
-    return AveragerSet.build([rand_op(lat.L) for _ in range(m)], lat)
+    return AveragerSet.build(fourier_wigner([rand_op(lat.L) for _ in range(m)], lat), lat)
 
 
 def operator_route_synthesis(c, ops, lat=LAT):
@@ -103,7 +103,7 @@ def failing_generator(lat=LAT):
 
 def test_synthesize_delta_coefficients():
     ops = [rand_op() for _ in range(2)]
-    gens = GeneratorSet.build(ops, LAT)
+    gens = GeneratorSet.build(fourier_wigner(ops, LAT), LAT)
     c = np.zeros((2, LAT.size), complex)
     c[0, 0] = 1
     assert np.allclose(synthesize_element(c, gens), ops[0], atol=1e-12)
@@ -119,7 +119,7 @@ def test_synthesize_linearity():
 
 def test_synthesize_two_routes_agree():
     ops = [rand_op() for _ in range(2)]
-    gens = GeneratorSet.build(ops, LAT)
+    gens = GeneratorSet.build(fourier_wigner(ops, LAT), LAT)
     c = rand_coeffs(2)
     symbol_route = synthesize_element(c, gens)
     operator_route = operator_route_synthesis(c, ops)
@@ -130,7 +130,7 @@ def test_synthesize_two_routes_agree():
 
 def test_average_samples_at_origin():
     Q1 = rand_op()
-    avgs = AveragerSet.build([Q1], LAT)
+    avgs = AveragerSet.build(fourier_wigner([Q1], LAT), LAT)
     s = average_samples(Q1, avgs)
     assert s[0, 0] == pytest.approx(hs_norm(Q1) ** 2, rel=1e-12)
 
@@ -145,7 +145,7 @@ def test_average_samples_linearity():
 
 def test_average_samples_operator_route_oracle():
     ops = [rand_op() for _ in range(3)]
-    avgs = AveragerSet.build(ops, LAT)
+    avgs = AveragerSet.build(fourier_wigner(ops, LAT), LAT)
     T = rand_op()
     s = average_samples(T, avgs)
     for m in range(3):
@@ -158,8 +158,8 @@ def test_average_samples_operator_route_oracle():
 
 def test_filter_matrix_autocorrelation_origin():
     S = rand_op()
-    gens = GeneratorSet.build([S], LAT)
-    avgs = AveragerSet.build([S], LAT)
+    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
+    avgs = AveragerSet.build(fourier_wigner([S], LAT), LAT)
     A = sample_filter_matrix(gens, avgs)
     assert A.seqs[0, 0, 0] == pytest.approx(hs_norm(S) ** 2, rel=1e-12)
 
@@ -176,9 +176,9 @@ def test_sampling_is_convolution(n, m):
 
 
 def test_whitened_generator_gives_identity_system():
-    S = whiten_generator(rand_op(), LAT)
-    gens = GeneratorSet.build([S], LAT)
-    avgs = AveragerSet.build([S], LAT)
+    P = whiten_generator(fourier_wigner(rand_op(), LAT), LAT)
+    gens = GeneratorSet.build([P], LAT)
+    avgs = AveragerSet.build([P], LAT)
     A = sample_filter_matrix(gens, avgs)
     delta = np.zeros(LAT.size, complex)
     delta[0] = 1
@@ -188,18 +188,29 @@ def test_whitened_generator_gives_identity_system():
 
 
 def test_whitened_translates_orthonormal():
-    S = whiten_generator(rand_op(), LAT)
+    S = operator_of(whiten_generator(fourier_wigner(rand_op(), LAT), LAT), LAT)
     for i, lam in enumerate(LAT.points):
         val = hs_inner(S, translate_operator(tuple(lam), S))
         expect = 1.0 if i == 0 else 0.0
         assert abs(val - expect) <= 1e-10
 
 
+@pytest.mark.parametrize("L,a,b", [(15, 3, 5), (45, 3, 3), (51, 1, 1), (105, 7, 5)])
+def test_fiber_whitening_matches_the_operator_route(L, a, b):
+    lat = Lattice(L, a, b)
+    S = rand_op(L)
+    P = whiten_generator(fourier_wigner(S, lat), lat)
+    oracle = fourier_wigner(whiten_operator(S, lat), lat)
+    assert np.linalg.norm(P - oracle) <= 1e-14 * np.linalg.norm(oracle)
+    # whitening is idempotent up to roundoff: the coset power is already flat
+    assert np.linalg.norm(whiten_generator(P, lat) - P) <= 1e-14 * np.linalg.norm(P)
+
+
 # ------------------------------------------------------ single reconstruction
 
 def test_single_reconstructor_delta_filter():
     S = rand_op()
-    gens = GeneratorSet.build([S], LAT)
+    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
     q = np.zeros(LAT.size, complex)
     q[0] = 1
     T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
@@ -209,8 +220,8 @@ def test_single_reconstructor_delta_filter():
 
 def test_single_roundtrip_q_equals_s():
     S = rand_op()
-    gens = GeneratorSet.build([S], LAT)
-    avgs = AveragerSet.build([S], LAT)
+    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
+    avgs = AveragerSet.build(fourier_wigner([S], LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     c = rand_coeffs(1)
@@ -258,8 +269,8 @@ def test_single_filter_is_gated_on_squared_moduli():
 
 def test_multi_reduces_to_single():
     S = rand_op()
-    gens = GeneratorSet.build([S], LAT)
-    avgs = AveragerSet.build([rand_op()], LAT)
+    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
+    avgs = AveragerSet.build(fourier_wigner([rand_op()], LAT), LAT)
     A = sample_filter_matrix(gens, avgs)
     That = transfer_matrix(A)
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
@@ -321,7 +332,8 @@ def test_rank_deficient_square_system_is_refused():
     local = np.random.default_rng(2024)
     for _ in range(20):
         ops = local.standard_normal((4, 3, 3)) + 1j * local.standard_normal((4, 3, 3))
-        gens, avgs = GeneratorSet.build(ops[:2], lat), AveragerSet.build(ops[2:], lat)
+        P = fourier_wigner(ops, lat)
+        gens, avgs = GeneratorSet.build(P[:2], lat), AveragerSet.build(P[2:], lat)
         A = sample_filter_matrix(gens, avgs)
         T = transfer_matrix(A)
         rep = frame_bounds(T)
@@ -405,7 +417,7 @@ def test_seq_operator_convolve():
     delta[0] = 1
     assert np.allclose(seq_operator_convolve(delta, S, LAT), S)
     c = rand_coeffs(1)
-    gens = GeneratorSet.build([S], LAT)
+    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
     assert np.allclose(seq_operator_convolve(c[0], S, LAT),
                        synthesize_element(c, gens), atol=1e-10)
 
@@ -413,9 +425,9 @@ def test_seq_operator_convolve():
 def test_full_convolution_form_of_sampling_formula():
     # T == (T conv Qtilde restricted to the lattice) conv H
     S = rand_op()
-    gens = GeneratorSet.build([S], LAT)
+    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
     Q = rand_op()
-    avgs = AveragerSet.build([Q], LAT)
+    avgs = AveragerSet.build(fourier_wigner([Q], LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     T = synthesize_element(rand_coeffs(1), gens)
@@ -429,9 +441,9 @@ def test_full_convolution_form_of_sampling_formula():
 # --------------------------------------------------------------- interpolation
 
 def test_interpolation_whitened_single():
-    S = whiten_generator(rand_op(), LAT)
-    gens = GeneratorSet.build([S], LAT)
-    avgs = AveragerSet.build([S], LAT)
+    P = whiten_generator(fourier_wigner(rand_op(), LAT), LAT)
+    gens = GeneratorSet.build([P], LAT)
+    avgs = AveragerSet.build([P], LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     ok, dev = interpolation_check(rec, avgs)
@@ -472,8 +484,8 @@ def test_interpolation_rejects_oversampled():
 def test_refusal_no_nan_reaches_caller():
     for _ in range(5):
         bad = failing_generator()
-        gens = GeneratorSet.build([bad], LAT)
-        avgs = AveragerSet.build([bad], LAT)
+        gens = GeneratorSet.build(fourier_wigner([bad], LAT), LAT)
+        avgs = AveragerSet.build(fourier_wigner([bad], LAT), LAT)
         A = sample_filter_matrix(gens, avgs)
         assert np.isfinite(A.seqs).all()
         That = transfer_matrix(A)
@@ -481,7 +493,7 @@ def test_refusal_no_nan_reaches_caller():
             build_reconstructor_multi(gens, That, frame_bounds(That))
         assert err.value.witness_xi is not None
         with pytest.raises(SingularTransfer):
-            whiten_generator(bad, LAT)
+            whiten_generator(fourier_wigner(bad, LAT), LAT)
 
 
 def test_reconstructor_riesz_and_filter_condition_consistent():
@@ -500,8 +512,8 @@ def test_reconstructor_riesz_and_filter_condition_consistent():
 def test_sampling_is_convolution_across_sizes(L, a, b):
     lat = Lattice(L, a, b)
     for n, m in ((1, 2), (2, 3)):
-        gens = GeneratorSet.build([rand_op(L) for _ in range(n)], lat)
-        avgs = AveragerSet.build([rand_op(L) for _ in range(m)], lat)
+        gens = GeneratorSet.build(fourier_wigner([rand_op(L) for _ in range(n)], lat), lat)
+        avgs = AveragerSet.build(fourier_wigner([rand_op(L) for _ in range(m)], lat), lat)
         A = sample_filter_matrix(gens, avgs)
         c = rand_coeffs(n, lat)
         s = average_samples(synthesize_element(c, gens), avgs)
@@ -550,13 +562,14 @@ def _read_only(a):
                                   "average_samples"])
 def test_read_only_inputs_are_accepted_and_left_unchanged(name):
     ops = _read_only(np.stack([rand_op() for _ in range(3)]))
+    P = _read_only(fourier_wigner(ops, LAT))
     T = _read_only(rand_op())
     avgs = avg_set(2)
     calls = {
         "fourier_wigner": (fourier_wigner, ops),
         "inverse_fourier_wigner": (inverse_fourier_wigner, ops),
-        "GeneratorSet.build": (lambda x: GeneratorSet.build(x, LAT).fibers, ops),
-        "AveragerSet.build": (lambda x: AveragerSet.build(x, LAT).fibers, ops),
+        "GeneratorSet.build": (lambda x: GeneratorSet.build(x, LAT).fibers, P),
+        "AveragerSet.build": (lambda x: AveragerSet.build(x, LAT).fibers, P),
         "average_samples": (lambda x: average_samples(x, avgs), T),
     }
     fn, arg = calls[name]

@@ -69,8 +69,8 @@ def test_spectral_core_matches_direct_routes(system):
         assert direct.flags.c_contiguous
         oracle = np.ascontiguousarray(fibers(fourier_wigner(S), lat))
         assert np.array_equal(direct.view(np.uint64), oracle.view(np.uint64))
-    gens = GeneratorSet.build(gen_ops, lat)
-    avgs = AveragerSet.build(rand_complex(rng, (m, L, L)), lat)
+    gens = GeneratorSet.build(fourier_wigner(gen_ops, lat), lat)
+    avgs = AveragerSet.build(fourier_wigner(rand_complex(rng, (m, L, L)), lat), lat)
     T = synthesize_element(c, gens)
     oracle = sum(seq_operator_convolve(c[k], gen_ops[k], lat) for k in range(n))
     assert relative_error(T, oracle) <= 1e-12
@@ -101,8 +101,8 @@ def test_system_transfer_is_the_series_of_the_filter_system(system):
     # system, and the filter sequences are exactly its inverse series
     lat, n, m, seed = system
     rng = np.random.default_rng(seed)
-    gens = GeneratorSet.build(rand_complex(rng, (n, lat.L, lat.L)), lat)
-    avgs = AveragerSet.build(rand_complex(rng, (m, lat.L, lat.L)), lat)
+    gens = GeneratorSet.build(fourier_wigner(rand_complex(rng, (n, lat.L, lat.L)), lat), lat)
+    avgs = AveragerSet.build(fourier_wigner(rand_complex(rng, (m, lat.L, lat.L)), lat), lat)
     T = system_transfer(gens, avgs)
     A = sample_filter_matrix(gens, avgs)
     assert T.values.shape == (lat.size, m, n)

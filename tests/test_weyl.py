@@ -10,10 +10,10 @@ from opsampler.weyl import (
     stft,
     symplectic_ft,
     translate_phase,
-    translation_covariance_check,
     weyl_symbol,
     weyl_transform,
 )
+from oracles import translation_covariance_check
 
 rng = np.random.default_rng(515)
 
