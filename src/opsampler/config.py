@@ -15,18 +15,27 @@ Schema (all other top-level keys are rejected)::
 
 Builder specs are documented in ``builders``.  Complex values never
 appear in configs; reports serialize them as [re, im] pairs.
+
+A file nesting deeper than ``MAX_JSON_NESTING`` (the deepest valid config
+nests 11) is refused undecoded: the decoder shares the caller's recursion limit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 from .builders import spec_uses_rng, validate_builder_spec
 from .errors import ConfigError
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_echo"]
+
+MAX_JSON_NESTING = 32
+# a JSON string, escapes included, or one bracket
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]')
 
 _TOP_KEYS = {"L", "lattice", "generators", "averagers", "seed", "c_matrix",
              "tolerance", "tol_pos"}
@@ -43,14 +52,6 @@ class ExperimentConfig:
     c_matrix: str
     tolerance: float
     tol_pos: float
-
-    @property
-    def n(self) -> int:
-        return len(self.generators)
-
-    @property
-    def m(self) -> int:
-        return len(self.averagers) if self.averagers is not None else self.n
 
     @property
     def effective_averagers(self) -> tuple[dict, ...]:
@@ -132,15 +133,27 @@ def parse_config(data) -> ExperimentConfig:
     return cfg
 
 
+def _nests_too_deep(text: str) -> bool:
+    """Whether objects and arrays in the JSON text nest deeper than MAX_JSON_NESTING."""
+    if text.count("{") + text.count("[") <= MAX_JSON_NESTING:
+        return False  # fewer openings than the cap bound the depth
+    steps = ((token in "{[") - (token in "}]") for token in _JSON_TOKEN.findall(text))
+    return max(itertools.accumulate(steps)) > MAX_JSON_NESTING
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        if _nests_too_deep(text):
+            raise ConfigError(f"config file {path} nests objects and arrays more than "
+                              f"{MAX_JSON_NESTING} levels deep")
+        data = json.loads(text)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deep
+    except UnicodeDecodeError as exc:  # not UTF-8
         raise ConfigError(f"cannot decode config file {path}: {exc}")
     return parse_config(data)
 

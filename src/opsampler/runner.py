@@ -32,7 +32,6 @@ from .sampling import (
     average_samples,
     build_reconstructor_multi,
     interpolation_check,
-    reconstruct,
     relative_error,
     synthesize_element,
     system_transfer,
@@ -140,11 +139,11 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     system = frame_bounds(That, tol_factor=cfg.tol_pos)
     report["system_frame"] = system.to_jsonable()
 
-    c = rand_complex(rng, (gens.n, gens.lattice.size))
+    lat = gens.lattice
+    c = rand_complex(rng, (gens.n, lat.size))
     C = None
     if cfg.c_matrix == "random":
-        C = TransferMatrix(gens.lattice,
-                           rand_complex(rng, (gens.lattice.size, gens.n, avgs.m)))
+        C = TransferMatrix(lat, rand_complex(rng, (lat.size, gens.n, avgs.m)))
     try:
         gens.riesz.require("generator translates are not a Riesz sequence "
                            "(min Gram eigenvalue {alpha:.3e} at dual index {xi})")
@@ -152,10 +151,10 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     except SingularTransfer as exc:
         return _finish(_failure(report, exc), started, False)
 
-    T = synthesize_element(c, gens)
-    samples = average_samples(T, avgs)
-    T_rec = reconstruct(samples, rec)
-    err = relative_error(T_rec, T)
+    # the element, its samples and its reconstruction, all as fibers:
+    # reconstruction is synthesis from the reconstructors
+    P = synthesize_element(c, gens.fibers, lat)
+    err = relative_error(synthesize_element(average_samples(P, avgs), rec.fibers, lat), P)
     report["reconstruction"] = {
         "c_matrix": cfg.c_matrix,
         "relative_error": err,

@@ -30,15 +30,16 @@ both exact since the quantization is unitary:
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
   is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
   reconstruction are per-fiber products (one batched matrix product over
-  the dual grid) quantized once at the end by
-  ``weyl.inverse_fourier_wigner``; reconstructors are kept as fibers and
-  quantized only when their operators are read;
+  the dual grid); reconstruction is synthesis from the reconstructors'
+  fibers, and elements stay fibers from synthesis to the error;
 * pairing: <S, alpha_lambda(Q)>_HS is the inverse series of
   |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]): that coset Gram sum is
   the transfer matrix, and samples and filter sequences add one inverse series.
 
-Sums of translated operators compute the same things directly; they
-live with the test suite as its oracle.
+Since the fibers are a reshape of a unitary transform, the Frobenius
+norm of an element's fibers is its HS norm, so the reconstruction error
+is read off the fibers too.  Sums of translated operators compute the
+same things directly; they live with the test suite as its oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import hs_norm
 from .errors import SingularTransfer
 from .frames import (
     DEFAULT_TOL_FACTOR,
@@ -59,8 +59,7 @@ from .frames import (
     gram_matrix_bounds,
     left_inverse_family,
 )
-from .lattice import Lattice, inverse_symplectic_series, symplectic_series, unfibers
-from .weyl import fourier_wigner, inverse_fourier_wigner
+from .lattice import Lattice, inverse_symplectic_series, symplectic_series
 
 __all__ = [
     "GeneratorSet",
@@ -71,7 +70,6 @@ __all__ = [
     "system_transfer",
     "sample_filter_matrix",
     "build_reconstructor_multi",
-    "reconstruct",
     "interpolation_check",
     "whiten_generator",
     "relative_error",
@@ -115,28 +113,22 @@ class AveragerSet:
 
 @dataclass(frozen=True)
 class Reconstructor:
-    """Reconstruction operators H_m, kept as the fibers of their trace
+    """Reconstruction operators H_m, as the fibers of their trace
     transforms, plus the left inverse they came from."""
 
     fibers: np.ndarray       # (M, size, n_adjoint)
-    lattice: Lattice
     left_inverse: TransferMatrix
-    system_report: FrameReport
-
-    @property
-    def ops(self) -> np.ndarray:
-        """The operators H_m, shape (M, L, L), quantized on every access."""
-        return _quantize(self.fibers, self.lattice)
 
     @property
     def m(self) -> int:
         return self.fibers.shape[0]
 
 
-def _fiber_stack(P, lat: Lattice) -> np.ndarray:
-    """Fibers as one (K, |Lambda|, a*b) complex stack; a complex array is used as it is."""
+def _fiber_stack(P, lat: Lattice, ndim: int = 3) -> np.ndarray:
+    """Fibers as a complex (K, |Lambda|, a*b) stack, or with ndim=2 as the
+    (|Lambda|, a*b) fibers of one element; a complex array is used as it is."""
     P = np.asarray(P, dtype=complex)
-    if P.ndim != 3 or P.shape[1:] != (lat.size, lat.a * lat.b):
+    if P.ndim != ndim or P.shape[-2:] != (lat.size, lat.a * lat.b):
         raise ValueError(f"expected fibers of shape ({lat.size}, {lat.a * lat.b}), got {P.shape}")
     return P
 
@@ -148,11 +140,6 @@ def _as_coeffs(c, n: int, size: int) -> np.ndarray:
     if c.shape != (n, size):
         raise ValueError(f"expected ({n}, {size}) coefficient array, got {c.shape}")
     return c
-
-
-def _quantize(P, lat: Lattice) -> np.ndarray:
-    """Operators whose trace transforms have the fibers P; inverse of ``fourier_wigner(., lat)``."""
-    return inverse_fourier_wigner(unfibers(P, lat))
 
 
 def _combine(W, P) -> np.ndarray:
@@ -174,20 +161,19 @@ def _pairings(P, Q, lat: Lattice) -> np.ndarray:
     return inverse_symplectic_series(np.moveaxis(_coset_gram(P, Q, lat), 0, -1), lat)
 
 
-def synthesize_element(c, gens: GeneratorSet) -> np.ndarray:
-    """Element of the generator span with coefficients c: sum c_n(lambda) alpha_lambda(S_n)."""
-    lat = gens.lattice
-    c = _as_coeffs(c, gens.n, lat.size)
-    return _quantize(_combine(symplectic_series(c, lat).T[:, None, :], gens.fibers)[0], lat)
+def synthesize_element(c, P, lat: Lattice) -> np.ndarray:
+    """Fibers series(c) * P of sum_n sum_lambda c_n(lambda) alpha_lambda(S_n),
+    shape (|Lambda|, a*b), from the (K, |Lambda|, a*b) fibers P of the S_n."""
+    P = _fiber_stack(P, lat)
+    c = _as_coeffs(c, P.shape[0], lat.size)
+    return _combine(symplectic_series(c, lat).T[:, None, :], P)[0]
 
 
-def average_samples(T, avg: AveragerSet) -> np.ndarray:
-    """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS, shape (M, size)."""
-    T = np.asarray(T, dtype=complex)
-    L = avg.lattice.L
-    if T.shape != (L, L):
-        raise ValueError(f"size mismatch: {T.shape} vs {(L, L)}")
-    return _pairings(fourier_wigner(T[None], avg.lattice), avg.fibers, avg.lattice)[:, 0]
+def average_samples(P, avg: AveragerSet) -> np.ndarray:
+    """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS of the element T with
+    the (|Lambda|, a*b) fibers P, shape (M, size)."""
+    P = _fiber_stack(P, avg.lattice, ndim=2)
+    return _pairings(P[None], avg.fibers, avg.lattice)[:, 0]
 
 
 def system_transfer(gens: GeneratorSet, avg: AveragerSet) -> TransferMatrix:
@@ -201,7 +187,7 @@ def sample_filter_matrix(gens: GeneratorSet, avg: AveragerSet) -> ConvolutionMat
     """The M x N filter system A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS.
 
     Sampling a synthesized element is the same as applying this system to
-    its coefficients: average_samples(synthesize_element(c)) == A * c.
+    its coefficients: average_samples(synthesize_element(c, P, lat)) == A * c.
     """
     return dual_sequences(system_transfer(gens, avg))
 
@@ -221,15 +207,7 @@ def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: Fra
         raise ValueError(f"system has {T.n} input channels but there are {gens.n} generators")
     report.require("sampling system is not a frame: lower bound {alpha:.3e} at dual index {xi}")
     Bhat = left_inverse_family(T, report, C)
-    return Reconstructor(_combine(Bhat.values.transpose(0, 2, 1), gens.fibers), gens.lattice,
-                         Bhat, report)
-
-
-def reconstruct(samples, rec: Reconstructor) -> np.ndarray:
-    """Synthesis sum_m sum_lambda s[m](lambda) alpha_lambda(H_m)."""
-    lat = rec.lattice
-    s = _as_coeffs(samples, rec.m, lat.size)
-    return _quantize(_combine(symplectic_series(s, lat).T[:, None, :], rec.fibers)[0], lat)
+    return Reconstructor(_combine(Bhat.values.transpose(0, 2, 1), gens.fibers), Bhat)
 
 
 def interpolation_check(rec: Reconstructor, avg: AveragerSet, tol: float = 1e-9):
@@ -268,6 +246,8 @@ def whiten_generator(P, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) ->
     return P / np.sqrt(lat.size * power)[:, None]
 
 
-def relative_error(T_rec, T) -> float:
-    """Relative HS-norm reconstruction error."""
-    return float(np.linalg.norm(np.asarray(T_rec) - np.asarray(T)) / hs_norm(T))
+def relative_error(P_rec, P) -> float:
+    """Relative HS-norm error of a reconstruction, as the Frobenius ratio of
+    the two elements' fibers (a reshape of a unitary transform)."""
+    P = np.asarray(P)
+    return float(np.linalg.norm(np.asarray(P_rec) - P) / np.linalg.norm(P))

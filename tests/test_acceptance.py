@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from opsampler.cli import main
-from opsampler.core import hs_inner, hs_norm
+from opsampler.core import hs_inner, hs_norm, translate_operator
 from opsampler.frames import (
     ConvolutionMatrix,
     TransferMatrix,
@@ -25,7 +25,6 @@ from opsampler.sampling import (
     average_samples,
     build_reconstructor_multi,
     interpolation_check,
-    reconstruct,
     relative_error,
     sample_filter_matrix,
     synthesize_element,
@@ -36,7 +35,7 @@ from opsampler.weyl import (
     weyl_symbol,
     weyl_transform,
 )
-from oracles import translation_covariance_check
+from oracles import operator_of, translation_covariance_check
 
 rng = np.random.default_rng(20240809)
 
@@ -52,6 +51,12 @@ def rand_op(L):
 
 def rand_coeffs(n, lat):
     return rng.standard_normal((n, lat.size)) + 1j * rng.standard_normal((n, lat.size))
+
+
+def operator_error(P_rec, P, lat):
+    """Relative HS error of the operators quantized from two elements' fibers."""
+    T = operator_of(P, lat)
+    return float(np.linalg.norm(operator_of(P_rec, lat) - T) / hs_norm(T))
 
 
 def coset_zeroed_generator(lat):
@@ -111,7 +116,7 @@ def test_criterion_04_samples_are_convolutions():
             avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(m)], lat), lat)
             A = sample_filter_matrix(gens, avgs)
             c = rand_coeffs(n, lat)
-            s = average_samples(synthesize_element(c, gens), avgs)
+            s = average_samples(synthesize_element(c, gens.fibers, lat), avgs)
             dev = np.linalg.norm(s - A.convolve(c)) / np.linalg.norm(s)
             worst = max(worst, dev)
     ok = worst <= 1e-9
@@ -131,10 +136,10 @@ def test_criterion_05_single_generator_roundtrip():
             avgs = AveragerSet.build(fourier_wigner([Q], lat), lat)
             That = transfer_matrix(sample_filter_matrix(gens, avgs))
             rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-            c = rand_coeffs(1, lat)
-            T = synthesize_element(c, gens)
-            err = relative_error(reconstruct(average_samples(T, avgs), rec), T)
-            worst = max(worst, err)
+            T = synthesize_element(rand_coeffs(1, lat), gens.fibers, lat)
+            T_rec = synthesize_element(average_samples(T, avgs), rec.fibers, lat)
+            # the error of the fibers and of the operators they quantize
+            worst = max(worst, relative_error(T_rec, T), operator_error(T_rec, T, lat))
     elapsed = time.monotonic() - started
     ok = worst <= 1e-9 and elapsed < 30.0
     _report(5, "single-generator-roundtrip", ok,
@@ -148,8 +153,7 @@ def test_criterion_06_oversampled_roundtrip_and_left_inverse():
     avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(3)], lat), lat)
     A = sample_filter_matrix(gens, avgs)
     That = transfer_matrix(A)
-    c = rand_coeffs(2, lat)
-    T = synthesize_element(c, gens)
+    T = synthesize_element(rand_coeffs(2, lat), gens.fibers, lat)
     s = average_samples(T, avgs)
     worst_err, worst_res = 0.0, 0.0
     C = TransferMatrix(lat, rng.standard_normal((lat.size, 2, 3))
@@ -157,7 +161,8 @@ def test_criterion_06_oversampled_roundtrip_and_left_inverse():
     report = frame_bounds(That)
     for free in (None, C):
         rec = build_reconstructor_multi(gens, That, report, free)
-        worst_err = max(worst_err, relative_error(reconstruct(s, rec), T))
+        T_rec = synthesize_element(s, rec.fibers, lat)
+        worst_err = max(worst_err, relative_error(T_rec, T), operator_error(T_rec, T, lat))
         prod = np.einsum("xnm,xmk->xnk", rec.left_inverse.values, That.values)
         worst_res = max(worst_res, float(np.abs(prod - np.eye(2)).max()))
     ok = worst_err <= 1e-9 and worst_res <= 1e-10
@@ -171,13 +176,16 @@ def test_criterion_07_interpolation_property():
     worst = worst_ops = 0.0
     for n in (1, 2):
         gens = GeneratorSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
-        avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
+        Q = [rand_op(15) for _ in range(n)]
+        avgs = AveragerSet.build(fourier_wigner(Q, lat), lat)
         That = transfer_matrix(sample_filter_matrix(gens, avgs))
         rec = build_reconstructor_multi(gens, That, frame_bounds(That))
         _, dev = interpolation_check(rec, avgs)
         worst = max(worst, dev)
-        # the quantized operators H_n, sampled as any element is
-        s = np.stack([average_samples(H, avgs) for H in rec.ops], axis=1)
+        # the quantized operators H_n, paired with the translated averagers
+        H = operator_of(rec.fibers, lat)
+        s = np.array([[[hs_inner(H[k], translate_operator(tuple(lam), Q[m]))
+                        for lam in lat.points] for k in range(n)] for m in range(n)])
         expect = np.zeros_like(s)
         expect[:, :, 0] = np.eye(n)
         worst_ops = max(worst_ops, float(np.abs(s - expect).max()))

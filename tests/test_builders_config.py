@@ -141,7 +141,7 @@ def test_builder_validation_errors():
 def test_parse_minimal_config():
     cfg = parse_config(BASE)
     assert (cfg.L, cfg.a, cfg.b) == (15, 3, 5)
-    assert cfg.n == 1 and cfg.m == 1
+    assert len(cfg.generators) == 1 and cfg.averagers is None
     assert cfg.c_matrix == "zero"
     assert cfg.tolerance == 1e-8
 

@@ -10,7 +10,7 @@ import pytest
 import opsampler.cli
 from opsampler.builders import rand_complex
 from opsampler.cli import main
-from opsampler.config import parse_config
+from opsampler.config import MAX_JSON_NESTING, parse_config
 from opsampler.gridio import read_phase_grid
 from opsampler.lattice import Lattice, unfibers
 from opsampler.report import canonical_json
@@ -88,15 +88,31 @@ def _run_cli(*argv):
                           text=True, env=dict(os.environ, PYTHONPATH=src))
 
 
-def test_deeply_nested_whitened_spec_is_config_error(tmp_path):
-    # 980 levels decode and used to validate, then ran the recursive build
-    # into a RecursionError; whitening twice is whitening once
+def test_deeply_nested_whitened_spec_is_config_error(tmp_path, capsys):
+    # the JSON decoder shares the caller's recursion limit, so a 980-level
+    # file is refused before it is decoded: the message must not depend on
+    # how deep the caller's stack already is
     spec = '{"kind": "whitened", "inner": ' * 980 + '{"kind": "random_hs"}' + "}" * 980
     path = tmp_path / "cfg.json"
     path.write_text('{"L": 15, "lattice": {"a": 3, "b": 5}, "seed": 1, "generators": [%s]}' % spec)
     proc = _run_cli("analyze", "--config", str(path))
     assert proc.returncode == 1 and proc.stdout == ""
-    assert "generators[0]" in proc.stderr and "Traceback" not in proc.stderr
+    assert f"more than {MAX_JSON_NESTING} levels deep" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+    def nested(depth):
+        # deeper frames before the call, as a deeply nested caller has
+        return nested(depth - 1) if depth else main(["analyze", "--config", str(path)])
+
+    for depth in (0, 60):
+        assert nested(depth) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == proc.stderr
+    # nine whitened levels nest 12 deep: decoded, then refused by the builder's cap
+    spec = '{"kind": "whitened", "inner": ' * 9 + '{"kind": "random_hs"}' + "}" * 9
+    path.write_text('{"L": 15, "lattice": {"a": 3, "b": 5}, "seed": 1, "generators": [%s]}' % spec)
+    assert main(["analyze", "--config", str(path)]) == 1
+    assert "generators[0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, target", [
@@ -378,12 +394,11 @@ def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkey
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["interpolation"] is not None) == (m == n)
-    # random_hs operators are drawn as fibers, so only the synthesized
-    # element is transformed; only the synthesized and the reconstructed
-    # element are quantized (the interpolation check pairs the
-    # reconstructors' fibers directly)
+    # random_hs operators are drawn as fibers, and the element is
+    # synthesized, sampled and reconstructed as fibers: no operator is
+    # transformed or quantized
     assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
-                     "fourier_wigner": 1, "inverse_fourier_wigner": 2}
+                     "fourier_wigner": 0, "inverse_fourier_wigner": 0}
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])

@@ -35,7 +35,6 @@ from opsampler.sampling import (
     average_samples,
     build_reconstructor_multi,
     interpolation_check,
-    reconstruct,
     relative_error,
     sample_filter_matrix,
     synthesize_element,
@@ -106,14 +105,17 @@ def test_synthesize_delta_coefficients():
     gens = GeneratorSet.build(fourier_wigner(ops, LAT), LAT)
     c = np.zeros((2, LAT.size), complex)
     c[0, 0] = 1
-    assert np.allclose(synthesize_element(c, gens), ops[0], atol=1e-12)
+    assert np.allclose(synthesize_element(c, gens.fibers, LAT), gens.fibers[0], atol=1e-12)
+    assert np.allclose(operator_of(synthesize_element(c, gens.fibers, LAT), LAT), ops[0],
+                       atol=1e-12)
 
 
 def test_synthesize_linearity():
     gens = gen_set(2)
     c1, c2 = rand_coeffs(2), rand_coeffs(2)
-    lhs = synthesize_element(2.0 * c1 - 1j * c2, gens)
-    rhs = 2.0 * synthesize_element(c1, gens) - 1j * synthesize_element(c2, gens)
+    lhs = synthesize_element(2.0 * c1 - 1j * c2, gens.fibers, LAT)
+    rhs = (2.0 * synthesize_element(c1, gens.fibers, LAT)
+           - 1j * synthesize_element(c2, gens.fibers, LAT))
     assert np.allclose(lhs, rhs, atol=1e-11)
 
 
@@ -121,7 +123,7 @@ def test_synthesize_two_routes_agree():
     ops = [rand_op() for _ in range(2)]
     gens = GeneratorSet.build(fourier_wigner(ops, LAT), LAT)
     c = rand_coeffs(2)
-    symbol_route = synthesize_element(c, gens)
+    symbol_route = operator_of(synthesize_element(c, gens.fibers, LAT), LAT)
     operator_route = operator_route_synthesis(c, ops)
     assert np.linalg.norm(symbol_route - operator_route) <= 1e-10 * np.linalg.norm(operator_route)
 
@@ -131,13 +133,13 @@ def test_synthesize_two_routes_agree():
 def test_average_samples_at_origin():
     Q1 = rand_op()
     avgs = AveragerSet.build(fourier_wigner([Q1], LAT), LAT)
-    s = average_samples(Q1, avgs)
+    s = average_samples(avgs.fibers[0], avgs)
     assert s[0, 0] == pytest.approx(hs_norm(Q1) ** 2, rel=1e-12)
 
 
 def test_average_samples_linearity():
     avgs = avg_set(2)
-    T1, T2 = rand_op(), rand_op()
+    T1, T2 = fourier_wigner(rand_op(), LAT), fourier_wigner(rand_op(), LAT)
     lhs = average_samples(0.5j * T1 + 2.0 * T2, avgs)
     rhs = 0.5j * average_samples(T1, avgs) + 2.0 * average_samples(T2, avgs)
     assert np.allclose(lhs, rhs, atol=1e-10)
@@ -147,7 +149,7 @@ def test_average_samples_operator_route_oracle():
     ops = [rand_op() for _ in range(3)]
     avgs = AveragerSet.build(fourier_wigner(ops, LAT), LAT)
     T = rand_op()
-    s = average_samples(T, avgs)
+    s = average_samples(fourier_wigner(T, LAT), avgs)
     for m in range(3):
         for i, lam in enumerate(LAT.points):
             direct = hs_inner(T, translate_operator(tuple(lam), ops[m]))
@@ -169,8 +171,7 @@ def test_sampling_is_convolution(n, m):
     gens, avgs = gen_set(n), avg_set(m)
     A = sample_filter_matrix(gens, avgs)
     c = rand_coeffs(n)
-    T = synthesize_element(c, gens)
-    s = average_samples(T, avgs)
+    s = average_samples(synthesize_element(c, gens.fibers, LAT), avgs)
     conv = A.convolve(c)
     assert np.linalg.norm(s - conv) <= 1e-9 * np.linalg.norm(s)
 
@@ -215,7 +216,7 @@ def test_single_reconstructor_delta_filter():
     q[0] = 1
     T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
     rec = build_reconstructor_multi(gens, T, frame_bounds(T))
-    assert np.allclose(rec.ops[0], S, atol=1e-11)
+    assert np.allclose(operator_of(rec.fibers[0], LAT), S, atol=1e-11)
 
 
 def test_single_roundtrip_q_equals_s():
@@ -224,9 +225,8 @@ def test_single_roundtrip_q_equals_s():
     avgs = AveragerSet.build(fourier_wigner([S], LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    c = rand_coeffs(1)
-    T = synthesize_element(c, gens)
-    assert relative_error(reconstruct(average_samples(T, avgs), rec), T) <= 1e-9
+    T = synthesize_element(rand_coeffs(1), gens.fibers, LAT)
+    assert relative_error(synthesize_element(average_samples(T, avgs), rec.fibers, LAT), T) <= 1e-9
 
 
 def test_single_roundtrip_random_averager():
@@ -234,9 +234,8 @@ def test_single_roundtrip_random_averager():
     avgs = avg_set(1)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    c = rand_coeffs(1)
-    T = synthesize_element(c, gens)
-    assert relative_error(reconstruct(average_samples(T, avgs), rec), T) <= 1e-9
+    T = synthesize_element(rand_coeffs(1), gens.fibers, LAT)
+    assert relative_error(synthesize_element(average_samples(T, avgs), rec.fibers, LAT), T) <= 1e-9
 
 
 def test_single_reconstructor_refuses_zero_spectrum():
@@ -282,19 +281,18 @@ def test_multi_reduces_to_single():
 def test_multi_roundtrip_oversampled():
     gens, avgs = gen_set(2), avg_set(3)
     A = sample_filter_matrix(gens, avgs)
-    c = rand_coeffs(2)
-    T = synthesize_element(c, gens)
+    T = synthesize_element(rand_coeffs(2), gens.fibers, LAT)
     s = average_samples(T, avgs)
     That = transfer_matrix(A)
     rep = frame_bounds(That)
     rec0 = build_reconstructor_multi(gens, That, rep)
-    assert relative_error(reconstruct(s, rec0), T) <= 1e-9
+    assert relative_error(synthesize_element(s, rec0.fibers, LAT), T) <= 1e-9
     C = TransferMatrix(LAT, rng.standard_normal((LAT.size, 2, 3))
                        + 1j * rng.standard_normal((LAT.size, 2, 3)))
     recC = build_reconstructor_multi(gens, That, rep, C)
-    assert relative_error(reconstruct(s, recC), T) <= 1e-9
+    assert relative_error(synthesize_element(s, recC.fibers, LAT), T) <= 1e-9
     # different left inverses, same reconstruction on the subspace
-    assert not np.allclose(rec0.ops, recC.ops)
+    assert not np.allclose(operator_of(rec0.fibers, LAT), operator_of(recC.fibers, LAT))
 
 
 def test_multi_square_ignores_c():
@@ -306,7 +304,7 @@ def test_multi_square_ignores_c():
     rep = frame_bounds(That)
     rec0 = build_reconstructor_multi(gens, That, rep)
     recC = build_reconstructor_multi(gens, That, rep, C)
-    assert np.abs(rec0.ops - recC.ops).max() <= 1e-8
+    assert np.abs(operator_of(rec0.fibers, LAT) - operator_of(recC.fibers, LAT)).max() <= 1e-8
 
 
 def test_multi_refuses_more_generators_than_averagers():
@@ -344,14 +342,14 @@ def test_rank_deficient_square_system_is_refused():
             build_reconstructor_multi(gens, T, rep)
 
 
-# --------------------------------------------------------------- reconstruct
+# ------------------------------------- reconstruction: synthesis from the H_m
 
 def test_reconstruct_zero_samples():
     gens, avgs = gen_set(1), avg_set(1)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    out = reconstruct(np.zeros((1, LAT.size)), rec)
-    assert np.abs(out).max() <= 1e-14
+    out = synthesize_element(np.zeros((1, LAT.size)), rec.fibers, LAT)
+    assert out.shape == (LAT.size, LAT.a * LAT.b) and np.abs(out).max() <= 1e-14
 
 
 def test_reconstruct_projection_idempotent():
@@ -360,9 +358,9 @@ def test_reconstruct_projection_idempotent():
     gens, avgs = gen_set(2), avg_set(3)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    T = rand_op()
-    T1 = reconstruct(average_samples(T, avgs), rec)
-    T2 = reconstruct(average_samples(T1, avgs), rec)
+    T = fourier_wigner(rand_op(), LAT)
+    T1 = synthesize_element(average_samples(T, avgs), rec.fibers, LAT)
+    T2 = synthesize_element(average_samples(T1, avgs), rec.fibers, LAT)
     assert relative_error(T2, T1) <= 1e-9
 
 
@@ -371,15 +369,16 @@ def test_reconstruct_order_invariance():
     gens, avgs = gen_set(1), avg_set(1)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    T = synthesize_element(rand_coeffs(1), gens)
-    s = average_samples(T, avgs)
-    terms = [s[0, i] * translate_operator(tuple(lam), rec.ops[0])
+    s = average_samples(synthesize_element(rand_coeffs(1), gens.fibers, LAT), avgs)
+    H = operator_of(rec.fibers[0], LAT)
+    terms = [s[0, i] * translate_operator(tuple(lam), H)
              for i, lam in enumerate(LAT.points)]
     forward = sum(terms[i] for i in range(len(terms)))
     perm = rng.permutation(len(terms))
     shuffled = sum(terms[i] for i in perm)
     assert np.linalg.norm(forward - shuffled) <= 1e-10 * np.linalg.norm(forward)
-    assert np.linalg.norm(forward - reconstruct(s, rec)) <= 1e-9 * np.linalg.norm(forward)
+    T_rec = operator_of(synthesize_element(s, rec.fibers, LAT), LAT)
+    assert np.linalg.norm(forward - T_rec) <= 1e-9 * np.linalg.norm(forward)
 
 
 # ------------------------------------------------------ operator convolutions
@@ -419,7 +418,7 @@ def test_seq_operator_convolve():
     c = rand_coeffs(1)
     gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
     assert np.allclose(seq_operator_convolve(c[0], S, LAT),
-                       synthesize_element(c, gens), atol=1e-10)
+                       operator_of(synthesize_element(c, gens.fibers, LAT), LAT), atol=1e-10)
 
 
 def test_full_convolution_form_of_sampling_formula():
@@ -430,12 +429,12 @@ def test_full_convolution_form_of_sampling_formula():
     avgs = AveragerSet.build(fourier_wigner([Q], LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    T = synthesize_element(rand_coeffs(1), gens)
+    T = operator_of(synthesize_element(rand_coeffs(1), gens.fibers, LAT), LAT)
     Qtilde = check_operator(Q.conj().T)
     conv = operator_convolve(T, Qtilde)
     s = np.array([conv[lam[0], lam[1]] for lam in LAT.points])
-    T_rec = seq_operator_convolve(s, rec.ops[0], LAT)
-    assert relative_error(T_rec, T) <= 1e-9
+    T_rec = seq_operator_convolve(s, operator_of(rec.fibers[0], LAT), LAT)
+    assert np.linalg.norm(T_rec - T) <= 1e-9 * hs_norm(T)
 
 
 # --------------------------------------------------------------- interpolation
@@ -451,13 +450,17 @@ def test_interpolation_whitened_single():
 
 
 def test_interpolation_square_system():
-    gens, avgs = gen_set(2), avg_set(2)
+    gens, Q = gen_set(2), [rand_op() for _ in range(2)]
+    avgs = AveragerSet.build(fourier_wigner(Q, LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     ok, dev = interpolation_check(rec, avgs)
     assert ok and dev <= 1e-9
-    # the check pairs the fibers; the operators they quantize sample the same way
-    s = np.stack([average_samples(H, avgs) for H in rec.ops], axis=1)  # s[:, n]: samples of H_n
+    # the check pairs the fibers; the operators they quantize, paired with the
+    # translated averagers, sample the same way
+    H = operator_of(rec.fibers, LAT)
+    s = np.array([[[hs_inner(H[n], translate_operator(tuple(lam), Q[m])) for lam in LAT.points]
+                   for n in range(2)] for m in range(2)])  # s[:, n]: samples of H_n
     expect = np.zeros_like(s)
     expect[:, :, 0] = np.eye(2)
     assert np.abs(s - expect).max() <= 1e-9
@@ -505,7 +508,8 @@ def test_reconstructor_riesz_and_filter_condition_consistent():
         rep = frame_bounds(That)
         assert rep.passed
         rec = build_reconstructor_multi(gens, That, rep)
-        assert gram_matrix_bounds(fibers(fourier_wigner(rec.ops), LAT), LAT).passed
+        H = operator_of(rec.fibers, LAT)
+        assert gram_matrix_bounds(fibers(fourier_wigner(H), LAT), LAT).passed
 
 
 @pytest.mark.parametrize("L,a,b", [(9, 3, 3), (15, 3, 5), (33, 3, 11)])
@@ -516,7 +520,7 @@ def test_sampling_is_convolution_across_sizes(L, a, b):
         avgs = AveragerSet.build(fourier_wigner([rand_op(L) for _ in range(m)], lat), lat)
         A = sample_filter_matrix(gens, avgs)
         c = rand_coeffs(n, lat)
-        s = average_samples(synthesize_element(c, gens), avgs)
+        s = average_samples(synthesize_element(c, gens.fibers, lat), avgs)
         assert np.linalg.norm(s - A.convolve(c)) <= 1e-9 * np.linalg.norm(s)
 
 
@@ -551,6 +555,49 @@ def test_many_channels_roundtrip_transient_memory_budget():
     assert peak - base <= 4.5 * 2**20, f"transient peak {(peak - base) / 2**20:.2f} MiB"
 
 
+# perfbench's two roundtrip shapes: full_lattice (|Lambda| = 2601, N = M = 1,
+# whitened) and many_channels (|Lambda| = 315, N = 4, M = 6, random C)
+ROUNDTRIP_SHAPES = {
+    "full_lattice": {"L": 51, "lattice": {"a": 1, "b": 1},
+                     "generators": [{"kind": "whitened", "inner": {"kind": "random_hs"}}],
+                     "averagers": [{"kind": "random_hs"}]},
+    "many_channels": {"L": 105, "lattice": {"a": 7, "b": 5},
+                      "generators": [{"kind": "random_hs"}] * 4,
+                      "averagers": [{"kind": "random_hs"}] * 6, "c_matrix": "random"},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ROUNDTRIP_SHAPES))
+def test_fiber_roundtrip_error_matches_the_operator_route(shape, monkeypatch):
+    # the runner's error is read off the fibers; quantizing the element,
+    # sampling the operator through its trace transform and quantizing the
+    # reconstruction gives the same error and the same verdict
+    seen = {}
+
+    def spy(name, fn):
+        def wrapper(*args):
+            seen[name] = (args, fn(*args))
+            return seen[name][1]
+        monkeypatch.setattr(runner, name, wrapper)
+
+    for name in ("average_samples", "build_reconstructor_multi", "relative_error"):
+        spy(name, getattr(runner, name))
+    for seed in range(1, 17):
+        cfg = parse_config(dict(ROUNDTRIP_SHAPES[shape], seed=seed))
+        report, _ = runner.run_roundtrip(cfg)
+        err = report["reconstruction"]["relative_error"]
+        (_, avgs), _ = seen["average_samples"]
+        _, rec = seen["build_reconstructor_multi"]
+        (_, P), fiber_err = seen["relative_error"]
+        lat = avgs.lattice
+        T = operator_of(P, lat)
+        s = average_samples(fourier_wigner(T, lat), avgs)
+        T_rec = operator_of(synthesize_element(s, rec.fibers, lat), lat)
+        op_err = np.linalg.norm(T_rec - T) / hs_norm(T)
+        assert err == fiber_err and abs(err - op_err) <= 1e-12, (seed, err, op_err)
+        assert report["reconstruction"]["pass"] == bool(op_err <= cfg.tolerance)
+
+
 def _read_only(a):
     a = np.array(a)
     a.flags.writeable = False
@@ -563,7 +610,7 @@ def _read_only(a):
 def test_read_only_inputs_are_accepted_and_left_unchanged(name):
     ops = _read_only(np.stack([rand_op() for _ in range(3)]))
     P = _read_only(fourier_wigner(ops, LAT))
-    T = _read_only(rand_op())
+    T = _read_only(fourier_wigner(rand_op(), LAT))
     avgs = avg_set(2)
     calls = {
         "fourier_wigner": (fourier_wigner, ops),
@@ -582,6 +629,7 @@ def test_read_only_inputs_are_accepted_and_left_unchanged(name):
 
 @pytest.mark.parametrize("shape", [(16, 16), (15, 15, 1)])
 def test_average_samples_refuses_wrong_operator_shape(shape):
+    # an element's fibers at (15, 3, 5) are (|Lambda|, a*b) = (15, 15)
     avgs = avg_set(2)
     with pytest.raises(ValueError) as err:
         average_samples(np.zeros(shape, complex), avgs)
