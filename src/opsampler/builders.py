@@ -3,11 +3,13 @@
 Each builder spec names a construction recipe for a generator or
 averaging operator, and ``build_operator`` yields the operator as the
 ``(|Lambda|, a*b)`` adjoint-coset fibers of its trace transform (see
-``lattice``), the one form every later stage reads.  The rank-one kinds
-(delta_pair, boxcar, periodized_gaussian, random_signal_pair) form their
-kernel and transform it once.  ``random_hs`` draws its fibers directly:
-the trace transform is unitary, so an i.i.d. standard complex Gaussian
-kernel has i.i.d. standard complex Gaussian fibers.  ``whitened``
+``lattice``), the one form every later stage reads, into the caller's
+buffer when one is given.  The rank-one kinds (delta_pair, boxcar,
+periodized_gaussian, random_signal_pair) form their kernel and transform
+it once.  ``random_hs`` draws its fibers directly, in one ``rand_complex``
+call straight into the buffer: the trace transform is unitary, so an
+i.i.d. standard complex Gaussian kernel has i.i.d. standard complex
+Gaussian fibers.  ``whitened``
 whitens the fibers of its inner operator.  Deterministic kinds never
 touch the random stream; random kinds consume it in a documented order,
 so a fixed seed reproduces every operator.
@@ -29,7 +31,7 @@ import math
 
 import numpy as np
 
-from .core import _divide_real, rank_one
+from .core import rank_one
 from .errors import ConfigError
 from .lattice import Lattice
 from .sampling import whiten_generator
@@ -51,16 +53,23 @@ BUILDER_KINDS = (
 )
 
 
-def rand_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian draws, unit variance per entry.
+def rand_complex(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard complex Gaussian draws of ``shape``, unit variance per entry,
+    written into ``out`` (a complex array of that shape) when it is given.
 
-    All real parts are drawn first, then all imaginary parts; the values
-    are bit for bit ``(re + 1j*im) / sqrt(2)``, written into one buffer.
+    All real parts are drawn first, then all imaginary parts, each into one
+    real half-buffer and scaled by ``1/sqrt(2)`` straight into its half of
+    ``out``: bit for bit ``(re + 1j*im) / sqrt(2)``, which numpy computes as
+    a multiply by ``1/sqrt(2)``.  The peak is the output plus one real half.
     """
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    return _divide_real(out, np.sqrt(2.0))
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    half = np.empty(out.shape)
+    scale = 1.0 / np.sqrt(2.0)
+    for part in (out.real, out.imag):
+        rng.standard_normal(out=half)
+        np.multiply(half, scale, out=part)
+    return out
 
 
 def validate_builder_spec(spec: dict, L: int, field: str) -> dict:
@@ -141,25 +150,32 @@ def _periodized_gaussian(L: int, width: float, wraps: int, center: int) -> np.nd
     return g.astype(complex)
 
 
-def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None) -> np.ndarray:
+def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Materialize one validated builder spec as the (|Lambda|, a*b) fibers of
-    its operator's trace transform."""
+    its operator's trace transform, written into ``out`` when it is given
+    (``random_hs`` draws straight into it) and returned."""
     L = lat.L
     kind = spec["kind"]
     if kind in ("random_signal_pair", "random_hs") and rng is None:
         raise ConfigError("random builder requires a seed")
     if kind == "random_hs":
-        return rand_complex(rng, (lat.size, lat.a * lat.b))
+        return rand_complex(rng, (lat.size, lat.a * lat.b), out=out)
     if kind == "whitened":
-        return whiten_generator(build_operator(spec["inner"], lat, rng), lat)
-    if kind == "delta_pair":
-        u, v = _delta(L, spec["t1"]), _delta(L, spec["t2"])
-    elif kind == "boxcar":
-        u = v = (np.arange(L) < spec["width"]).astype(complex)
-    elif kind == "periodized_gaussian":
-        u = v = _periodized_gaussian(L, spec["width"], spec["wraps"], spec["center"])
-    elif kind == "random_signal_pair":
-        u, v = rand_complex(rng, L), rand_complex(rng, L)
+        P = whiten_generator(build_operator(spec["inner"], lat, rng), lat)
     else:
-        raise ConfigError(f"unknown builder kind {kind!r}")
-    return fourier_wigner(rank_one(u, v), lat)
+        if kind == "delta_pair":
+            u, v = _delta(L, spec["t1"]), _delta(L, spec["t2"])
+        elif kind == "boxcar":
+            u = v = (np.arange(L) < spec["width"]).astype(complex)
+        elif kind == "periodized_gaussian":
+            u = v = _periodized_gaussian(L, spec["width"], spec["wraps"], spec["center"])
+        elif kind == "random_signal_pair":
+            u, v = rand_complex(rng, L), rand_complex(rng, L)
+        else:
+            raise ConfigError(f"unknown builder kind {kind!r}")
+        P = fourier_wigner(rank_one(u, v), lat)
+    if out is None:
+        return P
+    out[...] = P
+    return out

@@ -18,6 +18,12 @@ appear in configs; reports serialize them as [re, im] pairs.
 
 A file nesting deeper than ``MAX_JSON_NESTING`` (the deepest valid config
 nests 11) is refused undecoded: the decoder shares the caller's recursion limit.
+
+A config whose generator and averager fiber stacks, ``(N + M) * L**2``
+complex values of 16 bytes, would exceed ``MAX_FIBER_BYTES`` is refused
+before anything is allocated.  M counts only when averagers are given;
+otherwise the generators' stack is reused.  The cap admits L = 1005 with
+N + M = 16; a roundtrip's peak memory is a small multiple of the stacks.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .errors import ConfigError
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_echo"]
 
 MAX_JSON_NESTING = 32
+MAX_FIBER_BYTES = 2 ** 28  # 256 MiB
 # a JSON string, escapes included, or one bracket
 _JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]')
 
@@ -113,6 +120,11 @@ def parse_config(data) -> ExperimentConfig:
             raise ConfigError(
                 f"need at least as many averagers as generators (M >= N), got M={len(avgs)}, N={len(gens)}",
                 field="averagers")
+
+    fiber_bytes = (len(gens) + len(avgs or ())) * L * L * 16
+    if fiber_bytes > MAX_FIBER_BYTES:
+        raise ConfigError(f"L={L} needs {fiber_bytes} bytes of fiber stacks "
+                          f"((N + M) * L^2 * 16), above the cap of {MAX_FIBER_BYTES}", field="L")
 
     seed = data.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)

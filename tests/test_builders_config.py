@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,17 +11,14 @@ from opsampler.builders import (
     spec_uses_rng,
     validate_builder_spec,
 )
-from opsampler.config import config_echo, load_config, parse_config
+from opsampler.config import MAX_FIBER_BYTES, config_echo, load_config, parse_config
 from opsampler.core import hs_inner, translate_operator
 from opsampler.errors import ConfigError
 from opsampler.lattice import Lattice
+from opsampler.runner import _make_rng as make_rng
 from oracles import operator_of
 
 LAT = Lattice(15, 3, 5)
-
-
-def make_rng(seed=5):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 BASE = {
@@ -89,6 +89,18 @@ def test_random_hs_fibers_are_the_transform_of_an_iid_kernel(lat):
         assert abs(z.mean()) <= bound
         assert abs(np.mean(np.abs(z) ** 2) - 1) <= bound       # Var |z|^2 = 1
         assert abs(np.mean(z * z)) <= np.sqrt(2) * bound      # E |z|^4 = 2
+
+
+@pytest.mark.parametrize("spec", [{"kind": "random_hs"}, {"kind": "boxcar", "width": 4},
+                                  {"kind": "whitened", "inner": {"kind": "random_hs"}}],
+                         ids=["random_hs", "boxcar", "whitened"])
+def test_build_into_a_stack_slot_matches_a_fresh_build(spec):
+    # the runner hands over each slot of its fiber stack; random_hs draws into it
+    spec = validate_builder_spec(spec, 15, "g")
+    fresh = build_operator(spec, LAT, make_rng(9))
+    stack = np.zeros((2,) + fresh.shape, dtype=complex)
+    assert build_operator(spec, LAT, make_rng(9), out=stack[0]).base is stack
+    assert stack[0].tobytes() == fresh.tobytes() and not stack[1].any()
 
 
 def test_random_builder_requires_rng():
@@ -199,6 +211,28 @@ def test_seed_required_for_random_builders():
         parse_config(data)
 
 
+def _stack_config(L, n, m=None, step=1):
+    data = {"L": L, "lattice": {"a": step, "b": step}, "seed": 1,
+            "generators": [{"kind": "random_hs"}] * n}
+    if m is not None:
+        data["averagers"] = [{"kind": "random_hs"}] * m
+    return data
+
+
+def test_fiber_stack_cap_counts_the_stacks_a_run_builds():
+    # parse_config only: nothing is allocated, whatever L is
+    L = math.isqrt(MAX_FIBER_BYTES // 16)
+    L -= 1 - L % 2  # the largest odd L whose one fiber stack fits
+    assert 16 * L * L <= MAX_FIBER_BYTES < 16 * (L + 2) ** 2
+    assert parse_config(_stack_config(L, 1)).L == L  # without averagers M is not counted
+    for data in (_stack_config(L, 1, 1), _stack_config(L + 2, 1)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.field == "L" and f"L={data['L']}" in str(err.value)
+    # the size ladder's largest rung, (L, a, b, N, M) = (1005, 5, 5, 2, 3)
+    assert parse_config(_stack_config(1005, 2, 3, step=5)).L == 1005
+
+
 def test_load_config_diagnostics(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"L": 15,\n  "lattice": }')
@@ -223,3 +257,21 @@ def test_rand_complex_matches_two_draw_formula_bit_for_bit(shape):
         draws = rand_complex(make_rng(seed), shape)
         assert draws.dtype == oracle.dtype and draws.shape == oracle.shape
         assert draws.tobytes() == oracle.tobytes()
+
+
+def test_rand_complex_peak_is_its_output_plus_one_real_half():
+    rng = make_rng(0)
+    rand_complex(rng, (315, 35))  # warm-up: lazy set-up outside the measurement
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = rand_complex(rng, (315, 35))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    # the data: the complex output and one float64 half-buffer (264,600 bytes);
+    # 4 KiB covers the headers of the arrays and views, not a second buffer
+    assert peak - base <= out.nbytes + out.nbytes // 2 + 4096, f"peak {peak - base} bytes"

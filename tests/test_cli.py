@@ -1,8 +1,11 @@
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +13,11 @@ import pytest
 import opsampler.cli
 from opsampler.builders import rand_complex
 from opsampler.cli import main
-from opsampler.config import MAX_JSON_NESTING, parse_config
+from opsampler.config import MAX_FIBER_BYTES, MAX_JSON_NESTING, parse_config
 from opsampler.gridio import read_phase_grid
 from opsampler.lattice import Lattice, unfibers
 from opsampler.report import canonical_json
-from opsampler.runner import run_analyze, run_export, run_roundtrip
+from opsampler.runner import _make_rng, run_analyze, run_export, run_roundtrip
 from opsampler.weyl import inverse_fourier_wigner, weyl_symbol, weyl_transform
 
 BASE = {
@@ -46,7 +49,8 @@ def test_analyze_pass(tmp_path, capsys):
     assert report["status"] == "pass"
     assert report["generator_riesz"]["verdict"] == "riesz_basis"
     assert report["system_frame"]["verdict"] == "riesz_basis"
-    assert report["rng"] == {"algorithm": "numpy.random.Philox", "seed": 1234}
+    algorithm = "numpy.random." + type(_make_rng(1234).bit_generator).__name__
+    assert report["rng"] == {"algorithm": algorithm, "seed": 1234}
 
 
 def test_analyze_duplicated_generators_exit_2(tmp_path, capsys):
@@ -79,6 +83,35 @@ def test_undecodable_config_file_exit_1(tmp_path, capsys, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(path) in captured.err and "Traceback" not in captured.err
+
+
+# the smallest odd L whose one fiber stack (N = 1, no averagers, 16 * L^2 bytes)
+# exceeds the cap
+L_ABOVE_CAP = next(L for L in itertools.count(math.isqrt(MAX_FIBER_BYTES // 16) | 1, 2)
+                   if 16 * L * L > MAX_FIBER_BYTES)
+
+
+@pytest.mark.parametrize("L, step", [(999999999, 999999999), (L_ABOVE_CAP, 1)],
+                         ids=["huge", "just_above_cap"])
+def test_config_above_fiber_stack_cap_exit_1(tmp_path, capsys, L, step):
+    data = {"L": L, "lattice": {"a": step, "b": step}, "seed": 1,
+            "generators": [{"kind": "random_hs"}]}
+    path = write_cfg(tmp_path, data)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rc = main(["analyze", "--config", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"config field 'L': L={L}" in captured.err
+    assert peak - base < 2**20  # refused before anything is allocated
 
 
 def _run_cli(*argv):
@@ -263,7 +296,7 @@ def test_exported_symbol_reimports_to_operator(tmp_path, capsys):
     sym = read_phase_grid(out / "symbols_g0.csv", 15)
     # redraw the generator's fibers the way the random_hs builder does
     lat = Lattice(15, 3, 5)
-    P = rand_complex(np.random.Generator(np.random.Philox(1234)), (lat.size, lat.a * lat.b))
+    P = rand_complex(_make_rng(1234), (lat.size, lat.a * lat.b))
     S = inverse_fourier_wigner(unfibers(P, lat))
     assert np.linalg.norm(weyl_transform(sym) - S) <= 1e-10 * np.linalg.norm(S)
     assert np.linalg.norm(sym - weyl_symbol(S)) <= 1e-12 * np.linalg.norm(sym)
