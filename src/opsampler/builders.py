@@ -4,18 +4,19 @@ Each builder spec names a construction recipe for a generator or
 averaging operator, and ``build_operator`` yields the operator as the
 ``(|Lambda|, a*b)`` adjoint-coset fibers of its trace transform (see
 ``lattice``), the one form every later stage reads, into the caller's
-buffer when one is given.  The rank-one kinds (delta_pair, boxcar,
-periodized_gaussian, random_signal_pair) form their kernel and transform
-it once.  ``random_hs`` draws its fibers directly, in one ``rand_complex``
-call straight into the buffer: the trace transform is unitary, so an
-i.i.d. standard complex Gaussian kernel has i.i.d. standard complex
-Gaussian fibers.  ``whitened``
-whitens the fibers of its inner operator.  Deterministic kinds never
-touch the random stream; random kinds consume it in a documented order,
-so a fixed seed reproduces every operator.
+buffer when one is given.  No builder forms an operator kernel.  The
+rank-one kinds (delta_pair, boxcar, periodized_gaussian,
+random_signal_pair) transform their two signals straight to fibers
+(``weyl.rank_one_fibers``).  ``random_hs`` draws its fibers directly, in
+one ``rand_complex`` call straight into the buffer: the trace transform
+is unitary, so an i.i.d. standard complex Gaussian kernel has i.i.d.
+standard complex Gaussian fibers.  ``whitened`` whitens the fibers of
+its inner operator.  Deterministic kinds never touch the random stream;
+random kinds consume it in a documented order, so a fixed seed
+reproduces every operator.
 
 A periodized Gaussian needs a width whose square is a positive finite
-float (else its kernel is NaN or overflows) and at most ``MAX_WRAPS``
+float (else its signal is NaN or overflows) and at most ``MAX_WRAPS``
 wraps on each side: the wrap loop runs 2*wraps + 1 times, and beyond 3
 wraps the tail is already below 1e-15 for width <= L/3.
 
@@ -31,11 +32,10 @@ import math
 
 import numpy as np
 
-from .core import rank_one
 from .errors import ConfigError
 from .lattice import Lattice
 from .sampling import whiten_generator
-from .weyl import fourier_wigner
+from .weyl import rank_one_fibers
 
 __all__ = ["BUILDER_KINDS", "build_operator", "rand_complex", "spec_uses_rng",
            "validate_builder_spec"]
@@ -174,7 +174,7 @@ def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None,
             u, v = rand_complex(rng, L), rand_complex(rng, L)
         else:
             raise ConfigError(f"unknown builder kind {kind!r}")
-        P = fourier_wigner(rank_one(u, v), lat)
+        P = rank_one_fibers(u, v, lat)
     if out is None:
         return P
     out[...] = P

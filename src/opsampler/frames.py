@@ -1,13 +1,15 @@
 """Riesz and frame condition analysis for lattice convolution systems.
 
-A convolution system is an M x N matrix of lattice sequences; it maps N
-input sequences to M output sequences by entrywise lattice convolution.
-Its transfer matrix collects, per dual-grid index xi, the M x N matrix of
-symplectic series values.  The extreme eigenvalues of the Hermitian
-matrices ``A_hat(xi)* A_hat(xi)`` over the dual grid decide whether the
-associated system of translates is a frame (lower bound strictly
-positive), which for M == N makes it a Riesz basis.  Every shape is
-gated the same way, on the lower bound alone.
+A convolution system maps N input sequences on the lattice to M output
+sequences by entrywise lattice convolution with an M x N matrix of
+filter sequences.  Its transfer matrix collects, per dual-grid index xi,
+the M x N matrix of the filters' symplectic series values; the sampling
+system's is read off the fibers directly (``sampling.system_transfer``),
+so the filter sequences themselves are never formed.  The extreme
+eigenvalues of the Hermitian matrices ``A_hat(xi)* A_hat(xi)`` over the
+dual grid decide whether the associated system of translates is a frame
+(lower bound strictly positive), which for M == N makes it a Riesz
+basis.  Every shape is gated the same way, on the lower bound alone.
 
 Positivity of a floating-point minimum is gated relatively:
 ``alpha > tol_factor * beta`` with ``tol_factor = 1e-10`` by default,
@@ -25,10 +27,8 @@ Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
 (pass with M > N), ``fail`` (lower bound not positive; witnesses
 attached).
 
-Every stage is evaluated on the dual grid (see ``lattice``): the sampling
-system's transfer matrix is the coset Gram of the fibers itself
-(``sampling.system_transfer``), its dual sequences add one inverse series,
-and the Gram test reads the adjoint-coset fibers of the trace transforms.
+Every stage is evaluated on the dual grid (see ``lattice``): the Gram
+test reads the adjoint-coset fibers of the trace transforms.
 """
 
 from __future__ import annotations
@@ -38,18 +38,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularTransfer
-from .lattice import Lattice, inverse_symplectic_series, symplectic_series
+from .lattice import Lattice
 
 __all__ = [
     "DEFAULT_TOL_FACTOR",
-    "ConvolutionMatrix",
     "TransferMatrix",
     "FrameReport",
-    "transfer_matrix",
     "frame_bounds",
     "gram_matrix_bounds",
     "left_inverse_family",
-    "dual_sequences",
 ]
 
 DEFAULT_TOL_FACTOR = 1e-10
@@ -61,38 +58,6 @@ VERDICT_FAIL = "fail"
 # Width of the roundoff band, in units of beta, within which lower
 # eigenvalues tie for the first witness.
 WITNESS_BAND = 16 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class ConvolutionMatrix:
-    """M x N matrix of lattice sequences, stored as an (M, N, size) array."""
-
-    lattice: Lattice
-    seqs: np.ndarray
-
-    def __post_init__(self):
-        seqs = np.asarray(self.seqs, dtype=complex)
-        if seqs.ndim != 3 or seqs.shape[2] != self.lattice.size:
-            raise ValueError(
-                f"expected an (M, N, {self.lattice.size}) array of sequences, got {seqs.shape}")
-        object.__setattr__(self, "seqs", seqs)
-
-    @property
-    def m(self) -> int:
-        return self.seqs.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.seqs.shape[1]
-
-    def convolve(self, c) -> np.ndarray:
-        """Apply the system: out_m = sum_n seqs[m, n] * c_n (lattice convolution)."""
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (self.n, self.lattice.size):
-            raise ValueError(f"expected ({self.n}, {self.lattice.size}) coefficients, got {c.shape}")
-        lat = self.lattice
-        hat = np.einsum("mnx,nx->mx", symplectic_series(self.seqs, lat), symplectic_series(c, lat))
-        return inverse_symplectic_series(hat, lat)
 
 
 @dataclass(frozen=True)
@@ -184,11 +149,6 @@ def _witnesses(lows: np.ndarray, tol: float, lat: Lattice,
     order += [int(i) for i in np.flatnonzero(lows <= tol) if int(i) != first]
     points = tuple(divmod(i, lat.n_rows) for i in order)  # the rows of lat.dual_points
     return tuple(order), points
-
-
-def transfer_matrix(A: ConvolutionMatrix) -> TransferMatrix:
-    """Entrywise symplectic series of the system, evaluated on the dual grid."""
-    return TransferMatrix(A.lattice, np.moveaxis(symplectic_series(A.seqs, A.lattice), -1, 0))
 
 
 def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verdict: str,
@@ -294,8 +254,3 @@ def left_inverse_family(T: TransferMatrix, report: FrameReport,
         raise ValueError(f"C must have shape {dag.shape}, got {C.values.shape}")
     proj = np.eye(T.m) - _matmul(T.values, dag)
     return TransferMatrix(T.lattice, dag + _matmul(C.values, proj))
-
-
-def dual_sequences(B: TransferMatrix) -> ConvolutionMatrix:
-    """Entrywise inverse symplectic series of a transfer matrix."""
-    return ConvolutionMatrix(B.lattice, inverse_symplectic_series(np.moveaxis(B.values, 0, -1), B.lattice))

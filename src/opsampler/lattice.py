@@ -34,7 +34,9 @@ Lattice translation of an operator multiplies its phase-weighted trace
 transform by the series of the coefficients, fiber by fiber, so
 synthesis, sampling, transfer matrices and reconstruction all reduce to
 per-fiber products between these two maps.  Both batch over leading
-axes.
+axes.  Sequences are convolved, reflected and translated only through
+the series; the direct sums over lattice points are the test suite's
+oracle.
 """
 
 from __future__ import annotations
@@ -50,11 +52,8 @@ __all__ = [
     "Lattice",
     "symplectic_series",
     "inverse_symplectic_series",
-    "lattice_convolve",
     "fibers",
     "unfibers",
-    "involution",
-    "translate_seq",
     "periodize_sq",
 ]
 
@@ -89,16 +88,6 @@ class Lattice:
         return self.n_rows * self.n_cols
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """(size, 2) integer array of lattice points, canonical order."""
-        j = np.arange(self.n_rows)
-        k = np.arange(self.n_cols)
-        xs = (self.a * j)[:, None] % self.L
-        ws = (self.b * k)[None, :] % self.L
-        pts = np.stack(np.broadcast_arrays(xs, ws), axis=-1)
-        return pts.reshape(-1, 2)
-
-    @cached_property
     def dual_points(self) -> np.ndarray:
         """(size, 2) coset representatives (x, omega), x < L/b, omega < L/a."""
         xs = np.arange(self.n_cols)
@@ -109,20 +98,6 @@ class Lattice:
     @cached_property
     def adjoint(self) -> "Lattice":
         return Lattice(self.L, self.L // self.b, self.L // self.a)
-
-    def index_of(self, point) -> int:
-        """Flat index of a lattice point; raises if the point is not in the lattice."""
-        x, w = int(point[0]) % self.L, int(point[1]) % self.L
-        if x % self.a != 0 or w % self.b != 0:
-            raise ValueError(f"point ({x}, {w}) is not in the lattice {self.a}Z x {self.b}Z mod {self.L}")
-        return (x // self.a) * self.n_cols + (w // self.b)
-
-    @cached_property
-    def _neg_index(self) -> np.ndarray:
-        """neg_index[i] = flat index of -lambda_i."""
-        j = (-np.arange(self.n_rows)) % self.n_rows
-        k = (-np.arange(self.n_cols)) % self.n_cols
-        return (j[:, None] * self.n_cols + k[None, :]).reshape(-1)
 
 
 def _as_seq(c, lat: Lattice) -> np.ndarray:
@@ -162,15 +137,6 @@ def inverse_symplectic_series(F, lat: Lattice) -> np.ndarray:
     return _divide_real(_grid_dft(_as_seq(F, lat), lat.n_cols, lat.n_rows), lat.size)
 
 
-def lattice_convolve(c, d, lat: Lattice) -> np.ndarray:
-    """Group convolution (c * d)(lambda) = sum_mu c(mu) d(lambda - mu).
-
-    Computed through the series: the series of the convolution is the
-    pointwise product of the series.
-    """
-    return inverse_symplectic_series(symplectic_series(c, lat) * symplectic_series(d, lat), lat)
-
-
 def fibers(F, lat: Lattice) -> np.ndarray:
     """Adjoint-coset fibers of phase-space functions.
 
@@ -202,21 +168,6 @@ def _fiber_grid(P, lat: Lattice) -> np.ndarray:
     whose element ``[p, x, q, omega]`` is grid cell ``(x + (L/b)*p, omega + (L/a)*q)``."""
     grid = P.reshape(P.shape[:-2] + (lat.n_cols, lat.n_rows, lat.b, lat.a))
     return np.moveaxis(grid, (-2, -1), (-4, -2))
-
-
-def involution(c, lat: Lattice) -> np.ndarray:
-    """out(lambda) = conj(c(-lambda)); conjugates the symplectic series."""
-    c = _as_seq(c, lat)
-    return np.conj(c[..., lat._neg_index])
-
-
-def translate_seq(point, c, lat: Lattice) -> np.ndarray:
-    """out(lambda) = c(lambda - point); ``point`` must lie in the lattice."""
-    c = _as_seq(c, lat)
-    idx = lat.index_of(point)
-    j0, k0 = divmod(idx, lat.n_cols)
-    grid = c.reshape(lat.n_rows, lat.n_cols)
-    return np.roll(grid, (j0, k0), axis=(0, 1)).reshape(-1)
 
 
 def periodize_sq(F, lat: Lattice) -> np.ndarray:

@@ -8,7 +8,8 @@ averaging operators produces the sequences
     s_m(lambda) = <T, alpha_lambda(Q_m)>_HS,
 
 which equal the convolution system ``A * c`` with filter entries
-``A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS``.
+``A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS``; only its transfer
+matrix is formed (``system_transfer``).
 Whenever that system is a frame, left-inverting its transfer matrix
 yields reconstruction operators ``H_m`` in the generator span such that
 
@@ -21,11 +22,13 @@ reconstructor sets, is parametrized by a free transfer matrix C.  The
 one-generator theorem is the system N = M = 1: for a filter q without
 zeros on the dual grid, the reconstructor's fibers are those of S / series(q).
 
-Every stage runs on the dual grid.  The operator sets are built from the
-adjoint-coset fibers P = fourier_wigner(op, lat) of their trace transforms
-(see ``lattice``), which is the form the builders yield: no stage reads a
-set's operators, so none is ever formed.  Two identities do the rest,
-both exact since the quantization is unitary:
+Every stage runs on the dual grid, on the (|Lambda|, a*b) adjoint-coset
+fibers P of the operators' trace transforms (see ``lattice`` and
+``weyl``), which is the form the builders yield.  Every array argument
+of every function here is fibers, never an operator kernel, even at
+a*b = L where the two have the same shape: no stage reads an operator, so
+none is ever formed.  Two identities do the rest, both exact since the
+trace transform is unitary:
 
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
   is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
@@ -51,11 +54,9 @@ import numpy as np
 from .errors import SingularTransfer
 from .frames import (
     DEFAULT_TOL_FACTOR,
-    ConvolutionMatrix,
     FrameReport,
     TransferMatrix,
     _matmul,
-    dual_sequences,
     gram_matrix_bounds,
     left_inverse_family,
 )
@@ -68,7 +69,6 @@ __all__ = [
     "synthesize_element",
     "average_samples",
     "system_transfer",
-    "sample_filter_matrix",
     "build_reconstructor_multi",
     "interpolation_check",
     "whiten_generator",
@@ -87,6 +87,7 @@ class GeneratorSet:
 
     @staticmethod
     def build(P, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
+        """The set of the generators with the (N, |Lambda|, a*b) fibers P."""
         P = _fiber_stack(P, lattice)
         return GeneratorSet(lattice, P, gram_matrix_bounds(P, lattice, tol_factor))
 
@@ -104,6 +105,7 @@ class AveragerSet:
 
     @staticmethod
     def build(P, lattice: Lattice) -> "AveragerSet":
+        """The set of the averagers with the (M, |Lambda|, a*b) fibers P."""
         return AveragerSet(lattice, _fiber_stack(P, lattice))
 
     @property
@@ -126,7 +128,9 @@ class Reconstructor:
 
 def _fiber_stack(P, lat: Lattice, ndim: int = 3) -> np.ndarray:
     """Fibers as a complex (K, |Lambda|, a*b) stack, or with ndim=2 as the
-    (|Lambda|, a*b) fibers of one element; a complex array is used as it is."""
+    (|Lambda|, a*b) fibers of one element; a complex array is used as it is.
+    P is always fibers: an operator kernel has the same shape at a*b = L and
+    would be read as fibers, so none may be passed."""
     P = np.asarray(P, dtype=complex)
     if P.ndim != ndim or P.shape[-2:] != (lat.size, lat.a * lat.b):
         raise ValueError(f"expected fibers of shape ({lat.size}, {lat.a * lat.b}), got {P.shape}")
@@ -181,15 +185,6 @@ def system_transfer(gens: GeneratorSet, avg: AveragerSet) -> TransferMatrix:
     if gens.lattice != avg.lattice:
         raise ValueError("generator and averager sets must share a lattice")
     return TransferMatrix(gens.lattice, _coset_gram(gens.fibers, avg.fibers, gens.lattice))
-
-
-def sample_filter_matrix(gens: GeneratorSet, avg: AveragerSet) -> ConvolutionMatrix:
-    """The M x N filter system A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS.
-
-    Sampling a synthesized element is the same as applying this system to
-    its coefficients: average_samples(synthesize_element(c, P, lat)) == A * c.
-    """
-    return dual_sequences(system_transfer(gens, avg))
 
 
 def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: FrameReport,

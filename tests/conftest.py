@@ -11,6 +11,7 @@ property fails, and as an error that warning ends the session before the
 falsifying example is printed.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,21 @@ def pytest_collection_modifyitems(items):
         if _HERE in item.path.parents:
             for spec in WARNING_FILTERS:
                 item.add_marker(pytest.mark.filterwarnings(spec))
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args)`` returns ``fn(*args)`` and the bytes its
+    traced allocations peaked at above what was allocated before the call."""
+    def measure(fn, *args):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    return measure

@@ -10,14 +10,7 @@ import time
 import numpy as np
 
 from opsampler.cli import main
-from opsampler.core import hs_inner, hs_norm, translate_operator
-from opsampler.frames import (
-    ConvolutionMatrix,
-    TransferMatrix,
-    frame_bounds,
-    gram_matrix_bounds,
-    transfer_matrix,
-)
+from opsampler.frames import TransferMatrix, frame_bounds, gram_matrix_bounds
 from opsampler.lattice import Lattice, fibers, periodize_sq
 from opsampler.sampling import (
     AveragerSet,
@@ -26,16 +19,24 @@ from opsampler.sampling import (
     build_reconstructor_multi,
     interpolation_check,
     relative_error,
-    sample_filter_matrix,
     synthesize_element,
 )
-from opsampler.weyl import (
+from opsampler.weyl import symplectic_ft
+from oracles import (
+    ConvolutionMatrix,
     fourier_wigner,
-    symplectic_ft,
+    hs_inner,
+    hs_norm,
+    operator_of,
+    points,
+    sample_filter_matrix,
+    trace_fibers,
+    transfer_matrix,
+    translate_operator,
+    translation_covariance_check,
     weyl_symbol,
     weyl_transform,
 )
-from oracles import operator_of, translation_covariance_check
 
 rng = np.random.default_rng(20240809)
 
@@ -62,7 +63,7 @@ def operator_error(P_rec, P, lat):
 def coset_zeroed_generator(lat):
     spectrum = fourier_wigner(rand_op(lat.L))
     z0 = lat.dual_points[rng.integers(0, lat.size)]
-    for mu in lat.adjoint.points:
+    for mu in points(lat.adjoint):
         spectrum[(z0[0] + mu[0]) % lat.L, (z0[1] + mu[1]) % lat.L] = 0.0
     return weyl_transform(symplectic_ft(spectrum))
 
@@ -112,8 +113,8 @@ def test_criterion_04_samples_are_convolutions():
     worst = 0.0
     for n, m in ((1, 1), (1, 2), (2, 2), (2, 3)):
         for _ in range(50):
-            gens = GeneratorSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
-            avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(m)], lat), lat)
+            gens = GeneratorSet.build(trace_fibers([rand_op(15) for _ in range(n)], lat), lat)
+            avgs = AveragerSet.build(trace_fibers([rand_op(15) for _ in range(m)], lat), lat)
             A = sample_filter_matrix(gens, avgs)
             c = rand_coeffs(n, lat)
             s = average_samples(synthesize_element(c, gens.fibers, lat), avgs)
@@ -131,9 +132,9 @@ def test_criterion_05_single_generator_roundtrip():
     for L, a, b in ((15, 3, 5), (33, 3, 11)):
         lat = Lattice(L, a, b)
         S = rand_op(L)
-        gens = GeneratorSet.build(fourier_wigner([S], lat), lat)
+        gens = GeneratorSet.build(trace_fibers([S], lat), lat)
         for Q in (S, rand_op(L)):
-            avgs = AveragerSet.build(fourier_wigner([Q], lat), lat)
+            avgs = AveragerSet.build(trace_fibers([Q], lat), lat)
             That = transfer_matrix(sample_filter_matrix(gens, avgs))
             rec = build_reconstructor_multi(gens, That, frame_bounds(That))
             T = synthesize_element(rand_coeffs(1, lat), gens.fibers, lat)
@@ -149,8 +150,8 @@ def test_criterion_05_single_generator_roundtrip():
 
 def test_criterion_06_oversampled_roundtrip_and_left_inverse():
     lat = Lattice(15, 3, 5)
-    gens = GeneratorSet.build(fourier_wigner([rand_op(15), rand_op(15)], lat), lat)
-    avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(3)], lat), lat)
+    gens = GeneratorSet.build(trace_fibers([rand_op(15), rand_op(15)], lat), lat)
+    avgs = AveragerSet.build(trace_fibers([rand_op(15) for _ in range(3)], lat), lat)
     A = sample_filter_matrix(gens, avgs)
     That = transfer_matrix(A)
     T = synthesize_element(rand_coeffs(2, lat), gens.fibers, lat)
@@ -175,9 +176,9 @@ def test_criterion_07_interpolation_property():
     lat = Lattice(15, 3, 5)
     worst = worst_ops = 0.0
     for n in (1, 2):
-        gens = GeneratorSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
+        gens = GeneratorSet.build(trace_fibers([rand_op(15) for _ in range(n)], lat), lat)
         Q = [rand_op(15) for _ in range(n)]
-        avgs = AveragerSet.build(fourier_wigner(Q, lat), lat)
+        avgs = AveragerSet.build(trace_fibers(Q, lat), lat)
         That = transfer_matrix(sample_filter_matrix(gens, avgs))
         rec = build_reconstructor_multi(gens, That, frame_bounds(That))
         _, dev = interpolation_check(rec, avgs)
@@ -185,7 +186,7 @@ def test_criterion_07_interpolation_property():
         # the quantized operators H_n, paired with the translated averagers
         H = operator_of(rec.fibers, lat)
         s = np.array([[[hs_inner(H[k], translate_operator(tuple(lam), Q[m]))
-                        for lam in lat.points] for k in range(n)] for m in range(n)])
+                        for lam in points(lat)] for k in range(n)] for m in range(n)])
         expect = np.zeros_like(s)
         expect[:, :, 0] = np.eye(n)
         worst_ops = max(worst_ops, float(np.abs(s - expect).max()))
@@ -200,7 +201,7 @@ def test_criterion_08_riesz_criterion_equivalence():
 
     def verdicts(S):
         aS = weyl_symbol(S)
-        q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in lat.points])
+        q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in points(lat)])
         P = periodize_sq(fourier_wigner(S), lat)
         return (frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None]))).passed,
                 gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat).passed,
@@ -225,8 +226,8 @@ def test_criterion_09_empirical_frame_inequality():
     slack = 1e-12
     ok = True
     for n, m in ((1, 1), (1, 2), (2, 2), (2, 3)):
-        gens = GeneratorSet.build(fourier_wigner([rand_op(15) for _ in range(n)], lat), lat)
-        avgs = AveragerSet.build(fourier_wigner([rand_op(15) for _ in range(m)], lat), lat)
+        gens = GeneratorSet.build(trace_fibers([rand_op(15) for _ in range(n)], lat), lat)
+        avgs = AveragerSet.build(trace_fibers([rand_op(15) for _ in range(m)], lat), lat)
         A = sample_filter_matrix(gens, avgs)
         rep = frame_bounds(transfer_matrix(A))
         for _ in range(100):

@@ -26,3 +26,17 @@ def test_all_lists_exactly_the_public_definitions(name):
     defined = {key for key, obj in vars(mod).items()
                if not key.startswith("_") and _is_routine(obj) and obj.__module__ == mod.__name__}
     assert {key for key in exported if _is_routine(getattr(mod, key))} == defined
+
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_carries_the_operator_calculus(name):
+    # the operator calculus is the test suite's oracle: no stage forms an
+    # operator kernel, so no module defines or imports any of its names
+    import oracles
+
+    mod = importlib.import_module(f"opsampler.{name}")
+    calculus = {key for key, obj in vars(oracles).items()
+                if _is_routine(obj) and obj.__module__ == oracles.__name__}
+    assert sorted(calculus & set(vars(mod))) == []
+    assert not any(hasattr(mod.__dict__.get("Lattice"), key) for key in ("points", "index_of"))

@@ -1,22 +1,24 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opsampler.builders import (
     MAX_WHITENED_NESTING,
+    _periodized_gaussian,
     build_operator,
     rand_complex,
     spec_uses_rng,
     validate_builder_spec,
 )
 from opsampler.config import MAX_FIBER_BYTES, config_echo, load_config, parse_config
-from opsampler.core import hs_inner, translate_operator
 from opsampler.errors import ConfigError
 from opsampler.lattice import Lattice
 from opsampler.runner import _make_rng as make_rng
-from oracles import operator_of
+from oracles import hs_inner, operator_of, points, rank_one, trace_fibers, translate_operator
+from test_weyl import lattices
 
 LAT = Lattice(15, 3, 5)
 
@@ -103,6 +105,40 @@ def test_build_into_a_stack_slot_matches_a_fresh_build(spec):
     assert stack[0].tobytes() == fresh.tobytes() and not stack[1].any()
 
 
+@settings(max_examples=20, deadline=None)
+@given(lattices(), st.integers(0, 2**32 - 1))
+@example(Lattice(15, 1, 1), 0)
+@example(Lattice(15, 3, 5), 1)
+def test_rank_one_builders_are_the_oracle_transform_of_their_kernel(lat, seed):
+    L = lat.L
+    draw = np.random.default_rng(seed)
+    t1, t2, width, center = (int(k) for k in draw.integers(0, L, 4))
+    sigma = 1.0 + L * draw.random() / 3
+    box = (np.arange(L) < width + 1).astype(complex)
+    gauss = _periodized_gaussian(L, sigma, 3, center)
+    stream = make_rng(seed)  # the draws random_signal_pair makes from the same seed
+    cases = [({"kind": "delta_pair", "t1": t1, "t2": t2}, np.eye(L, dtype=complex)[[t1, t2]]),
+             ({"kind": "boxcar", "width": width + 1}, (box, box)),
+             ({"kind": "periodized_gaussian", "width": sigma, "center": center}, (gauss, gauss)),
+             ({"kind": "random_signal_pair"}, (rand_complex(stream, L), rand_complex(stream, L)))]
+    for spec, (u, v) in cases:
+        P = build_operator(validate_builder_spec(spec, L, "g"), lat, make_rng(seed))
+        oracle = trace_fibers(rank_one(u, v), lat)
+        assert np.array_equal(P.view(np.uint64), oracle.view(np.uint64)), spec["kind"]
+
+
+@pytest.mark.parametrize("lat", [Lattice(255, 5, 5), Lattice(255, 1, 1)], ids=["255-5-5", "255-1-1"])
+def test_rank_one_build_forms_no_kernel(traced_peak, lat):
+    # the diagonals, the half-phase table and the fibers are L x L each, plus
+    # the int64 residues of the table; a kernel and its gather index on top
+    # of them peaked above 4 units of 16 * L**2 bytes at (255, 5, 5)
+    spec = {"kind": "boxcar", "width": 7}
+    build_operator(spec, lat, None)  # warm-up: caches, first-call allocations
+    _, peak = traced_peak(build_operator, spec, lat, None)
+    unit = 16 * lat.L ** 2
+    assert peak <= 3.5 * unit, f"peak {peak / unit:.2f} x 16 L^2 bytes"
+
+
 def test_random_builder_requires_rng():
     for kind in ("random_hs", "random_signal_pair"):
         spec = validate_builder_spec({"kind": kind}, 15, "g")
@@ -115,7 +151,7 @@ def test_whitened_builder_orthonormal_translates():
         {"kind": "whitened", "inner": {"kind": "random_hs"}}, 15, "g")
     assert spec_uses_rng(spec)
     op = operator_of(build_operator(spec, LAT, make_rng(6)), LAT)
-    for i, lam in enumerate(LAT.points):
+    for i, lam in enumerate(points(LAT)):
         val = hs_inner(op, translate_operator(tuple(lam), op))
         assert abs(val - (1.0 if i == 0 else 0.0)) < 1e-10
 
@@ -259,19 +295,10 @@ def test_rand_complex_matches_two_draw_formula_bit_for_bit(shape):
         assert draws.tobytes() == oracle.tobytes()
 
 
-def test_rand_complex_peak_is_its_output_plus_one_real_half():
+def test_rand_complex_peak_is_its_output_plus_one_real_half(traced_peak):
     rng = make_rng(0)
     rand_complex(rng, (315, 35))  # warm-up: lazy set-up outside the measurement
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = rand_complex(rng, (315, 35))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    out, peak = traced_peak(rand_complex, rng, (315, 35))
     # the data: the complex output and one float64 half-buffer (264,600 bytes);
     # 4 KiB covers the headers of the arrays and views, not a second buffer
-    assert peak - base <= out.nbytes + out.nbytes // 2 + 4096, f"peak {peak - base} bytes"
+    assert peak <= out.nbytes + out.nbytes // 2 + 4096, f"peak {peak} bytes"

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from opsampler.gridio import read_phase_grid
 from opsampler.lattice import Lattice, unfibers
 from opsampler.report import canonical_json
 from opsampler.runner import _make_rng, run_analyze, run_export, run_roundtrip
-from opsampler.weyl import inverse_fourier_wigner, weyl_symbol, weyl_transform
+from oracles import inverse_fourier_wigner, weyl_symbol, weyl_transform
 
 BASE = {
     "L": 15,
@@ -93,25 +92,16 @@ L_ABOVE_CAP = next(L for L in itertools.count(math.isqrt(MAX_FIBER_BYTES // 16) 
 
 @pytest.mark.parametrize("L, step", [(999999999, 999999999), (L_ABOVE_CAP, 1)],
                          ids=["huge", "just_above_cap"])
-def test_config_above_fiber_stack_cap_exit_1(tmp_path, capsys, L, step):
+def test_config_above_fiber_stack_cap_exit_1(tmp_path, capsys, traced_peak, L, step):
     data = {"L": L, "lattice": {"a": step, "b": step}, "seed": 1,
             "generators": [{"kind": "random_hs"}]}
     path = write_cfg(tmp_path, data)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        rc = main(["analyze", "--config", path])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    rc, peak = traced_peak(main, ["analyze", "--config", path])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert f"config field 'L': L={L}" in captured.err
-    assert peak - base < 2**20  # refused before anything is allocated
+    assert peak < 2**20  # refused before anything is allocated
 
 
 def _run_cli(*argv):
@@ -387,7 +377,9 @@ def test_unrunnable_periodized_gaussian_is_config_error(tmp_path, capsys, param,
 
 
 def _count_calls(monkeypatch, counted):
-    """Count calls (weight 1) or transformed operators (weight "ops") per function name."""
+    """Count calls (weight 1) or transformed operators (weight "ops") per function name.
+    A name that only the oracle defines stays at 0: no CLI path can reach it."""
+    import oracles
     import opsampler.builders as builders
     import opsampler.frames as frames
     import opsampler.runner as runner
@@ -403,7 +395,7 @@ def _count_calls(monkeypatch, counted):
         return wrapper
 
     for name, weight in counted.items():
-        source = next(mod for mod in (weyl, frames, sampling) if hasattr(mod, name))
+        source = next(mod for mod in (weyl, frames, sampling, oracles) if hasattr(mod, name))
         wrapped = counting(name, getattr(source, name), weight)
         for mod in (builders, frames, sampling, runner):
             if hasattr(mod, name):
@@ -512,13 +504,13 @@ def test_one_by_one_roundtrip_calls_no_blas_or_lapack(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_analyze_without_averagers_transforms_generators_once(tmp_path, capsys, monkeypatch, n):
-    # rank-one generators are formed as kernels and transformed once each
-    calls = _count_calls(monkeypatch, {"fourier_wigner": "ops"})
+    # rank-one generators are transformed once each, from their signals
+    calls = _count_calls(monkeypatch, {"rank_one_fibers": "ops"})
     data = dict(BASE, lattice={"a": 3, "b": 3}, generators=[{"kind": "random_signal_pair"}] * n)
     assert main(["analyze", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["system_frame"]["verdict"] == "riesz_basis"
-    assert calls == {"fourier_wigner": n}
+    assert calls == {"rank_one_fibers": n}
 
 
 def test_failure_fuzz_engineered_generators(tmp_path, capsys):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from opsampler.core import (
-    _divide_real,
+from opsampler.core import _divide_real, half_inverse, validate_mod_size
+from oracles import (
     check_operator,
-    half_inverse,
     hs_inner,
     hs_norm,
     parity,
@@ -14,7 +13,6 @@ from opsampler.core import (
     tf_shift_adjoint,
     trace,
     translate_operator,
-    validate_mod_size,
 )
 
 rng = np.random.default_rng(2024)

@@ -8,30 +8,39 @@ from opsampler.config import parse_config
 from opsampler.errors import SingularTransfer
 from opsampler.frames import (
     DEFAULT_TOL_FACTOR,
-    ConvolutionMatrix,
     _eigh,
     _matmul,
     _report,
     _witnesses,
     TransferMatrix,
-    dual_sequences,
     frame_bounds,
     gram_matrix_bounds,
     left_inverse_family,
-    transfer_matrix,
 )
 from opsampler.lattice import (
     Lattice,
     fibers,
     inverse_symplectic_series,
-    involution,
     periodize_sq,
     symplectic_series,
-    translate_seq,
 )
 from opsampler.runner import run_analyze
-from opsampler.sampling import AveragerSet, GeneratorSet, sample_filter_matrix, system_transfer
-from opsampler.weyl import fourier_wigner, symplectic_ft, weyl_transform
+from opsampler.sampling import AveragerSet, GeneratorSet, system_transfer
+from opsampler.weyl import symplectic_ft
+from oracles import (
+    ConvolutionMatrix,
+    dual_sequences,
+    fourier_wigner,
+    index_of,
+    involution,
+    points,
+    sample_filter_matrix,
+    trace_fibers,
+    transfer_matrix,
+    translate_seq,
+    weyl_symbol,
+    weyl_transform,
+)
 
 rng = np.random.default_rng(333)
 
@@ -182,7 +191,7 @@ def test_delta_averagers_leave_exactly_zero_transfer_blocks():
     L, deltas = 45, [{"kind": "delta_pair", "t1": 1, "t2": 2},
                      {"kind": "delta_pair", "t1": 0, "t2": 4}]
     lat = Lattice(L, 3, 3)
-    gens = GeneratorSet.build(fourier_wigner([rand_op(L)], lat), lat)
+    gens = GeneratorSet.build(trace_fibers([rand_op(L)], lat), lat)
     avgs = AveragerSet.build([build_operator(spec, lat, None) for spec in deltas], lat)
     T = system_transfer(gens, avgs)
     zero = [int(i) for i in np.flatnonzero(~T.values.reshape(lat.size, -1).any(axis=1))]
@@ -208,7 +217,7 @@ def _one_by_one_stacks():
     lat = Lattice(L, 3, 3)
     local = np.random.default_rng(45)  # collection time: leaves the module's draws alone
     S = local.standard_normal((L, L)) + 1j * local.standard_normal((L, L))
-    gens = GeneratorSet.build(fourier_wigner([S], lat), lat)
+    gens = GeneratorSet.build(trace_fibers([S], lat), lat)
     avgs = AveragerSet.build([build_operator(spec, lat, None) for spec in deltas], lat)
     T = system_transfer(gens, avgs).values
     gram = np.matmul(T.conj().transpose(0, 2, 1), T)
@@ -339,7 +348,7 @@ def test_single_gen_difference_of_deltas_fails():
     # q = delta_0 - delta_lam has series 1 - chi(lam, .), zero at xi = 0
     lat = Lattice(15, 3, 5)
     q = delta_seq(lat)
-    q[lat.index_of((3, 0))] -= 1.0
+    q[index_of(lat, (3, 0))] -= 1.0
     rep = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])))
     assert rep.verdict == "fail"
     assert 0 in rep.witnesses
@@ -350,10 +359,9 @@ def test_single_gen_autocorrelation_cross_check():
     # |Lambda|^2 times the minimum of the periodized squared trace transform
     lat = Lattice(15, 3, 5)
     S = rand_op(15)
-    from opsampler.weyl import weyl_symbol
 
     aS = weyl_symbol(S)
-    q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in lat.points])
+    q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in points(lat)])
     rep = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])))
     P = periodize_sq(fourier_wigner(S), lat)
     assert np.sqrt(rep.alpha) == pytest.approx(lat.size**2 * P.min(), rel=1e-9)
@@ -390,7 +398,7 @@ def test_gram_two_random_generators_match_oracle():
     lows, highs = [], []
     for z in lat.dual_points:
         G = np.zeros((2, 2), complex)
-        for mu in lat.adjoint.points:
+        for mu in points(lat.adjoint):
             v = V[:, (z[0] + mu[0]) % 15, (z[1] + mu[1]) % 15]
             G += np.outer(v, v.conj())
         lo, hi = herm2_eigs(G)
@@ -536,7 +544,7 @@ def test_frame_expansion_recovers_coefficients():
     recovered = np.zeros_like(c)
     for m in range(3):
         astar_m = np.stack([involution(A.seqs[m, n], lat) for n in range(2)])
-        for i, lam in enumerate(lat.points):
+        for i, lam in enumerate(points(lat)):
             coeff = sum(np.vdot(translate_seq(lam, astar_m[n], lat), c[n]) for n in range(2))
             for n in range(2):
                 recovered[n] += coeff * translate_seq(lam, B.seqs[n, m], lat)
@@ -561,11 +569,10 @@ def test_three_way_riesz_verdict_consistency():
     # the 1 x 1 system of the autocorrelation, gram_matrix_bounds and
     # positivity of the periodization agree for passing and failing cases
     lat = Lattice(15, 3, 5)
-    from opsampler.weyl import weyl_symbol
 
     def verdicts(S):
         aS = weyl_symbol(S)
-        q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in lat.points])
+        q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in points(lat)])
         v1 = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None]))).passed
         v2 = gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat).passed
         P = periodize_sq(fourier_wigner(S), lat)
@@ -580,7 +587,7 @@ def test_three_way_riesz_verdict_consistency():
     for _ in range(3):
         spectrum = fourier_wigner(rand_op(15))
         z0 = lat.dual_points[rng.integers(0, lat.size)]
-        for mu in lat.adjoint.points:
+        for mu in points(lat.adjoint):
             spectrum[(z0[0] + mu[0]) % 15, (z0[1] + mu[1]) % 15] = 0.0
         S = weyl_transform(symplectic_ft(spectrum))
         res = verdicts(S)

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,21 +6,8 @@ import pytest
 from opsampler import runner
 from opsampler.config import parse_config
 
-from opsampler.core import (
-    check_operator,
-    hs_inner,
-    hs_norm,
-    translate_operator,
-)
 from opsampler.errors import SingularTransfer
-from opsampler.frames import (
-    ConvolutionMatrix,
-    TransferMatrix,
-    frame_bounds,
-    gram_matrix_bounds,
-    left_inverse_family,
-    transfer_matrix,
-)
+from opsampler.frames import TransferMatrix, frame_bounds, gram_matrix_bounds, left_inverse_family
 from opsampler.lattice import (
     Lattice,
     fibers,
@@ -36,12 +22,28 @@ from opsampler.sampling import (
     build_reconstructor_multi,
     interpolation_check,
     relative_error,
-    sample_filter_matrix,
     synthesize_element,
     whiten_generator,
 )
-from opsampler.weyl import fourier_wigner, inverse_fourier_wigner, symplectic_ft, weyl_transform
-from oracles import operator_of, seq_operator_convolve, whiten_operator
+from opsampler.weyl import symplectic_ft
+from oracles import (
+    ConvolutionMatrix,
+    check_operator,
+    fourier_wigner,
+    hs_inner,
+    hs_norm,
+    index_of,
+    inverse_fourier_wigner,
+    operator_of,
+    points,
+    sample_filter_matrix,
+    seq_operator_convolve,
+    trace_fibers,
+    transfer_matrix,
+    translate_operator,
+    weyl_transform,
+    whiten_operator,
+)
 
 rng = np.random.default_rng(77)
 LAT = Lattice(15, 3, 5)
@@ -56,17 +58,17 @@ def rand_coeffs(n, lat=LAT):
 
 
 def gen_set(n, lat=LAT):
-    return GeneratorSet.build(fourier_wigner([rand_op(lat.L) for _ in range(n)], lat), lat)
+    return GeneratorSet.build(trace_fibers([rand_op(lat.L) for _ in range(n)], lat), lat)
 
 
 def avg_set(m, lat=LAT):
-    return AveragerSet.build(fourier_wigner([rand_op(lat.L) for _ in range(m)], lat), lat)
+    return AveragerSet.build(trace_fibers([rand_op(lat.L) for _ in range(m)], lat), lat)
 
 
 def operator_route_synthesis(c, ops, lat=LAT):
     out = np.zeros((lat.L, lat.L), complex)
     for n, op in enumerate(ops):
-        for i, lam in enumerate(lat.points):
+        for i, lam in enumerate(points(lat)):
             out += c[n, i] * translate_operator(tuple(lam), op)
     return out
 
@@ -93,7 +95,7 @@ def failing_generator(lat=LAT):
     """Spectrum zeroed on one adjoint coset: translates are not Riesz."""
     spectrum = fourier_wigner(rand_op(lat.L))
     z0 = lat.dual_points[rng.integers(0, lat.size)]
-    for mu in lat.adjoint.points:
+    for mu in points(lat.adjoint):
         spectrum[(z0[0] + mu[0]) % lat.L, (z0[1] + mu[1]) % lat.L] = 0.0
     return weyl_transform(symplectic_ft(spectrum))
 
@@ -102,7 +104,7 @@ def failing_generator(lat=LAT):
 
 def test_synthesize_delta_coefficients():
     ops = [rand_op() for _ in range(2)]
-    gens = GeneratorSet.build(fourier_wigner(ops, LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers(ops, LAT), LAT)
     c = np.zeros((2, LAT.size), complex)
     c[0, 0] = 1
     assert np.allclose(synthesize_element(c, gens.fibers, LAT), gens.fibers[0], atol=1e-12)
@@ -121,7 +123,7 @@ def test_synthesize_linearity():
 
 def test_synthesize_two_routes_agree():
     ops = [rand_op() for _ in range(2)]
-    gens = GeneratorSet.build(fourier_wigner(ops, LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers(ops, LAT), LAT)
     c = rand_coeffs(2)
     symbol_route = operator_of(synthesize_element(c, gens.fibers, LAT), LAT)
     operator_route = operator_route_synthesis(c, ops)
@@ -132,14 +134,14 @@ def test_synthesize_two_routes_agree():
 
 def test_average_samples_at_origin():
     Q1 = rand_op()
-    avgs = AveragerSet.build(fourier_wigner([Q1], LAT), LAT)
+    avgs = AveragerSet.build(trace_fibers([Q1], LAT), LAT)
     s = average_samples(avgs.fibers[0], avgs)
     assert s[0, 0] == pytest.approx(hs_norm(Q1) ** 2, rel=1e-12)
 
 
 def test_average_samples_linearity():
     avgs = avg_set(2)
-    T1, T2 = fourier_wigner(rand_op(), LAT), fourier_wigner(rand_op(), LAT)
+    T1, T2 = trace_fibers(rand_op(), LAT), trace_fibers(rand_op(), LAT)
     lhs = average_samples(0.5j * T1 + 2.0 * T2, avgs)
     rhs = 0.5j * average_samples(T1, avgs) + 2.0 * average_samples(T2, avgs)
     assert np.allclose(lhs, rhs, atol=1e-10)
@@ -147,11 +149,11 @@ def test_average_samples_linearity():
 
 def test_average_samples_operator_route_oracle():
     ops = [rand_op() for _ in range(3)]
-    avgs = AveragerSet.build(fourier_wigner(ops, LAT), LAT)
+    avgs = AveragerSet.build(trace_fibers(ops, LAT), LAT)
     T = rand_op()
-    s = average_samples(fourier_wigner(T, LAT), avgs)
+    s = average_samples(trace_fibers(T, LAT), avgs)
     for m in range(3):
-        for i, lam in enumerate(LAT.points):
+        for i, lam in enumerate(points(LAT)):
             direct = hs_inner(T, translate_operator(tuple(lam), ops[m]))
             assert abs(s[m, i] - direct) <= 1e-10 * (1 + abs(direct))
 
@@ -160,8 +162,8 @@ def test_average_samples_operator_route_oracle():
 
 def test_filter_matrix_autocorrelation_origin():
     S = rand_op()
-    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
-    avgs = AveragerSet.build(fourier_wigner([S], LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
+    avgs = AveragerSet.build(trace_fibers([S], LAT), LAT)
     A = sample_filter_matrix(gens, avgs)
     assert A.seqs[0, 0, 0] == pytest.approx(hs_norm(S) ** 2, rel=1e-12)
 
@@ -177,7 +179,7 @@ def test_sampling_is_convolution(n, m):
 
 
 def test_whitened_generator_gives_identity_system():
-    P = whiten_generator(fourier_wigner(rand_op(), LAT), LAT)
+    P = whiten_generator(trace_fibers(rand_op(), LAT), LAT)
     gens = GeneratorSet.build([P], LAT)
     avgs = AveragerSet.build([P], LAT)
     A = sample_filter_matrix(gens, avgs)
@@ -189,8 +191,8 @@ def test_whitened_generator_gives_identity_system():
 
 
 def test_whitened_translates_orthonormal():
-    S = operator_of(whiten_generator(fourier_wigner(rand_op(), LAT), LAT), LAT)
-    for i, lam in enumerate(LAT.points):
+    S = operator_of(whiten_generator(trace_fibers(rand_op(), LAT), LAT), LAT)
+    for i, lam in enumerate(points(LAT)):
         val = hs_inner(S, translate_operator(tuple(lam), S))
         expect = 1.0 if i == 0 else 0.0
         assert abs(val - expect) <= 1e-10
@@ -200,8 +202,8 @@ def test_whitened_translates_orthonormal():
 def test_fiber_whitening_matches_the_operator_route(L, a, b):
     lat = Lattice(L, a, b)
     S = rand_op(L)
-    P = whiten_generator(fourier_wigner(S, lat), lat)
-    oracle = fourier_wigner(whiten_operator(S, lat), lat)
+    P = whiten_generator(trace_fibers(S, lat), lat)
+    oracle = trace_fibers(whiten_operator(S, lat), lat)
     assert np.linalg.norm(P - oracle) <= 1e-14 * np.linalg.norm(oracle)
     # whitening is idempotent up to roundoff: the coset power is already flat
     assert np.linalg.norm(whiten_generator(P, lat) - P) <= 1e-14 * np.linalg.norm(P)
@@ -211,7 +213,7 @@ def test_fiber_whitening_matches_the_operator_route(L, a, b):
 
 def test_single_reconstructor_delta_filter():
     S = rand_op()
-    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
     q = np.zeros(LAT.size, complex)
     q[0] = 1
     T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
@@ -221,8 +223,8 @@ def test_single_reconstructor_delta_filter():
 
 def test_single_roundtrip_q_equals_s():
     S = rand_op()
-    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
-    avgs = AveragerSet.build(fourier_wigner([S], LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
+    avgs = AveragerSet.build(trace_fibers([S], LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     T = synthesize_element(rand_coeffs(1), gens.fibers, LAT)
@@ -242,7 +244,7 @@ def test_single_reconstructor_refuses_zero_spectrum():
     gens = gen_set(1)
     q = np.zeros(LAT.size, complex)
     q[0] = 1
-    q[LAT.index_of((3, 0))] -= 1.0  # series vanishes at xi = 0
+    q[index_of(LAT, (3, 0))] -= 1.0  # series vanishes at xi = 0
     T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
     with pytest.raises(SingularTransfer) as err:
         build_reconstructor_multi(gens, T, frame_bounds(T))
@@ -268,8 +270,8 @@ def test_single_filter_is_gated_on_squared_moduli():
 
 def test_multi_reduces_to_single():
     S = rand_op()
-    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
-    avgs = AveragerSet.build(fourier_wigner([rand_op()], LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
+    avgs = AveragerSet.build(trace_fibers([rand_op()], LAT), LAT)
     A = sample_filter_matrix(gens, avgs)
     That = transfer_matrix(A)
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
@@ -330,7 +332,7 @@ def test_rank_deficient_square_system_is_refused():
     local = np.random.default_rng(2024)
     for _ in range(20):
         ops = local.standard_normal((4, 3, 3)) + 1j * local.standard_normal((4, 3, 3))
-        P = fourier_wigner(ops, lat)
+        P = trace_fibers(ops, lat)
         gens, avgs = GeneratorSet.build(P[:2], lat), AveragerSet.build(P[2:], lat)
         A = sample_filter_matrix(gens, avgs)
         T = transfer_matrix(A)
@@ -358,7 +360,7 @@ def test_reconstruct_projection_idempotent():
     gens, avgs = gen_set(2), avg_set(3)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    T = fourier_wigner(rand_op(), LAT)
+    T = trace_fibers(rand_op(), LAT)
     T1 = synthesize_element(average_samples(T, avgs), rec.fibers, LAT)
     T2 = synthesize_element(average_samples(T1, avgs), rec.fibers, LAT)
     assert relative_error(T2, T1) <= 1e-9
@@ -372,7 +374,7 @@ def test_reconstruct_order_invariance():
     s = average_samples(synthesize_element(rand_coeffs(1), gens.fibers, LAT), avgs)
     H = operator_of(rec.fibers[0], LAT)
     terms = [s[0, i] * translate_operator(tuple(lam), H)
-             for i, lam in enumerate(LAT.points)]
+             for i, lam in enumerate(points(LAT))]
     forward = sum(terms[i] for i in range(len(terms)))
     perm = rng.permutation(len(terms))
     shuffled = sum(terms[i] for i in perm)
@@ -394,7 +396,7 @@ def test_sample_identity_via_operator_convolution():
     T, Q = rand_op(), rand_op()
     Qtilde = check_operator(Q.conj().T)
     conv = operator_convolve(T, Qtilde)
-    for lam in LAT.points:
+    for lam in points(LAT):
         lhs = hs_inner(T, translate_operator(tuple(lam), Q))
         assert abs(lhs - conv[lam[0], lam[1]]) <= 1e-10 * (1 + abs(lhs))
 
@@ -404,7 +406,7 @@ def test_spectrum_identity_via_operator_convolution():
     # periodized squared trace transform
     S = rand_op()
     conv = operator_convolve(S, check_operator(S.conj().T))
-    seq = np.array([conv[lam[0], lam[1]] for lam in LAT.points])
+    seq = np.array([conv[lam[0], lam[1]] for lam in points(LAT)])
     F = symplectic_series(seq, LAT)
     P = periodize_sq(fourier_wigner(S), LAT)
     assert np.abs(F - LAT.size**2 * P).max() <= 1e-9 * np.abs(F).max()
@@ -416,7 +418,7 @@ def test_seq_operator_convolve():
     delta[0] = 1
     assert np.allclose(seq_operator_convolve(delta, S, LAT), S)
     c = rand_coeffs(1)
-    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
     assert np.allclose(seq_operator_convolve(c[0], S, LAT),
                        operator_of(synthesize_element(c, gens.fibers, LAT), LAT), atol=1e-10)
 
@@ -424,15 +426,15 @@ def test_seq_operator_convolve():
 def test_full_convolution_form_of_sampling_formula():
     # T == (T conv Qtilde restricted to the lattice) conv H
     S = rand_op()
-    gens = GeneratorSet.build(fourier_wigner([S], LAT), LAT)
+    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
     Q = rand_op()
-    avgs = AveragerSet.build(fourier_wigner([Q], LAT), LAT)
+    avgs = AveragerSet.build(trace_fibers([Q], LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     T = operator_of(synthesize_element(rand_coeffs(1), gens.fibers, LAT), LAT)
     Qtilde = check_operator(Q.conj().T)
     conv = operator_convolve(T, Qtilde)
-    s = np.array([conv[lam[0], lam[1]] for lam in LAT.points])
+    s = np.array([conv[lam[0], lam[1]] for lam in points(LAT)])
     T_rec = seq_operator_convolve(s, operator_of(rec.fibers[0], LAT), LAT)
     assert np.linalg.norm(T_rec - T) <= 1e-9 * hs_norm(T)
 
@@ -440,7 +442,7 @@ def test_full_convolution_form_of_sampling_formula():
 # --------------------------------------------------------------- interpolation
 
 def test_interpolation_whitened_single():
-    P = whiten_generator(fourier_wigner(rand_op(), LAT), LAT)
+    P = whiten_generator(trace_fibers(rand_op(), LAT), LAT)
     gens = GeneratorSet.build([P], LAT)
     avgs = AveragerSet.build([P], LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
@@ -451,7 +453,7 @@ def test_interpolation_whitened_single():
 
 def test_interpolation_square_system():
     gens, Q = gen_set(2), [rand_op() for _ in range(2)]
-    avgs = AveragerSet.build(fourier_wigner(Q, LAT), LAT)
+    avgs = AveragerSet.build(trace_fibers(Q, LAT), LAT)
     That = transfer_matrix(sample_filter_matrix(gens, avgs))
     rec = build_reconstructor_multi(gens, That, frame_bounds(That))
     ok, dev = interpolation_check(rec, avgs)
@@ -459,7 +461,7 @@ def test_interpolation_square_system():
     # the check pairs the fibers; the operators they quantize, paired with the
     # translated averagers, sample the same way
     H = operator_of(rec.fibers, LAT)
-    s = np.array([[[hs_inner(H[n], translate_operator(tuple(lam), Q[m])) for lam in LAT.points]
+    s = np.array([[[hs_inner(H[n], translate_operator(tuple(lam), Q[m])) for lam in points(LAT)]
                    for n in range(2)] for m in range(2)])  # s[:, n]: samples of H_n
     expect = np.zeros_like(s)
     expect[:, :, 0] = np.eye(2)
@@ -487,8 +489,8 @@ def test_interpolation_rejects_oversampled():
 def test_refusal_no_nan_reaches_caller():
     for _ in range(5):
         bad = failing_generator()
-        gens = GeneratorSet.build(fourier_wigner([bad], LAT), LAT)
-        avgs = AveragerSet.build(fourier_wigner([bad], LAT), LAT)
+        gens = GeneratorSet.build(trace_fibers([bad], LAT), LAT)
+        avgs = AveragerSet.build(trace_fibers([bad], LAT), LAT)
         A = sample_filter_matrix(gens, avgs)
         assert np.isfinite(A.seqs).all()
         That = transfer_matrix(A)
@@ -496,7 +498,7 @@ def test_refusal_no_nan_reaches_caller():
             build_reconstructor_multi(gens, That, frame_bounds(That))
         assert err.value.witness_xi is not None
         with pytest.raises(SingularTransfer):
-            whiten_generator(fourier_wigner(bad, LAT), LAT)
+            whiten_generator(trace_fibers(bad, LAT), LAT)
 
 
 def test_reconstructor_riesz_and_filter_condition_consistent():
@@ -516,8 +518,8 @@ def test_reconstructor_riesz_and_filter_condition_consistent():
 def test_sampling_is_convolution_across_sizes(L, a, b):
     lat = Lattice(L, a, b)
     for n, m in ((1, 2), (2, 3)):
-        gens = GeneratorSet.build(fourier_wigner([rand_op(L) for _ in range(n)], lat), lat)
-        avgs = AveragerSet.build(fourier_wigner([rand_op(L) for _ in range(m)], lat), lat)
+        gens = GeneratorSet.build(trace_fibers([rand_op(L) for _ in range(n)], lat), lat)
+        avgs = AveragerSet.build(trace_fibers([rand_op(L) for _ in range(m)], lat), lat)
         A = sample_filter_matrix(gens, avgs)
         c = rand_coeffs(n, lat)
         s = average_samples(synthesize_element(c, gens.fibers, lat), avgs)
@@ -531,7 +533,7 @@ def test_operator_sets_keep_only_fibers():
         assert "ops" not in {f.name for f in dataclasses.fields(cls)}
 
 
-def test_many_channels_roundtrip_transient_memory_budget():
+def test_many_channels_roundtrip_transient_memory_budget(traced_peak):
     # perfbench's many_channels shape: |Lambda| = 315, N = 4, M = 6.  Each
     # (L, L) complex stack of ten operators is 1.68 MiB; the roundtrip used
     # to hold the operator list, its stacked copy and a second FFT buffer
@@ -541,18 +543,9 @@ def test_many_channels_roundtrip_transient_memory_budget():
                         "averagers": [{"kind": "random_hs"}] * 6,
                         "c_matrix": "random"})
     assert runner.run_roundtrip(cfg)[1] == 0  # warm-up: caches and lazy imports
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        report, code = runner.run_roundtrip(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    (report, code), peak = traced_peak(runner.run_roundtrip, cfg)
     assert code == 0 and report["reconstruction"]["pass"]
-    assert peak - base <= 4.5 * 2**20, f"transient peak {(peak - base) / 2**20:.2f} MiB"
+    assert peak <= 4.5 * 2**20, f"transient peak {peak / 2**20:.2f} MiB"
 
 
 # perfbench's two roundtrip shapes: full_lattice (|Lambda| = 2601, N = M = 1,
@@ -591,7 +584,7 @@ def test_fiber_roundtrip_error_matches_the_operator_route(shape, monkeypatch):
         (_, P), fiber_err = seen["relative_error"]
         lat = avgs.lattice
         T = operator_of(P, lat)
-        s = average_samples(fourier_wigner(T, lat), avgs)
+        s = average_samples(trace_fibers(T, lat), avgs)
         T_rec = operator_of(synthesize_element(s, rec.fibers, lat), lat)
         op_err = np.linalg.norm(T_rec - T) / hs_norm(T)
         assert err == fiber_err and abs(err - op_err) <= 1e-12, (seed, err, op_err)
@@ -609,8 +602,8 @@ def _read_only(a):
                                   "average_samples"])
 def test_read_only_inputs_are_accepted_and_left_unchanged(name):
     ops = _read_only(np.stack([rand_op() for _ in range(3)]))
-    P = _read_only(fourier_wigner(ops, LAT))
-    T = _read_only(fourier_wigner(rand_op(), LAT))
+    P = _read_only(trace_fibers(ops, LAT))
+    T = _read_only(trace_fibers(rand_op(), LAT))
     avgs = avg_set(2)
     calls = {
         "fourier_wigner": (fourier_wigner, ops),

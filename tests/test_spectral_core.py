@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsampler.errors import SingularTransfer
-from opsampler.frames import TransferMatrix, dual_sequences, frame_bounds, transfer_matrix
+from opsampler.frames import TransferMatrix, frame_bounds
 from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
 from opsampler.sampling import (
     AveragerSet,
@@ -20,12 +20,20 @@ from opsampler.sampling import (
     average_samples,
     build_reconstructor_multi,
     relative_error,
-    sample_filter_matrix,
     synthesize_element,
     system_transfer,
 )
-from opsampler.weyl import fourier_wigner
-from oracles import operator_of, seq_operator_convolve
+from opsampler.weyl import rank_one_fibers
+from oracles import (
+    dual_sequences,
+    operator_of,
+    points,
+    rank_one,
+    sample_filter_matrix,
+    seq_operator_convolve,
+    trace_fibers,
+    transfer_matrix,
+)
 from test_lattice import naive_series
 
 
@@ -53,7 +61,7 @@ def test_spectral_core_matches_direct_routes(system):
     F = rand_complex(rng, (2, L, L))
     P = fibers(F, lat)
     assert np.array_equal(unfibers(P, lat), F)
-    mu = lat.adjoint.points
+    mu = points(lat.adjoint)
     pts = (lat.dual_points[:, None, :] + mu[None, :, :]) % L
     assert np.array_equal(P[1], F[1][pts[..., 0], pts[..., 1]])
 
@@ -61,15 +69,16 @@ def test_spectral_core_matches_direct_routes(system):
     assert np.allclose(symplectic_series(c[0], lat), naive_series(c[0], lat), rtol=0, atol=1e-10)
 
     gen_ops = rand_complex(rng, (n, L, L))
-    # the fibers written by the trace transform's phase multiply, for a
-    # stack, one operator, and an operator whose transform has exact zeros
-    for S in (gen_ops, gen_ops[0], np.diag(rand_complex(rng, L))):
-        direct = fourier_wigner(S, lat)
+    # the fibers written by the rank-one transform's phase multiply, for two
+    # signals, a signal with itself, and a pair whose transform has exact zeros
+    u, v = rand_complex(rng, (2, L))
+    for x, y in ((u, v), (u, u), (np.ones(L), np.ones(L))):
+        direct = rank_one_fibers(x, y, lat)
         assert direct.flags.c_contiguous
-        oracle = np.ascontiguousarray(fibers(fourier_wigner(S), lat))
+        oracle = trace_fibers(rank_one(x, y), lat)
         assert np.array_equal(direct.view(np.uint64), oracle.view(np.uint64))
-    gens = GeneratorSet.build(fourier_wigner(gen_ops, lat), lat)
-    avgs = AveragerSet.build(fourier_wigner(rand_complex(rng, (m, L, L)), lat), lat)
+    gens = GeneratorSet.build(trace_fibers(gen_ops, lat), lat)
+    avgs = AveragerSet.build(trace_fibers(rand_complex(rng, (m, L, L)), lat), lat)
     E = synthesize_element(c, gens.fibers, lat)  # the element's fibers
     T = operator_of(E, lat)
     oracle = sum(seq_operator_convolve(c[k], gen_ops[k], lat) for k in range(n))
@@ -105,8 +114,8 @@ def test_system_transfer_is_the_series_of_the_filter_system(system):
     # system, and the filter sequences are exactly its inverse series
     lat, n, m, seed = system
     rng = np.random.default_rng(seed)
-    gens = GeneratorSet.build(fourier_wigner(rand_complex(rng, (n, lat.L, lat.L)), lat), lat)
-    avgs = AveragerSet.build(fourier_wigner(rand_complex(rng, (m, lat.L, lat.L)), lat), lat)
+    gens = GeneratorSet.build(trace_fibers(rand_complex(rng, (n, lat.L, lat.L)), lat), lat)
+    avgs = AveragerSet.build(trace_fibers(rand_complex(rng, (m, lat.L, lat.L)), lat), lat)
     T = system_transfer(gens, avgs)
     A = sample_filter_matrix(gens, avgs)
     assert T.values.shape == (lat.size, m, n)

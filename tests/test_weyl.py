@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from opsampler.core import half_inverse, hs_inner, rank_one, tf_shift, translate_operator
-from opsampler.lattice import Lattice, fibers
-from opsampler.weyl import (
+from opsampler.core import half_inverse
+from opsampler.lattice import Lattice
+from opsampler.weyl import rank_one_fibers, symplectic_ft
+from oracles import (
     cross_wigner,
     fourier_wigner,
+    hs_inner,
     inverse_fourier_wigner,
+    rank_one,
     stft,
-    symplectic_ft,
+    tf_shift,
+    trace_fibers,
+    translate_operator,
     translate_phase,
+    translation_covariance_check,
     weyl_symbol,
     weyl_transform,
 )
-from oracles import translation_covariance_check
 
 rng = np.random.default_rng(515)
 
@@ -313,14 +320,36 @@ def test_weyl_maps_refuse_non_square_trailing_axes(shape):
 
 @pytest.mark.parametrize("a, b", [(1, 1), (3, 5), (1, 15), (15, 15)])
 def test_fourier_wigner_writes_the_fibers_bit_for_bit(a, b):
-    # a = b = 1 multiplies in place (the fibers are the grid, flattened);
-    # other lattices write through the strided view of the fiber buffer
+    # the rank-one transform writes through the strided view of the fiber
+    # buffer on every lattice, a = b = 1 included; the all-ones pair has a
+    # transform with exact zeros
     lat = Lattice(15, a, b)
-    for S in (np.stack([rand_op(15), rand_op(15)]), np.eye(15, dtype=complex)):
-        oracle = np.ascontiguousarray(fibers(fourier_wigner(S), lat))
-        assert np.array_equal(fourier_wigner(S, lat).view(np.uint64), oracle.view(np.uint64))
+    ones = np.ones(15, dtype=complex)
+    for u, v in ((rand_signal(15), rand_signal(15)), (ones, ones)):
+        oracle = trace_fibers(rank_one(u, v), lat)
+        assert np.array_equal(rank_one_fibers(u, v, lat).view(np.uint64), oracle.view(np.uint64))
 
 
 def test_fourier_wigner_refuses_a_lattice_of_another_size():
-    with pytest.raises(ValueError, match="15 x 15"):
-        fourier_wigner(rand_op(9), Lattice(15, 3, 5))
+    with pytest.raises(ValueError, match="length 15"):
+        rank_one_fibers(rand_signal(9), rand_signal(9), Lattice(15, 3, 5))
+
+
+@st.composite
+def lattices(draw):
+    """A lattice a*Z_L x b*Z_L for an odd L <= 45 and divisors a, b of L."""
+    L = draw(st.sampled_from(range(3, 46, 2)))
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    return Lattice(L, draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattices(), st.integers(0, 2**32 - 1))
+@example(Lattice(45, 1, 1), 0)  # a*b = 1: the fibers are the grid, flattened
+@example(Lattice(15, 3, 5), 1)  # a*b = L: fibers and kernels have the same shape
+@example(Lattice(45, 9, 5), 2)
+def test_rank_one_fibers_are_the_oracle_transform_of_the_kernel(lat, seed):
+    local = np.random.default_rng(seed)
+    u, v = local.standard_normal((2, lat.L)) + 1j * local.standard_normal((2, lat.L))
+    oracle = trace_fibers(rank_one(u, v), lat)
+    assert np.array_equal(rank_one_fibers(u, v, lat).view(np.uint64), oracle.view(np.uint64))
