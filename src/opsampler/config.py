@@ -13,8 +13,8 @@ Schema (all other top-level keys are rejected)::
       "tol_pos": 1e-10              # relative positivity gate for spectra
     }
 
-Builder specs are documented in ``builders``.  Complex values never
-appear in configs; reports serialize them as [re, im] pairs.
+Builder specs are documented in ``builders``.  Complex values appear
+neither in configs nor in reports.
 
 A file nesting deeper than ``MAX_JSON_NESTING`` (the deepest valid config
 nests 11) is refused undecoded: the decoder shares the caller's recursion limit.

@@ -130,15 +130,6 @@ class FrameReport:
             "kind": self.kind,
         }
 
-    def require(self, template: str) -> None:
-        """Raise SingularTransfer at the first witness unless passed; the
-        message is ``template`` formatted with alpha, beta, kind and xi."""
-        if not self.passed:
-            xi = self.witnesses[0]
-            raise SingularTransfer(
-                template.format(alpha=self.alpha, beta=self.beta, kind=self.kind, xi=xi),
-                witness_xi=xi, witness_point=self.witness_points[0])
-
 
 def _witnesses(lows: np.ndarray, tol: float, lat: Lattice,
                band: float = 0.0) -> tuple[tuple[int, ...], tuple]:
@@ -242,8 +233,12 @@ def left_inverse_family(T: TransferMatrix, report: FrameReport,
     xi; for square systems the projector I - A A_dag vanishes and C is
     irrelevant.
     """
-    report.require("transfer matrix is singular at dual index {xi} "
-                   "(alpha={alpha:.3e}, beta={beta:.3e})")
+    if not report.passed:
+        xi = report.witnesses[0]
+        raise SingularTransfer(
+            f"transfer matrix is singular at dual index {xi} "
+            f"(alpha={report.alpha:.3e}, beta={report.beta:.3e})",
+            witness_xi=xi, witness_point=report.witness_points[0])
     if report.eigenpairs is None or report.eigenpairs[0].shape != (T.lattice.size, T.n):
         raise ValueError("report must be frame_bounds(T) of this transfer matrix")
     w, V = report.eigenpairs

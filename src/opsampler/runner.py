@@ -9,9 +9,12 @@ its name is recorded in the report.  Each ``random_hs`` operator is one
 draw straight into its slot of the fiber stack.
 
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure
-(a spectrum with a zero, a non-frame sampling system, or a roundtrip
-error above tolerance).  Condition failures still produce a report with
-the witnessing dual-grid index; no operator is emitted for them.
+(a builder's refusal, a Riesz or frame verdict that fails, or a
+roundtrip error above tolerance).  Every exit 2 report carries one
+``failure`` block: a message, a witnessing dual-grid index and its
+point.  A failing verdict is witnessed by its report's first witness; a
+reconstruction by the dual index whose fiber it misses most.  A roundtrip
+whose verdict fails draws no coefficients and builds no reconstructor.
 """
 
 from __future__ import annotations
@@ -56,19 +59,6 @@ def _make_rng(seed: int | None) -> np.random.Generator | None:
     return np.random.Generator(np.random.SFC64(seed))
 
 
-def _base_report(cfg: ExperimentConfig, command: str) -> dict:
-    lat = Lattice(cfg.L, cfg.a, cfg.b)
-    return {
-        "command": command,
-        "config": config_echo(cfg),
-        "rng": None if cfg.seed is None else {"algorithm": RNG_ALGORITHM, "seed": cfg.seed},
-        "lattice": {
-            "L": cfg.L, "a": cfg.a, "b": cfg.b, "size": lat.size,
-            "adjoint": {"a": lat.adjoint.a, "b": lat.adjoint.b},
-        },
-    }
-
-
 def _fibers(specs, lat: Lattice, rng) -> np.ndarray:
     """Each spec's fibers built into its slot of one (K, |Lambda|, a*b) stack, in spec order."""
     P = np.empty((len(specs), lat.size, lat.a * lat.b), dtype=complex)
@@ -77,31 +67,54 @@ def _fibers(specs, lat: Lattice, rng) -> np.ndarray:
     return P
 
 
-def _build_sets(cfg: ExperimentConfig, rng):
-    """(generators, averagers), both held as fibers."""
+def _failure(report: dict, message: str, xi: int, point) -> None:
+    report["failure"] = {"message": message, "witness_xi": xi,
+                         "witness_point": [int(v) for v in point]}
+
+
+def _start(cfg: ExperimentConfig, command: str, rng):
+    """The report header and the (generators, averagers) sets, both held as
+    fibers; the sets are None when a builder refuses, with the failure recorded."""
     lat = Lattice(cfg.L, cfg.a, cfg.b)
-    gens = GeneratorSet.build(_fibers(cfg.generators, lat, rng), lat, tol_factor=cfg.tol_pos)
-    if cfg.averagers is None:
-        # the generators average themselves: reuse their fibers
-        return gens, AveragerSet(lat, gens.fibers)
-    return gens, AveragerSet.build(_fibers(cfg.averagers, lat, rng), lat)
-
-
-def _failure(report: dict, exc: SingularTransfer) -> dict:
-    report["failure"] = {
-        "message": str(exc),
-        "witness_xi": exc.witness_xi,
-        "witness_point": None if exc.witness_point is None else list(exc.witness_point),
+    report = {
+        "command": command,
+        "config": config_echo(cfg),
+        "rng": None if cfg.seed is None else {"algorithm": RNG_ALGORITHM, "seed": cfg.seed},
+        "lattice": {
+            "L": cfg.L, "a": cfg.a, "b": cfg.b, "size": lat.size,
+            "adjoint": {"a": lat.adjoint.a, "b": lat.adjoint.b},
+        },
     }
-    report["status"] = "condition_failure"
-    report["exit_code"] = EXIT_CONDITION
-    return report
+    try:
+        gens = GeneratorSet.build(_fibers(cfg.generators, lat, rng), lat, tol_factor=cfg.tol_pos)
+        # without averagers the generators average themselves: reuse their fibers
+        avgs = (AveragerSet(lat, gens.fibers) if cfg.averagers is None
+                else AveragerSet.build(_fibers(cfg.averagers, lat, rng), lat))
+    except SingularTransfer as exc:  # a builder's refusal (whitening)
+        _failure(report, str(exc), exc.witness_xi, exc.witness_point)
+        return report, None
+    return report, (gens, avgs)
 
 
-def _finish(report: dict, started: float, passed: bool) -> tuple[dict, int]:
-    if "status" not in report:
-        report["status"] = "pass" if passed else "condition_failure"
-        report["exit_code"] = EXIT_PASS if passed else EXIT_CONDITION
+def _verdicts(report: dict, gens: GeneratorSet, avgs: AveragerSet, tol_factor: float):
+    """Record the Riesz and frame reports; the first failing one writes the
+    failure block at its first witness.  Returns the transfer matrix and its report."""
+    That = system_transfer(gens, avgs)
+    system = frame_bounds(That, tol_factor=tol_factor)
+    report["generator_riesz"] = gens.riesz.to_jsonable()
+    report["system_frame"] = system.to_jsonable()
+    failing = next((rep for rep in (gens.riesz, system) if not rep.passed), None)
+    if failing is not None:
+        xi = failing.witnesses[0]
+        _failure(report, f"{failing.kind} condition failed at dual index {xi}",
+                 xi, failing.witness_points[0])
+    return That, system
+
+
+def _finish(report: dict, started: float) -> tuple[dict, int]:
+    failed = "failure" in report
+    report["status"] = "condition_failure" if failed else "pass"
+    report["exit_code"] = EXIT_CONDITION if failed else EXIT_PASS
     report["timing"] = {"seconds": time.monotonic() - started}
     return report, report["exit_code"]
 
@@ -109,20 +122,10 @@ def _finish(report: dict, started: float, passed: bool) -> tuple[dict, int]:
 def run_analyze(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Riesz verdict for the generators plus frame verdict for the system."""
     started = time.monotonic()
-    report = _base_report(cfg, "analyze")
-    try:
-        gens, avgs = _build_sets(cfg, _make_rng(cfg.seed))
-    except SingularTransfer as exc:
-        return _finish(_failure(report, exc), started, False)
-    report["generator_riesz"] = gens.riesz.to_jsonable()
-    system = frame_bounds(system_transfer(gens, avgs), tol_factor=cfg.tol_pos)
-    report["system_frame"] = system.to_jsonable()
-    try:
-        for rep in (gens.riesz, system):
-            rep.require("{kind} condition failed at dual index {xi}")
-    except SingularTransfer as exc:
-        return _finish(_failure(report, exc), started, False)
-    return _finish(report, started, True)
+    report, sets = _start(cfg, "analyze", _make_rng(cfg.seed))
+    if sets is not None:
+        _verdicts(report, *sets, cfg.tol_pos)
+    return _finish(report, started)
 
 
 def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
@@ -130,33 +133,27 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     started = time.monotonic()
     if cfg.seed is None:
         raise ConfigError("roundtrip draws random coefficients and needs a seed", field="seed")
-    report = _base_report(cfg, "roundtrip")
     rng = _make_rng(cfg.seed)
-    try:
-        gens, avgs = _build_sets(cfg, rng)
-    except SingularTransfer as exc:
-        return _finish(_failure(report, exc), started, False)
-    report["generator_riesz"] = gens.riesz.to_jsonable()
-    That = system_transfer(gens, avgs)
-    system = frame_bounds(That, tol_factor=cfg.tol_pos)
-    report["system_frame"] = system.to_jsonable()
+    report, sets = _start(cfg, "roundtrip", rng)
+    if sets is None:
+        return _finish(report, started)
+    gens, avgs = sets
+    That, system = _verdicts(report, gens, avgs, cfg.tol_pos)
+    if "failure" in report:
+        return _finish(report, started)
 
     lat = gens.lattice
     c = rand_complex(rng, (gens.n, lat.size))
     C = None
     if cfg.c_matrix == "random":
         C = TransferMatrix(lat, rand_complex(rng, (lat.size, gens.n, avgs.m)))
-    try:
-        gens.riesz.require("generator translates are not a Riesz sequence "
-                           "(min Gram eigenvalue {alpha:.3e} at dual index {xi})")
-        rec = build_reconstructor_multi(gens, That, system, C)
-    except SingularTransfer as exc:
-        return _finish(_failure(report, exc), started, False)
+    rec = build_reconstructor_multi(gens, That, system, C)
 
     # the element, its samples and its reconstruction, all as fibers:
     # reconstruction is synthesis from the reconstructors
     P = synthesize_element(c, gens.fibers, lat)
-    err = relative_error(synthesize_element(average_samples(P, avgs), rec.fibers, lat), P)
+    P_rec = synthesize_element(average_samples(P, avgs), rec.fibers, lat)
+    err = relative_error(P_rec, P)
     report["reconstruction"] = {
         "c_matrix": cfg.c_matrix,
         "relative_error": err,
@@ -168,7 +165,12 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
         report["interpolation"] = {"max_deviation": dev, "pass": bool(ok)}
     else:
         report["interpolation"] = None
-    return _finish(report, started, report["reconstruction"]["pass"])
+    if not report["reconstruction"]["pass"]:
+        # witnessed by the fiber the reconstruction misses most
+        xi = int(np.argmax(np.linalg.norm(P_rec - P, axis=-1)))
+        _failure(report, f"relative error {err:.3e} above tolerance {cfg.tolerance:.3e}",
+                 xi, lat.dual_points[xi])
+    return _finish(report, started)
 
 
 def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
@@ -179,11 +181,10 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
         if kind not in EXPORT_KINDS:
             raise ConfigError(f"unknown export kind {kind!r}; expected one of {EXPORT_KINDS}")
     os.makedirs(out_dir, exist_ok=True)
-    report = _base_report(cfg, "export")
-    try:
-        gens, avgs = _build_sets(cfg, _make_rng(cfg.seed))
-    except SingularTransfer as exc:
-        return _finish(_failure(report, exc), started, False)
+    report, sets = _start(cfg, "export", _make_rng(cfg.seed))
+    if sets is None:
+        return _finish(report, started)
+    gens, avgs = sets
     lat = gens.lattice
     files = []
 
@@ -208,4 +209,4 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
         elif kind == "transfer":
             _emit("transfer.csv", write_transfer, system_transfer(gens, avgs).values)
     report["export"] = {"what": list(kinds), "directory": str(out_dir), "files": files}
-    return _finish(report, started, True)
+    return _finish(report, started)

@@ -190,7 +190,8 @@ def system_transfer(gens: GeneratorSet, avg: AveragerSet) -> TransferMatrix:
 def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: FrameReport,
                               C: TransferMatrix | None = None) -> Reconstructor:
     """Reconstruction operators from a transfer matrix T (M >= N) and its
-    ``frame_bounds`` report; refuses when the system is not a frame.
+    ``frame_bounds`` report; ``left_inverse_family`` refuses when the system
+    is not a frame.
 
     With B_hat the left inverse (Moore-Penrose for C = None, else the
     C-parametrized member), the m-th operator is sum_n sum_lambda
@@ -200,7 +201,6 @@ def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: Fra
         raise ValueError(f"need at least as many averagers as generators, got M={T.m} < N={gens.n}")
     if T.n != gens.n:
         raise ValueError(f"system has {T.n} input channels but there are {gens.n} generators")
-    report.require("sampling system is not a frame: lower bound {alpha:.3e} at dual index {xi}")
     Bhat = left_inverse_family(T, report, C)
     return Reconstructor(_combine(Bhat.values.transpose(0, 2, 1), gens.fibers), Bhat)
 
