@@ -1,21 +1,20 @@
 """Command-line interface.
 
-    opsampler analyze   --config cfg.json [--out report.json] [--tolerance x]
-    opsampler roundtrip --config cfg.json [--out report.json] [--tolerance x]
+    opsampler analyze   --config cfg.json [--out report.json]
+    opsampler roundtrip --config cfg.json [--out report.json]
     opsampler export    --config cfg.json [--out directory] [--what kind]
 
 Reports are canonical JSON on stdout unless --out names a file; export
 writes CSV files into the --out directory (default: current directory)
-and prints a manifest.  Exit codes: 0 pass, 1 config error or an --out
-that cannot be written, 2 condition failure.
+and prints a manifest.  Exit codes: 0 pass (and --help), 1 a malformed
+command line, a config error or an --out that cannot be written, 2
+condition failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
 
 from .config import load_config
 from .errors import ConfigError
@@ -35,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None,
                        help="report file (analyze/roundtrip) or output directory (export)")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the config roundtrip error tolerance")
         if name == "export":
             p.add_argument("--what", default="all", choices=EXPORT_KINDS + ("all",),
                            help="which diagnostic to export (default: all)")
@@ -58,13 +55,12 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error, or --help
+        return EXIT_CONFIG if exc.code else 0
     try:
         cfg = load_config(args.config)
-        if args.tolerance is not None:
-            if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-                raise ConfigError(f"--tolerance must be a positive finite number, got {args.tolerance!r}")
-            cfg = replace(cfg, tolerance=args.tolerance)
         if args.command == "export":
             out_dir = args.out if args.out is not None else "."
             report, code = run_export(cfg, args.what, out_dir)

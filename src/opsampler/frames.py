@@ -2,10 +2,12 @@
 
 A convolution system maps N input sequences on the lattice to M output
 sequences by entrywise lattice convolution with an M x N matrix of
-filter sequences.  Its transfer matrix collects, per dual-grid index xi,
-the M x N matrix of the filters' symplectic series values; the sampling
-system's is read off the fibers directly (``sampling.system_transfer``),
-so the filter sequences themselves are never formed.  The extreme
+filter sequences.  Its transfer matrix is a plain (|Lambda|, M, N)
+array: per dual-grid index xi, the M x N matrix of the filters'
+symplectic series values.  The sampling system's is read off the fibers
+directly (``sampling.system_transfer``), so the filter sequences
+themselves are never formed.  Every function that reads the dual grid
+takes the lattice ``lat`` alongside the arrays.  The extreme
 eigenvalues of the Hermitian matrices ``A_hat(xi)* A_hat(xi)`` over the
 dual grid decide whether the associated system of translates is a frame
 (lower bound strictly positive), which for M == N makes it a Riesz
@@ -42,7 +44,6 @@ from .lattice import Lattice
 
 __all__ = [
     "DEFAULT_TOL_FACTOR",
-    "TransferMatrix",
     "FrameReport",
     "frame_bounds",
     "gram_matrix_bounds",
@@ -58,29 +59,6 @@ VERDICT_FAIL = "fail"
 # Width of the roundoff band, in units of beta, within which lower
 # eigenvalues tie for the first witness.
 WITNESS_BAND = 16 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Per-dual-grid-index M x N matrices, stored as a (size, M, N) array."""
-
-    lattice: Lattice
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 3 or values.shape[0] != self.lattice.size:
-            raise ValueError(
-                f"expected a ({self.lattice.size}, M, N) array, got {values.shape}")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True)
@@ -176,10 +154,11 @@ def _eigh(G: np.ndarray, vectors: bool = True):
     return np.linalg.eigh(G) if vectors else np.linalg.eigvalsh(G)
 
 
-def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
+def frame_bounds(A, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
     """Extreme eigenvalues of A_hat(xi)* A_hat(xi) over the dual grid.
 
-    alpha is the global smallest eigenvalue, beta the largest.  Verdict:
+    ``A`` is the (|Lambda|, M, N) transfer matrix, M >= N.  alpha is the
+    global smallest eigenvalue, beta the largest.  Verdict:
     when alpha > tol_factor * beta, riesz_basis for M == N and frame for
     M > N; fail otherwise, with witnesses (first one within
     ``WITNESS_BAND * beta`` of alpha, see ``FrameReport``).  For square
@@ -194,12 +173,13 @@ def frame_bounds(T: TransferMatrix, tol_factor: float = DEFAULT_TOL_FACTOR) -> F
     One batched ``eigh`` factorizes the Gram matrices; the report keeps
     its eigenpairs for ``left_inverse_family``.
     """
-    if T.m < T.n:
-        raise ValueError(f"system must have at least as many outputs as inputs, got {T.m} x {T.n}")
-    w, V = _eigh(_matmul(_adjoint(T.values), T.values))
-    square = T.m == T.n
+    A = np.asarray(A, dtype=complex)
+    if A.ndim != 3 or A.shape[0] != lat.size or A.shape[1] < A.shape[2]:
+        raise ValueError(f"expected a ({lat.size}, M, N) transfer matrix with M >= N, got {A.shape}")
+    w, V = _eigh(_matmul(_adjoint(A), A))
+    square = A.shape[1] == A.shape[2]
     delta = float(np.sqrt(np.clip(w, 0.0, None).prod(axis=1).min())) if square else None
-    return _report(w, T.lattice, tol_factor, "transfer",
+    return _report(w, lat, tol_factor, "transfer",
                    VERDICT_RIESZ if square else VERDICT_FRAME, delta, (w, V))
 
 
@@ -221,17 +201,17 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     return _report(_eigh(gram, vectors=False), lat, tol_factor, "gram", VERDICT_RIESZ)
 
 
-def left_inverse_family(T: TransferMatrix, report: FrameReport,
-                        C: TransferMatrix | None = None) -> TransferMatrix:
+def left_inverse_family(A, report: FrameReport, C=None) -> np.ndarray:
     """Left inverses B_hat = A_dag + C (I - A A_dag), parametrized by C.
 
-    ``report`` is ``frame_bounds(T)``; a system that fails it is refused
-    with SingularTransfer, so no NaN/Inf is returned.  A_dag is the
-    per-xi Moore-Penrose left inverse (A* A)^{-1} A* = V diag(1/w) V* A*,
-    read from the eigenpairs (w, V) the report carries, the member
-    C = None.  Every member satisfies ``B_hat(xi) A_hat(xi) = I`` for all
-    xi; for square systems the projector I - A A_dag vanishes and C is
-    irrelevant.
+    ``A`` is a (|Lambda|, M, N) transfer matrix and ``report`` is
+    ``frame_bounds(A, lat)``; a system that fails it is refused with
+    SingularTransfer, so no NaN/Inf is returned.  A_dag is the per-xi
+    Moore-Penrose left inverse (A* A)^{-1} A* = V diag(1/w) V* A*, read
+    from the eigenpairs (w, V) the report carries, the member C = None.
+    C and the result are (|Lambda|, N, M).  Every member satisfies
+    ``B_hat(xi) A_hat(xi) = I`` for all xi; for square systems the
+    projector I - A A_dag vanishes and C is irrelevant.
     """
     if not report.passed:
         xi = report.witnesses[0]
@@ -239,13 +219,13 @@ def left_inverse_family(T: TransferMatrix, report: FrameReport,
             f"transfer matrix is singular at dual index {xi} "
             f"(alpha={report.alpha:.3e}, beta={report.beta:.3e})",
             witness_xi=xi, witness_point=report.witness_points[0])
-    if report.eigenpairs is None or report.eigenpairs[0].shape != (T.lattice.size, T.n):
-        raise ValueError("report must be frame_bounds(T) of this transfer matrix")
+    if (report.eigenpairs is None or report.eigenpairs[0].shape != (A.shape[0], A.shape[2])
+            or A.shape[1] < A.shape[2]):
+        raise ValueError("report must be frame_bounds(A) of this transfer matrix")
     w, V = report.eigenpairs
-    dag = _matmul(V / w[:, None, :], _matmul(_adjoint(V), _adjoint(T.values)))
+    dag = _matmul(V / w[:, None, :], _matmul(_adjoint(V), _adjoint(A)))
     if C is None:
-        return TransferMatrix(T.lattice, dag)
-    if C.values.shape != dag.shape:
-        raise ValueError(f"C must have shape {dag.shape}, got {C.values.shape}")
-    proj = np.eye(T.m) - _matmul(T.values, dag)
-    return TransferMatrix(T.lattice, dag + _matmul(C.values, proj))
+        return dag
+    if np.shape(C) != dag.shape:
+        raise ValueError(f"C must have shape {dag.shape}, got {np.shape(C)}")
+    return dag + _matmul(C, np.eye(A.shape[1]) - _matmul(A, dag))

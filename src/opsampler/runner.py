@@ -8,6 +8,10 @@ is numpy's SFC64 bit generator, seeded through ``SeedSequence(seed)``;
 its name is recorded in the report.  Each ``random_hs`` operator is one
 draw straight into its slot of the fiber stack.
 
+The pipeline passes plain arrays with the lattice: the generator fibers
+P and averager fibers Q (one stack each; without averagers Q is P), the
+transfer matrix, and the reconstructor fibers.
+
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure
 (a builder's refusal, a Riesz or frame verdict that fails, or a
 roundtrip error above tolerance).  Every exit 2 report carries one
@@ -27,12 +31,10 @@ import numpy as np
 from .builders import build_operator, rand_complex
 from .config import ExperimentConfig, config_echo
 from .errors import ConfigError, SingularTransfer
-from .frames import TransferMatrix, frame_bounds
+from .frames import frame_bounds, gram_matrix_bounds
 from .gridio import write_dual_values, write_phase_grid, write_transfer
 from .lattice import Lattice, periodize_sq, unfibers
 from .sampling import (
-    AveragerSet,
-    GeneratorSet,
     average_samples,
     build_reconstructor_multi,
     interpolation_check,
@@ -73,8 +75,9 @@ def _failure(report: dict, message: str, xi: int, point) -> None:
 
 
 def _start(cfg: ExperimentConfig, command: str, rng):
-    """The report header and the (generators, averagers) sets, both held as
-    fibers; the sets are None when a builder refuses, with the failure recorded."""
+    """The lattice, the report header and the (generator, averager) fiber
+    stacks (P, Q); the stacks are None when a builder refuses, with the
+    failure recorded."""
     lat = Lattice(cfg.L, cfg.a, cfg.b)
     report = {
         "command": command,
@@ -86,29 +89,29 @@ def _start(cfg: ExperimentConfig, command: str, rng):
         },
     }
     try:
-        gens = GeneratorSet.build(_fibers(cfg.generators, lat, rng), lat, tol_factor=cfg.tol_pos)
-        # without averagers the generators average themselves: reuse their fibers
-        avgs = (AveragerSet(lat, gens.fibers) if cfg.averagers is None
-                else AveragerSet.build(_fibers(cfg.averagers, lat, rng), lat))
+        P = _fibers(cfg.generators, lat, rng)
+        # without averagers the generators average themselves
+        Q = P if cfg.averagers is None else _fibers(cfg.averagers, lat, rng)
     except SingularTransfer as exc:  # a builder's refusal (whitening)
         _failure(report, str(exc), exc.witness_xi, exc.witness_point)
-        return report, None
-    return report, (gens, avgs)
+        return lat, report, None
+    return lat, report, (P, Q)
 
 
-def _verdicts(report: dict, gens: GeneratorSet, avgs: AveragerSet, tol_factor: float):
+def _verdicts(report: dict, P, Q, lat: Lattice, tol_factor: float):
     """Record the Riesz and frame reports; the first failing one writes the
     failure block at its first witness.  Returns the transfer matrix and its report."""
-    That = system_transfer(gens, avgs)
-    system = frame_bounds(That, tol_factor=tol_factor)
-    report["generator_riesz"] = gens.riesz.to_jsonable()
+    riesz = gram_matrix_bounds(P, lat, tol_factor)
+    A = system_transfer(P, Q, lat)
+    system = frame_bounds(A, lat, tol_factor)
+    report["generator_riesz"] = riesz.to_jsonable()
     report["system_frame"] = system.to_jsonable()
-    failing = next((rep for rep in (gens.riesz, system) if not rep.passed), None)
+    failing = next((rep for rep in (riesz, system) if not rep.passed), None)
     if failing is not None:
         xi = failing.witnesses[0]
         _failure(report, f"{failing.kind} condition failed at dual index {xi}",
                  xi, failing.witness_points[0])
-    return That, system
+    return A, system
 
 
 def _finish(report: dict, started: float) -> tuple[dict, int]:
@@ -122,9 +125,9 @@ def _finish(report: dict, started: float) -> tuple[dict, int]:
 def run_analyze(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Riesz verdict for the generators plus frame verdict for the system."""
     started = time.monotonic()
-    report, sets = _start(cfg, "analyze", _make_rng(cfg.seed))
-    if sets is not None:
-        _verdicts(report, *sets, cfg.tol_pos)
+    lat, report, stacks = _start(cfg, "analyze", _make_rng(cfg.seed))
+    if stacks is not None:
+        _verdicts(report, *stacks, lat, cfg.tol_pos)
     return _finish(report, started)
 
 
@@ -134,40 +137,38 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     if cfg.seed is None:
         raise ConfigError("roundtrip draws random coefficients and needs a seed", field="seed")
     rng = _make_rng(cfg.seed)
-    report, sets = _start(cfg, "roundtrip", rng)
-    if sets is None:
+    lat, report, stacks = _start(cfg, "roundtrip", rng)
+    if stacks is None:
         return _finish(report, started)
-    gens, avgs = sets
-    That, system = _verdicts(report, gens, avgs, cfg.tol_pos)
+    P, Q = stacks
+    A, system = _verdicts(report, P, Q, lat, cfg.tol_pos)
     if "failure" in report:
         return _finish(report, started)
 
-    lat = gens.lattice
-    c = rand_complex(rng, (gens.n, lat.size))
-    C = None
-    if cfg.c_matrix == "random":
-        C = TransferMatrix(lat, rand_complex(rng, (lat.size, gens.n, avgs.m)))
-    rec = build_reconstructor_multi(gens, That, system, C)
+    n, m = len(P), len(Q)
+    c = rand_complex(rng, (n, lat.size))
+    C = rand_complex(rng, (lat.size, n, m)) if cfg.c_matrix == "random" else None
+    H = build_reconstructor_multi(P, A, system, C)
 
     # the element, its samples and its reconstruction, all as fibers:
     # reconstruction is synthesis from the reconstructors
-    P = synthesize_element(c, gens.fibers, lat)
-    P_rec = synthesize_element(average_samples(P, avgs), rec.fibers, lat)
-    err = relative_error(P_rec, P)
+    E = synthesize_element(c, P, lat)
+    E_rec = synthesize_element(average_samples(E, Q, lat), H, lat)
+    err = relative_error(E_rec, E)
     report["reconstruction"] = {
         "c_matrix": cfg.c_matrix,
         "relative_error": err,
         "tolerance": cfg.tolerance,
         "pass": bool(err <= cfg.tolerance),
     }
-    if avgs.m == gens.n:
-        ok, dev = interpolation_check(rec, avgs, tol=cfg.tolerance)
+    if m == n:
+        ok, dev = interpolation_check(H, Q, lat, n, tol=cfg.tolerance)
         report["interpolation"] = {"max_deviation": dev, "pass": bool(ok)}
     else:
         report["interpolation"] = None
     if not report["reconstruction"]["pass"]:
         # witnessed by the fiber the reconstruction misses most
-        xi = int(np.argmax(np.linalg.norm(P_rec - P, axis=-1)))
+        xi = int(np.argmax(np.linalg.norm(E_rec - E, axis=-1)))
         _failure(report, f"relative error {err:.3e} above tolerance {cfg.tolerance:.3e}",
                  xi, lat.dual_points[xi])
     return _finish(report, started)
@@ -181,11 +182,10 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
         if kind not in EXPORT_KINDS:
             raise ConfigError(f"unknown export kind {kind!r}; expected one of {EXPORT_KINDS}")
     os.makedirs(out_dir, exist_ok=True)
-    report, sets = _start(cfg, "export", _make_rng(cfg.seed))
-    if sets is None:
+    lat, report, stacks = _start(cfg, "export", _make_rng(cfg.seed))
+    if stacks is None:
         return _finish(report, started)
-    gens, avgs = sets
-    lat = gens.lattice
+    P, Q = stacks
     files = []
 
     def _emit(name, writer, *args):
@@ -195,18 +195,17 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
 
     for kind in kinds:
         if kind == "symbols":
-            for n in range(gens.n):
+            for n in range(len(P)):
                 # the symbol is the symplectic FT of the trace transform (self-inverse)
-                _emit(f"symbols_g{n}.csv", write_phase_grid,
-                      symplectic_ft(unfibers(gens.fibers[n], lat)))
+                _emit(f"symbols_g{n}.csv", write_phase_grid, symplectic_ft(unfibers(P[n], lat)))
         elif kind == "wigner":
-            for n in range(gens.n):
-                _emit(f"wigner_g{n}.csv", write_phase_grid, unfibers(gens.fibers[n], lat))
+            for n in range(len(P)):
+                _emit(f"wigner_g{n}.csv", write_phase_grid, unfibers(P[n], lat))
         elif kind == "periodization":
-            for n in range(gens.n):
+            for n in range(len(P)):
                 _emit(f"periodization_g{n}.csv", write_dual_values,
-                      periodize_sq(unfibers(gens.fibers[n], lat), lat))
+                      periodize_sq(unfibers(P[n], lat), lat))
         elif kind == "transfer":
-            _emit("transfer.csv", write_transfer, system_transfer(gens, avgs).values)
+            _emit("transfer.csv", write_transfer, system_transfer(P, Q, lat))
     report["export"] = {"what": list(kinds), "directory": str(out_dir), "files": files}
     return _finish(report, started)

@@ -23,8 +23,12 @@ one-generator theorem is the system N = M = 1: for a filter q without
 zeros on the dual grid, the reconstructor's fibers are those of S / series(q).
 
 Every stage runs on the dual grid, on the (|Lambda|, a*b) adjoint-coset
-fibers P of the operators' trace transforms (see ``lattice`` and
-``weyl``), which is the form the builders yield.  Every array argument
+fibers of the operators' trace transforms (see ``lattice`` and
+``weyl``), which is the form the builders yield.  The pipeline passes
+plain arrays: generator fibers P (N, |Lambda|, a*b), averager fibers Q
+and reconstructor fibers H (M, |Lambda|, a*b), transfer matrices
+(|Lambda|, M, N) and left inverses (|Lambda|, N, M); every function
+that needs the lattice takes it as ``lat``.  Every array argument
 of every function here is fibers, never an operator kernel, even at
 a*b = L where the two have the same shape: no stage reads an operator, so
 none is ever formed.  Two identities do the rest, both exact since the
@@ -47,25 +51,18 @@ same things directly; they live with the test suite as its oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularTransfer
 from .frames import (
     DEFAULT_TOL_FACTOR,
     FrameReport,
-    TransferMatrix,
     _matmul,
-    gram_matrix_bounds,
     left_inverse_family,
 )
 from .lattice import Lattice, inverse_symplectic_series, symplectic_series
 
 __all__ = [
-    "GeneratorSet",
-    "AveragerSet",
-    "Reconstructor",
     "synthesize_element",
     "average_samples",
     "system_transfer",
@@ -74,56 +71,6 @@ __all__ = [
     "whiten_generator",
     "relative_error",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """N generators over a lattice, as the fibers of their trace transforms,
-    with the Riesz report of their translates."""
-
-    lattice: Lattice
-    fibers: np.ndarray       # (N, size, n_adjoint)
-    riesz: FrameReport
-
-    @staticmethod
-    def build(P, lattice: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> "GeneratorSet":
-        """The set of the generators with the (N, |Lambda|, a*b) fibers P."""
-        P = _fiber_stack(P, lattice)
-        return GeneratorSet(lattice, P, gram_matrix_bounds(P, lattice, tol_factor))
-
-    @property
-    def n(self) -> int:
-        return self.fibers.shape[0]
-
-
-@dataclass(frozen=True)
-class AveragerSet:
-    """M averaging operators over a lattice, as the fibers of their trace transforms."""
-
-    lattice: Lattice
-    fibers: np.ndarray       # (M, size, n_adjoint)
-
-    @staticmethod
-    def build(P, lattice: Lattice) -> "AveragerSet":
-        """The set of the averagers with the (M, |Lambda|, a*b) fibers P."""
-        return AveragerSet(lattice, _fiber_stack(P, lattice))
-
-    @property
-    def m(self) -> int:
-        return self.fibers.shape[0]
-
-
-@dataclass(frozen=True)
-class Reconstructor:
-    """Reconstruction operators H_m, as the fibers of their trace
-    transforms, plus the left inverse they came from."""
-
-    fibers: np.ndarray       # (M, size, n_adjoint)
-    left_inverse: TransferMatrix
-
-    @property
-    def m(self) -> int:
-        return self.fibers.shape[0]
 
 
 def _fiber_stack(P, lat: Lattice, ndim: int = 3) -> np.ndarray:
@@ -173,23 +120,23 @@ def synthesize_element(c, P, lat: Lattice) -> np.ndarray:
     return _combine(symplectic_series(c, lat).T[:, None, :], P)[0]
 
 
-def average_samples(P, avg: AveragerSet) -> np.ndarray:
+def average_samples(E, Q, lat: Lattice) -> np.ndarray:
     """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS of the element T with
-    the (|Lambda|, a*b) fibers P, shape (M, size)."""
-    P = _fiber_stack(P, avg.lattice, ndim=2)
-    return _pairings(P[None], avg.fibers, avg.lattice)[:, 0]
+    the (|Lambda|, a*b) fibers E, from the (M, |Lambda|, a*b) averager
+    fibers Q; shape (M, size)."""
+    E = _fiber_stack(E, lat, ndim=2)
+    return _pairings(E[None], _fiber_stack(Q, lat), lat)[:, 0]
 
 
-def system_transfer(gens: GeneratorSet, avg: AveragerSet) -> TransferMatrix:
-    """Transfer matrix of the filter system: the coset Gram of the fibers, no series."""
-    if gens.lattice != avg.lattice:
-        raise ValueError("generator and averager sets must share a lattice")
-    return TransferMatrix(gens.lattice, _coset_gram(gens.fibers, avg.fibers, gens.lattice))
+def system_transfer(P, Q, lat: Lattice) -> np.ndarray:
+    """(|Lambda|, M, N) transfer matrix of the filter system of the generator
+    fibers P and the averager fibers Q: their coset Gram, no series."""
+    return _coset_gram(_fiber_stack(P, lat), _fiber_stack(Q, lat), lat)
 
 
-def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: FrameReport,
-                              C: TransferMatrix | None = None) -> Reconstructor:
-    """Reconstruction operators from a transfer matrix T (M >= N) and its
+def build_reconstructor_multi(P, A, report: FrameReport, C=None) -> np.ndarray:
+    """Fibers (M, |Lambda|, a*b) of the reconstruction operators H_m, from the
+    generator fibers P, the transfer matrix A (M >= N) and its
     ``frame_bounds`` report; ``left_inverse_family`` refuses when the system
     is not a frame.
 
@@ -197,28 +144,24 @@ def build_reconstructor_multi(gens: GeneratorSet, T: TransferMatrix, report: Fra
     C-parametrized member), the m-th operator is sum_n sum_lambda
     B[n, m](lambda) alpha_lambda(S_n), with fibers sum_n B_hat[xi, n, m] * P_{S_n}[xi, mu].
     """
-    if T.m < gens.n:
-        raise ValueError(f"need at least as many averagers as generators, got M={T.m} < N={gens.n}")
-    if T.n != gens.n:
-        raise ValueError(f"system has {T.n} input channels but there are {gens.n} generators")
-    Bhat = left_inverse_family(T, report, C)
-    return Reconstructor(_combine(Bhat.values.transpose(0, 2, 1), gens.fibers), Bhat)
+    if A.shape[2] != len(P):
+        raise ValueError(f"system has {A.shape[2]} input channels but there are {len(P)} generators")
+    return _combine(left_inverse_family(A, report, C).transpose(0, 2, 1), P)
 
 
-def interpolation_check(rec: Reconstructor, avg: AveragerSet, tol: float = 1e-9):
+def interpolation_check(H, Q, lat: Lattice, n_gens: int, tol: float = 1e-9):
     """Check the square-system interpolation pattern of the reconstructors.
 
-    For M == N the samples of each H_n must be the delta pattern
-    delta_{n,n'} delta_{lambda,0}.  Returns (passed, max_deviation).
+    For M == N the samples of each H_n (fibers H) against the averagers
+    (fibers Q) must be the delta pattern delta_{n,n'} delta_{lambda,0}.
+    Returns (passed, max_deviation).
     """
-    if rec.m != avg.m:
-        raise ValueError(f"reconstructor has {rec.m} channels but averager has {avg.m}")
-    n_gens = rec.left_inverse.m
-    if rec.m != n_gens:
-        raise ValueError(f"interpolation pattern needs a square system, got M={rec.m}, N={n_gens}")
-    s = _pairings(rec.fibers, avg.fibers, avg.lattice)  # s[:, n]: samples of H_n
+    if not len(H) == len(Q) == n_gens:
+        raise ValueError(f"interpolation pattern needs a square system, got {len(H)} "
+                         f"reconstructors, {len(Q)} averagers and {n_gens} generators")
+    s = _pairings(H, Q, lat)  # s[:, n]: samples of H_n
     expect = np.zeros_like(s)
-    expect[:, :, 0] = np.eye(rec.m)
+    expect[:, :, 0] = np.eye(n_gens)
     dev = float(np.abs(s - expect).max())
     return dev <= tol, dev
 

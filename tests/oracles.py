@@ -32,7 +32,6 @@ over leading axes, slice by slice bit for bit.
 import numpy as np
 
 from opsampler.core import _divide_real, half_inverse
-from opsampler.frames import TransferMatrix
 from opsampler.lattice import (
     Lattice,
     _as_seq,
@@ -320,20 +319,22 @@ class ConvolutionMatrix:
         return inverse_symplectic_series(hat, lat)
 
 
-def transfer_matrix(A: ConvolutionMatrix) -> TransferMatrix:
-    """Entrywise symplectic series of the system, evaluated on the dual grid."""
-    return TransferMatrix(A.lattice, np.moveaxis(symplectic_series(A.seqs, A.lattice), -1, 0))
+def transfer_matrix(A: ConvolutionMatrix) -> np.ndarray:
+    """Entrywise symplectic series of the system, evaluated on the dual grid:
+    the (size, M, N) transfer matrix."""
+    return np.moveaxis(symplectic_series(A.seqs, A.lattice), -1, 0)
 
 
-def dual_sequences(B: TransferMatrix) -> ConvolutionMatrix:
-    """Entrywise inverse symplectic series of a transfer matrix."""
-    return ConvolutionMatrix(B.lattice, inverse_symplectic_series(np.moveaxis(B.values, 0, -1), B.lattice))
+def dual_sequences(B, lat: Lattice) -> ConvolutionMatrix:
+    """Entrywise inverse symplectic series of a (size, M, N) transfer matrix."""
+    return ConvolutionMatrix(lat, inverse_symplectic_series(np.moveaxis(B, 0, -1), lat))
 
 
-def sample_filter_matrix(gens, avg) -> ConvolutionMatrix:
-    """The M x N filter system A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS, so that
-    average_samples(synthesize_element(c, P, lat)) == A * c."""
-    return dual_sequences(system_transfer(gens, avg))
+def sample_filter_matrix(P, Q, lat: Lattice) -> ConvolutionMatrix:
+    """The M x N filter system A[m, n](lambda) = <S_n, alpha_lambda(Q_m)>_HS of the
+    generator fibers P and averager fibers Q, so that
+    average_samples(synthesize_element(c, P, lat), Q, lat) == A * c."""
+    return dual_sequences(system_transfer(P, Q, lat), lat)
 
 
 def seq_operator_convolve(c, S, lat: Lattice) -> np.ndarray:

@@ -10,11 +10,9 @@ import time
 import numpy as np
 
 from opsampler.cli import main
-from opsampler.frames import TransferMatrix, frame_bounds, gram_matrix_bounds
+from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
 from opsampler.lattice import Lattice, fibers, periodize_sq
 from opsampler.sampling import (
-    AveragerSet,
-    GeneratorSet,
     average_samples,
     build_reconstructor_multi,
     interpolation_check,
@@ -113,11 +111,11 @@ def test_criterion_04_samples_are_convolutions():
     worst = 0.0
     for n, m in ((1, 1), (1, 2), (2, 2), (2, 3)):
         for _ in range(50):
-            gens = GeneratorSet.build(trace_fibers([rand_op(15) for _ in range(n)], lat), lat)
-            avgs = AveragerSet.build(trace_fibers([rand_op(15) for _ in range(m)], lat), lat)
-            A = sample_filter_matrix(gens, avgs)
+            P = trace_fibers([rand_op(15) for _ in range(n)], lat)
+            Q = trace_fibers([rand_op(15) for _ in range(m)], lat)
+            A = sample_filter_matrix(P, Q, lat)
             c = rand_coeffs(n, lat)
-            s = average_samples(synthesize_element(c, gens.fibers, lat), avgs)
+            s = average_samples(synthesize_element(c, P, lat), Q, lat)
             dev = np.linalg.norm(s - A.convolve(c)) / np.linalg.norm(s)
             worst = max(worst, dev)
     ok = worst <= 1e-9
@@ -132,13 +130,13 @@ def test_criterion_05_single_generator_roundtrip():
     for L, a, b in ((15, 3, 5), (33, 3, 11)):
         lat = Lattice(L, a, b)
         S = rand_op(L)
-        gens = GeneratorSet.build(trace_fibers([S], lat), lat)
-        for Q in (S, rand_op(L)):
-            avgs = AveragerSet.build(trace_fibers([Q], lat), lat)
-            That = transfer_matrix(sample_filter_matrix(gens, avgs))
-            rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-            T = synthesize_element(rand_coeffs(1, lat), gens.fibers, lat)
-            T_rec = synthesize_element(average_samples(T, avgs), rec.fibers, lat)
+        P = trace_fibers([S], lat)
+        for averager in (S, rand_op(L)):
+            Q = trace_fibers([averager], lat)
+            That = transfer_matrix(sample_filter_matrix(P, Q, lat))
+            H = build_reconstructor_multi(P, That, frame_bounds(That, lat))
+            T = synthesize_element(rand_coeffs(1, lat), P, lat)
+            T_rec = synthesize_element(average_samples(T, Q, lat), H, lat)
             # the error of the fibers and of the operators they quantize
             worst = max(worst, relative_error(T_rec, T), operator_error(T_rec, T, lat))
     elapsed = time.monotonic() - started
@@ -150,21 +148,20 @@ def test_criterion_05_single_generator_roundtrip():
 
 def test_criterion_06_oversampled_roundtrip_and_left_inverse():
     lat = Lattice(15, 3, 5)
-    gens = GeneratorSet.build(trace_fibers([rand_op(15), rand_op(15)], lat), lat)
-    avgs = AveragerSet.build(trace_fibers([rand_op(15) for _ in range(3)], lat), lat)
-    A = sample_filter_matrix(gens, avgs)
+    P = trace_fibers([rand_op(15), rand_op(15)], lat)
+    Q = trace_fibers([rand_op(15) for _ in range(3)], lat)
+    A = sample_filter_matrix(P, Q, lat)
     That = transfer_matrix(A)
-    T = synthesize_element(rand_coeffs(2, lat), gens.fibers, lat)
-    s = average_samples(T, avgs)
+    T = synthesize_element(rand_coeffs(2, lat), P, lat)
+    s = average_samples(T, Q, lat)
     worst_err, worst_res = 0.0, 0.0
-    C = TransferMatrix(lat, rng.standard_normal((lat.size, 2, 3))
-                       + 1j * rng.standard_normal((lat.size, 2, 3)))
-    report = frame_bounds(That)
+    C = rng.standard_normal((lat.size, 2, 3)) + 1j * rng.standard_normal((lat.size, 2, 3))
+    report = frame_bounds(That, lat)
     for free in (None, C):
-        rec = build_reconstructor_multi(gens, That, report, free)
-        T_rec = synthesize_element(s, rec.fibers, lat)
+        H = build_reconstructor_multi(P, That, report, free)
+        T_rec = synthesize_element(s, H, lat)
         worst_err = max(worst_err, relative_error(T_rec, T), operator_error(T_rec, T, lat))
-        prod = np.einsum("xnm,xmk->xnk", rec.left_inverse.values, That.values)
+        prod = np.einsum("xnm,xmk->xnk", left_inverse_family(That, report, free), That)
         worst_res = max(worst_res, float(np.abs(prod - np.eye(2)).max()))
     ok = worst_err <= 1e-9 and worst_res <= 1e-10
     _report(6, "oversampled-roundtrip", ok,
@@ -176,16 +173,16 @@ def test_criterion_07_interpolation_property():
     lat = Lattice(15, 3, 5)
     worst = worst_ops = 0.0
     for n in (1, 2):
-        gens = GeneratorSet.build(trace_fibers([rand_op(15) for _ in range(n)], lat), lat)
-        Q = [rand_op(15) for _ in range(n)]
-        avgs = AveragerSet.build(trace_fibers(Q, lat), lat)
-        That = transfer_matrix(sample_filter_matrix(gens, avgs))
-        rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-        _, dev = interpolation_check(rec, avgs)
+        P = trace_fibers([rand_op(15) for _ in range(n)], lat)
+        ops = [rand_op(15) for _ in range(n)]
+        Q = trace_fibers(ops, lat)
+        That = transfer_matrix(sample_filter_matrix(P, Q, lat))
+        H = build_reconstructor_multi(P, That, frame_bounds(That, lat))
+        _, dev = interpolation_check(H, Q, lat, n)
         worst = max(worst, dev)
         # the quantized operators H_n, paired with the translated averagers
-        H = operator_of(rec.fibers, lat)
-        s = np.array([[[hs_inner(H[k], translate_operator(tuple(lam), Q[m]))
+        Hops = operator_of(H, lat)
+        s = np.array([[[hs_inner(Hops[k], translate_operator(tuple(lam), ops[m]))
                         for lam in points(lat)] for k in range(n)] for m in range(n)])
         expect = np.zeros_like(s)
         expect[:, :, 0] = np.eye(n)
@@ -203,7 +200,7 @@ def test_criterion_08_riesz_criterion_equivalence():
         aS = weyl_symbol(S)
         q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in points(lat)])
         P = periodize_sq(fourier_wigner(S), lat)
-        return (frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None]))).passed,
+        return (frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])), lat).passed,
                 gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat).passed,
                 bool(P.min() > 1e-10 * P.max()))
 
@@ -226,10 +223,10 @@ def test_criterion_09_empirical_frame_inequality():
     slack = 1e-12
     ok = True
     for n, m in ((1, 1), (1, 2), (2, 2), (2, 3)):
-        gens = GeneratorSet.build(trace_fibers([rand_op(15) for _ in range(n)], lat), lat)
-        avgs = AveragerSet.build(trace_fibers([rand_op(15) for _ in range(m)], lat), lat)
-        A = sample_filter_matrix(gens, avgs)
-        rep = frame_bounds(transfer_matrix(A))
+        P = trace_fibers([rand_op(15) for _ in range(n)], lat)
+        Q = trace_fibers([rand_op(15) for _ in range(m)], lat)
+        A = sample_filter_matrix(P, Q, lat)
+        rep = frame_bounds(transfer_matrix(A), lat)
         for _ in range(100):
             c = rand_coeffs(n, lat)
             energy = np.linalg.norm(A.convolve(c)) ** 2

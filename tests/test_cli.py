@@ -19,8 +19,6 @@ from opsampler.lattice import Lattice, unfibers
 from opsampler.report import canonical_json
 from opsampler.runner import _fibers, _make_rng, run_analyze, run_export, run_roundtrip
 from opsampler.sampling import (
-    AveragerSet,
-    GeneratorSet,
     average_samples,
     build_reconstructor_multi,
     synthesize_element,
@@ -208,22 +206,22 @@ def test_roundtrip_without_seed_is_config_error(tmp_path, capsys):
 
 def test_roundtrip_tolerance_flag(tmp_path, capsys):
     # an absurdly tight tolerance turns a pass into a condition failure
-    rc = main(["roundtrip", "--config", write_cfg(tmp_path, BASE), "--tolerance", "1e-30"])
+    data = dict(BASE, tolerance=1e-30)
+    rc = main(["roundtrip", "--config", write_cfg(tmp_path, data)])
     report = json.loads(capsys.readouterr().out)
     assert rc == 2
     assert report["reconstruction"]["pass"] is False
     # the failure is witnessed by the dual index whose fiber the reconstruction
     # misses most, recomputed here from the same draws
-    cfg = parse_config(BASE)
+    cfg = parse_config(data)
     rng = _make_rng(cfg.seed)
     lat = Lattice(cfg.L, cfg.a, cfg.b)
-    gens = GeneratorSet.build(_fibers(cfg.generators, lat, rng), lat)
-    avgs = AveragerSet(lat, gens.fibers)
-    That = system_transfer(gens, avgs)
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    P = synthesize_element(rand_complex(rng, (gens.n, lat.size)), gens.fibers, lat)
-    P_rec = synthesize_element(average_samples(P, avgs), rec.fibers, lat)
-    xi = int(np.argmax(np.linalg.norm(P_rec - P, axis=-1)))
+    P = _fibers(cfg.generators, lat, rng)
+    A = system_transfer(P, P, lat)
+    H = build_reconstructor_multi(P, A, frame_bounds(A, lat))
+    E = synthesize_element(rand_complex(rng, (len(P), lat.size)), P, lat)
+    E_rec = synthesize_element(average_samples(E, P, lat), H, lat)
+    xi = int(np.argmax(np.linalg.norm(E_rec - E, axis=-1)))
     failure = report["failure"]
     assert failure["witness_xi"] == xi
     assert failure["witness_point"] == lat.dual_points[xi].tolist()
@@ -328,14 +326,6 @@ def test_csv_grid_headers(tmp_path):
 
 # ------------------------------------------------ repeated calls in one process
 
-def test_tolerance_flag_does_not_leak_into_next_call(tmp_path, capsys):
-    path = write_cfg(tmp_path, dict(BASE, tolerance=1e-9))
-    assert main(["roundtrip", "--config", path, "--tolerance", "1e-300"]) == 2
-    assert json.loads(capsys.readouterr().out)["reconstruction"]["tolerance"] == 1e-300
-    assert main(["roundtrip", "--config", path]) == 0
-    assert json.loads(capsys.readouterr().out)["reconstruction"]["tolerance"] == 1e-9
-
-
 def test_export_kind_does_not_leak_into_next_call(tmp_path, capsys):
     path = write_cfg(tmp_path, BASE)
     assert main(["export", "--config", path, "--out", str(tmp_path / "one"), "--what", "wigner"]) == 0
@@ -347,11 +337,24 @@ def test_export_kind_does_not_leak_into_next_call(tmp_path, capsys):
     assert {name.split("_")[0].split(".")[0] for name in manifest["files"]} == set(manifest["what"])
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["analyze"], 1),                                                   # no --config
+    (["roundtrip", "--config", "cfg.json", "--tolerance", "1e-9"], 1),  # an unknown flag
+    (["--help"], 0),
+], ids=["no-config", "unknown-flag", "help"])
+def test_command_line_usage_exit_codes(capsys, argv, code):
+    # argparse's usage errors are config errors (exit 1), never a condition
+    # failure (exit 2); --help is a pass
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "usage: opsampler" in (captured.err if code else captured.out)
+
+
 def test_rejected_arguments_leave_next_call_as_in_fresh_process(tmp_path, capsys):
     path = write_cfg(tmp_path, BASE)
-    with pytest.raises(SystemExit) as exc:
-        main(["export", "--config", path, "--what", "bogus"])
-    assert exc.value.code == 2
+    # a malformed command line is exit 1, as a config error; 2 is kept for
+    # condition failures
+    assert main(["export", "--config", path, "--what", "bogus"]) == 1
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
     assert main(["analyze", "--config", path]) == 0
     in_process = json.loads(capsys.readouterr().out)
@@ -363,21 +366,15 @@ def test_rejected_arguments_leave_next_call_as_in_fresh_process(tmp_path, capsys
 # ------------------------------------------------------------ config errors
 
 @pytest.mark.parametrize("key, literal", [
-    ("--tolerance", "nan"),
+    ("tolerance", "NaN"),       # Python's json reads it as nan
     ("tolerance", "1e400"),     # JSON reads it as inf
     ("tol_pos", "1e400"),
     ("tolerance", "1" + "0" * 400),     # an integer literal beyond the float range
-], ids=["flag-nan", "tolerance-1e400", "tol_pos-1e400", "tolerance-huge-int"])
+], ids=["tolerance-nan", "tolerance-1e400", "tol_pos-1e400", "tolerance-huge-int"])
 def test_non_finite_tolerance_is_config_error(tmp_path, capsys, key, literal):
-    text = json.dumps(BASE)
-    argv = []
-    if key.startswith("--"):
-        argv = [key, literal]
-    else:
-        text = text[:-1] + f', "{key}": {literal}}}'
     path = tmp_path / "cfg.json"
-    path.write_text(text)
-    rc = main(["roundtrip", "--config", str(path)] + argv)
+    path.write_text(json.dumps(BASE)[:-1] + f', "{key}": {literal}}}')
+    rc = main(["roundtrip", "--config", str(path)])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert key in captured.err
@@ -478,6 +475,27 @@ def test_export_transfer_computes_the_transfer_once(tmp_path, capsys, monkeypatc
     assert calls == {**SYSTEM_ONCE, "fourier_wigner": 0}
     lines = (out / "transfer.csv").read_text().splitlines()
     assert lines[0] == "xi_index,m,n,re,im" and len(lines) == 1 + size * m * n
+
+
+def test_export_factorizes_nothing(tmp_path, capsys, monkeypatch):
+    # export writes no verdict, so it computes neither the Riesz nor the frame
+    # report: N = 2 generators, so the 1 x 1 shortcut would not hide a call
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * 2, averagers=[{"kind": "random_hs"}] * 3)
+    path = write_cfg(tmp_path, data)
+    assert main(["export", "--config", path, "--out", str(tmp_path / "plain")]) == 0
+    plain = json.loads(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("export factorized a matrix")
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "patched"
+    assert main(["export", "--config", path, "--out", str(out)]) == 0
+    patched = json.loads(capsys.readouterr().out)
+    patched["export"]["directory"] = plain["export"]["directory"]
+    assert strip_timing(patched) == strip_timing(plain)
+    assert sorted(os.listdir(out)) == sorted(plain["export"]["files"])
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])

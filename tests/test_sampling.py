@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ from opsampler import runner
 from opsampler.config import parse_config
 
 from opsampler.errors import SingularTransfer
-from opsampler.frames import TransferMatrix, frame_bounds, gram_matrix_bounds, left_inverse_family
+from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
 from opsampler.lattice import (
     Lattice,
     fibers,
@@ -16,13 +14,12 @@ from opsampler.lattice import (
     symplectic_series,
 )
 from opsampler.sampling import (
-    AveragerSet,
-    GeneratorSet,
     average_samples,
     build_reconstructor_multi,
     interpolation_check,
     relative_error,
     synthesize_element,
+    system_transfer,
     whiten_generator,
 )
 from opsampler.weyl import symplectic_ft
@@ -57,12 +54,9 @@ def rand_coeffs(n, lat=LAT):
     return rng.standard_normal((n, lat.size)) + 1j * rng.standard_normal((n, lat.size))
 
 
-def gen_set(n, lat=LAT):
-    return GeneratorSet.build(trace_fibers([rand_op(lat.L) for _ in range(n)], lat), lat)
-
-
-def avg_set(m, lat=LAT):
-    return AveragerSet.build(trace_fibers([rand_op(lat.L) for _ in range(m)], lat), lat)
+def rand_fibers(k, lat=LAT):
+    """Fibers (k, |Lambda|, a*b) of k random operators."""
+    return trace_fibers([rand_op(lat.L) for _ in range(k)], lat)
 
 
 def operator_route_synthesis(c, ops, lat=LAT):
@@ -104,28 +98,28 @@ def failing_generator(lat=LAT):
 
 def test_synthesize_delta_coefficients():
     ops = [rand_op() for _ in range(2)]
-    gens = GeneratorSet.build(trace_fibers(ops, LAT), LAT)
+    P = trace_fibers(ops, LAT)
     c = np.zeros((2, LAT.size), complex)
     c[0, 0] = 1
-    assert np.allclose(synthesize_element(c, gens.fibers, LAT), gens.fibers[0], atol=1e-12)
-    assert np.allclose(operator_of(synthesize_element(c, gens.fibers, LAT), LAT), ops[0],
+    assert np.allclose(synthesize_element(c, P, LAT), P[0], atol=1e-12)
+    assert np.allclose(operator_of(synthesize_element(c, P, LAT), LAT), ops[0],
                        atol=1e-12)
 
 
 def test_synthesize_linearity():
-    gens = gen_set(2)
+    P = rand_fibers(2)
     c1, c2 = rand_coeffs(2), rand_coeffs(2)
-    lhs = synthesize_element(2.0 * c1 - 1j * c2, gens.fibers, LAT)
-    rhs = (2.0 * synthesize_element(c1, gens.fibers, LAT)
-           - 1j * synthesize_element(c2, gens.fibers, LAT))
+    lhs = synthesize_element(2.0 * c1 - 1j * c2, P, LAT)
+    rhs = (2.0 * synthesize_element(c1, P, LAT)
+           - 1j * synthesize_element(c2, P, LAT))
     assert np.allclose(lhs, rhs, atol=1e-11)
 
 
 def test_synthesize_two_routes_agree():
     ops = [rand_op() for _ in range(2)]
-    gens = GeneratorSet.build(trace_fibers(ops, LAT), LAT)
+    P = trace_fibers(ops, LAT)
     c = rand_coeffs(2)
-    symbol_route = operator_of(synthesize_element(c, gens.fibers, LAT), LAT)
+    symbol_route = operator_of(synthesize_element(c, P, LAT), LAT)
     operator_route = operator_route_synthesis(c, ops)
     assert np.linalg.norm(symbol_route - operator_route) <= 1e-10 * np.linalg.norm(operator_route)
 
@@ -134,24 +128,24 @@ def test_synthesize_two_routes_agree():
 
 def test_average_samples_at_origin():
     Q1 = rand_op()
-    avgs = AveragerSet.build(trace_fibers([Q1], LAT), LAT)
-    s = average_samples(avgs.fibers[0], avgs)
+    Q = trace_fibers([Q1], LAT)
+    s = average_samples(Q[0], Q, LAT)
     assert s[0, 0] == pytest.approx(hs_norm(Q1) ** 2, rel=1e-12)
 
 
 def test_average_samples_linearity():
-    avgs = avg_set(2)
+    Q = rand_fibers(2)
     T1, T2 = trace_fibers(rand_op(), LAT), trace_fibers(rand_op(), LAT)
-    lhs = average_samples(0.5j * T1 + 2.0 * T2, avgs)
-    rhs = 0.5j * average_samples(T1, avgs) + 2.0 * average_samples(T2, avgs)
+    lhs = average_samples(0.5j * T1 + 2.0 * T2, Q, LAT)
+    rhs = 0.5j * average_samples(T1, Q, LAT) + 2.0 * average_samples(T2, Q, LAT)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_average_samples_operator_route_oracle():
     ops = [rand_op() for _ in range(3)]
-    avgs = AveragerSet.build(trace_fibers(ops, LAT), LAT)
+    Q = trace_fibers(ops, LAT)
     T = rand_op()
-    s = average_samples(trace_fibers(T, LAT), avgs)
+    s = average_samples(trace_fibers(T, LAT), Q, LAT)
     for m in range(3):
         for i, lam in enumerate(points(LAT)):
             direct = hs_inner(T, translate_operator(tuple(lam), ops[m]))
@@ -162,27 +156,25 @@ def test_average_samples_operator_route_oracle():
 
 def test_filter_matrix_autocorrelation_origin():
     S = rand_op()
-    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
-    avgs = AveragerSet.build(trace_fibers([S], LAT), LAT)
-    A = sample_filter_matrix(gens, avgs)
+    P = trace_fibers([S], LAT)
+    Q = trace_fibers([S], LAT)
+    A = sample_filter_matrix(P, Q, LAT)
     assert A.seqs[0, 0, 0] == pytest.approx(hs_norm(S) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2), (2, 3)])
 def test_sampling_is_convolution(n, m):
-    gens, avgs = gen_set(n), avg_set(m)
-    A = sample_filter_matrix(gens, avgs)
+    P, Q = rand_fibers(n), rand_fibers(m)
+    A = sample_filter_matrix(P, Q, LAT)
     c = rand_coeffs(n)
-    s = average_samples(synthesize_element(c, gens.fibers, LAT), avgs)
+    s = average_samples(synthesize_element(c, P, LAT), Q, LAT)
     conv = A.convolve(c)
     assert np.linalg.norm(s - conv) <= 1e-9 * np.linalg.norm(s)
 
 
 def test_whitened_generator_gives_identity_system():
-    P = whiten_generator(trace_fibers(rand_op(), LAT), LAT)
-    gens = GeneratorSet.build([P], LAT)
-    avgs = AveragerSet.build([P], LAT)
-    A = sample_filter_matrix(gens, avgs)
+    P = whiten_generator(trace_fibers(rand_op(), LAT), LAT)[None]
+    A = sample_filter_matrix(P, P, LAT)
     delta = np.zeros(LAT.size, complex)
     delta[0] = 1
     assert np.abs(A.seqs[0, 0] - delta).max() <= 1e-10
@@ -213,56 +205,56 @@ def test_fiber_whitening_matches_the_operator_route(L, a, b):
 
 def test_single_reconstructor_delta_filter():
     S = rand_op()
-    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
+    P = trace_fibers([S], LAT)
     q = np.zeros(LAT.size, complex)
     q[0] = 1
     T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
-    rec = build_reconstructor_multi(gens, T, frame_bounds(T))
-    assert np.allclose(operator_of(rec.fibers[0], LAT), S, atol=1e-11)
+    H = build_reconstructor_multi(P, T, frame_bounds(T, LAT))
+    assert np.allclose(operator_of(H[0], LAT), S, atol=1e-11)
 
 
 def test_single_roundtrip_q_equals_s():
     S = rand_op()
-    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
-    avgs = AveragerSet.build(trace_fibers([S], LAT), LAT)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    T = synthesize_element(rand_coeffs(1), gens.fibers, LAT)
-    assert relative_error(synthesize_element(average_samples(T, avgs), rec.fibers, LAT), T) <= 1e-9
+    P = trace_fibers([S], LAT)
+    Q = trace_fibers([S], LAT)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    T = synthesize_element(rand_coeffs(1), P, LAT)
+    assert relative_error(synthesize_element(average_samples(T, Q, LAT), H, LAT), T) <= 1e-9
 
 
 def test_single_roundtrip_random_averager():
-    gens = gen_set(1)
-    avgs = avg_set(1)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    T = synthesize_element(rand_coeffs(1), gens.fibers, LAT)
-    assert relative_error(synthesize_element(average_samples(T, avgs), rec.fibers, LAT), T) <= 1e-9
+    P = rand_fibers(1)
+    Q = rand_fibers(1)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    T = synthesize_element(rand_coeffs(1), P, LAT)
+    assert relative_error(synthesize_element(average_samples(T, Q, LAT), H, LAT), T) <= 1e-9
 
 
 def test_single_reconstructor_refuses_zero_spectrum():
-    gens = gen_set(1)
+    P = rand_fibers(1)
     q = np.zeros(LAT.size, complex)
     q[0] = 1
     q[index_of(LAT, (3, 0))] -= 1.0  # series vanishes at xi = 0
     T = transfer_matrix(ConvolutionMatrix(LAT, q[None, None]))
     with pytest.raises(SingularTransfer) as err:
-        build_reconstructor_multi(gens, T, frame_bounds(T))
+        build_reconstructor_multi(P, T, frame_bounds(T, LAT))
     assert err.value.witness_xi is not None
 
 
 def test_single_filter_is_gated_on_squared_moduli():
     # |series q| ranges over [1e-7, 1]: its square falls below the 1e-10
     # gate, so the 1 x 1 system is refused at the dual index of the dip
-    gens = gen_set(1)
+    P = rand_fibers(1)
     F = np.ones(LAT.size, complex)
     F[3] = 1e-7
     T = transfer_matrix(ConvolutionMatrix(LAT, inverse_symplectic_series(F, LAT)[None, None]))
-    rep = frame_bounds(T)
+    rep = frame_bounds(T, LAT)
     assert rep.verdict == "fail" and rep.witnesses[0] == 3
     assert rep.alpha == pytest.approx(1e-14, rel=1e-6) and rep.beta == pytest.approx(1.0)
     with pytest.raises(SingularTransfer) as err:
-        build_reconstructor_multi(gens, T, rep)
+        build_reconstructor_multi(P, T, rep)
     assert err.value.witness_xi == 3
 
 
@@ -270,57 +262,55 @@ def test_single_filter_is_gated_on_squared_moduli():
 
 def test_multi_reduces_to_single():
     S = rand_op()
-    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
-    avgs = AveragerSet.build(trace_fibers([rand_op()], LAT), LAT)
-    A = sample_filter_matrix(gens, avgs)
+    P = trace_fibers([S], LAT)
+    Q = trace_fibers([rand_op()], LAT)
+    A = sample_filter_matrix(P, Q, LAT)
     That = transfer_matrix(A)
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
     # the one-generator closed form: the fibers of S divided by series(q)
-    closed = gens.fibers / symplectic_series(A.seqs[0, 0], LAT)[:, None]
-    assert np.allclose(rec.fibers, closed, atol=1e-9)
+    closed = P / symplectic_series(A.seqs[0, 0], LAT)[:, None]
+    assert np.allclose(H, closed, atol=1e-9)
 
 
 def test_multi_roundtrip_oversampled():
-    gens, avgs = gen_set(2), avg_set(3)
-    A = sample_filter_matrix(gens, avgs)
-    T = synthesize_element(rand_coeffs(2), gens.fibers, LAT)
-    s = average_samples(T, avgs)
+    P, Q = rand_fibers(2), rand_fibers(3)
+    A = sample_filter_matrix(P, Q, LAT)
+    T = synthesize_element(rand_coeffs(2), P, LAT)
+    s = average_samples(T, Q, LAT)
     That = transfer_matrix(A)
-    rep = frame_bounds(That)
-    rec0 = build_reconstructor_multi(gens, That, rep)
-    assert relative_error(synthesize_element(s, rec0.fibers, LAT), T) <= 1e-9
-    C = TransferMatrix(LAT, rng.standard_normal((LAT.size, 2, 3))
-                       + 1j * rng.standard_normal((LAT.size, 2, 3)))
-    recC = build_reconstructor_multi(gens, That, rep, C)
-    assert relative_error(synthesize_element(s, recC.fibers, LAT), T) <= 1e-9
+    rep = frame_bounds(That, LAT)
+    H0 = build_reconstructor_multi(P, That, rep)
+    assert relative_error(synthesize_element(s, H0, LAT), T) <= 1e-9
+    C = rng.standard_normal((LAT.size, 2, 3)) + 1j * rng.standard_normal((LAT.size, 2, 3))
+    HC = build_reconstructor_multi(P, That, rep, C)
+    assert relative_error(synthesize_element(s, HC, LAT), T) <= 1e-9
     # different left inverses, same reconstruction on the subspace
-    assert not np.allclose(operator_of(rec0.fibers, LAT), operator_of(recC.fibers, LAT))
+    assert not np.allclose(operator_of(H0, LAT), operator_of(HC, LAT))
 
 
 def test_multi_square_ignores_c():
-    gens, avgs = gen_set(2), avg_set(2)
-    A = sample_filter_matrix(gens, avgs)
-    C = TransferMatrix(LAT, rng.standard_normal((LAT.size, 2, 2))
-                       + 1j * rng.standard_normal((LAT.size, 2, 2)))
+    P, Q = rand_fibers(2), rand_fibers(2)
+    A = sample_filter_matrix(P, Q, LAT)
+    C = rng.standard_normal((LAT.size, 2, 2)) + 1j * rng.standard_normal((LAT.size, 2, 2))
     That = transfer_matrix(A)
-    rep = frame_bounds(That)
-    rec0 = build_reconstructor_multi(gens, That, rep)
-    recC = build_reconstructor_multi(gens, That, rep, C)
-    assert np.abs(operator_of(rec0.fibers, LAT) - operator_of(recC.fibers, LAT)).max() <= 1e-8
+    rep = frame_bounds(That, LAT)
+    H0 = build_reconstructor_multi(P, That, rep)
+    HC = build_reconstructor_multi(P, That, rep, C)
+    assert np.abs(operator_of(H0, LAT) - operator_of(HC, LAT)).max() <= 1e-8
 
 
 def test_multi_refuses_more_generators_than_averagers():
     # building the undersampled filter matrix is fine; its frame analysis
     # and the reconstructor are where M >= N is enforced
-    gens, avgs = gen_set(2), avg_set(1)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
+    P, Q = rand_fibers(2), rand_fibers(1)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
     with pytest.raises(ValueError):
-        frame_bounds(That)
+        frame_bounds(That, LAT)
     # even handed the passing report of a 2 x 2 system, the build refuses
-    square = frame_bounds(transfer_matrix(sample_filter_matrix(gens, avg_set(2))))
+    square = frame_bounds(transfer_matrix(sample_filter_matrix(P, rand_fibers(2), LAT)), LAT)
     assert square.passed
     with pytest.raises(ValueError):
-        build_reconstructor_multi(gens, That, square)
+        build_reconstructor_multi(P, That, square)
 
 
 def test_rank_deficient_square_system_is_refused():
@@ -332,54 +322,53 @@ def test_rank_deficient_square_system_is_refused():
     local = np.random.default_rng(2024)
     for _ in range(20):
         ops = local.standard_normal((4, 3, 3)) + 1j * local.standard_normal((4, 3, 3))
-        P = trace_fibers(ops, lat)
-        gens, avgs = GeneratorSet.build(P[:2], lat), AveragerSet.build(P[2:], lat)
-        A = sample_filter_matrix(gens, avgs)
+        P, Q = trace_fibers(ops[:2], lat), trace_fibers(ops[2:], lat)
+        A = sample_filter_matrix(P, Q, lat)
         T = transfer_matrix(A)
-        rep = frame_bounds(T)
+        rep = frame_bounds(T, lat)
         assert rep.verdict == "fail" and rep.alpha <= rep.tol and rep.delta is not None
         with pytest.raises(SingularTransfer):
             left_inverse_family(T, rep)
         with pytest.raises(SingularTransfer):
-            build_reconstructor_multi(gens, T, rep)
+            build_reconstructor_multi(P, T, rep)
 
 
 # ------------------------------------- reconstruction: synthesis from the H_m
 
 def test_reconstruct_zero_samples():
-    gens, avgs = gen_set(1), avg_set(1)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    out = synthesize_element(np.zeros((1, LAT.size)), rec.fibers, LAT)
+    P, Q = rand_fibers(1), rand_fibers(1)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    out = synthesize_element(np.zeros((1, LAT.size)), H, LAT)
     assert out.shape == (LAT.size, LAT.a * LAT.b) and np.abs(out).max() <= 1e-14
 
 
 def test_reconstruct_projection_idempotent():
     # arbitrary operator: sample->reconstruct lands in the subspace and is
     # reproduced exactly by a second pass
-    gens, avgs = gen_set(2), avg_set(3)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
+    P, Q = rand_fibers(2), rand_fibers(3)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
     T = trace_fibers(rand_op(), LAT)
-    T1 = synthesize_element(average_samples(T, avgs), rec.fibers, LAT)
-    T2 = synthesize_element(average_samples(T1, avgs), rec.fibers, LAT)
+    T1 = synthesize_element(average_samples(T, Q, LAT), H, LAT)
+    T2 = synthesize_element(average_samples(T1, Q, LAT), H, LAT)
     assert relative_error(T2, T1) <= 1e-9
 
 
 def test_reconstruct_order_invariance():
     # explicit operator-route synthesis in two different summation orders
-    gens, avgs = gen_set(1), avg_set(1)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    s = average_samples(synthesize_element(rand_coeffs(1), gens.fibers, LAT), avgs)
-    H = operator_of(rec.fibers[0], LAT)
-    terms = [s[0, i] * translate_operator(tuple(lam), H)
+    P, Q = rand_fibers(1), rand_fibers(1)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    s = average_samples(synthesize_element(rand_coeffs(1), P, LAT), Q, LAT)
+    H0 = operator_of(H[0], LAT)
+    terms = [s[0, i] * translate_operator(tuple(lam), H0)
              for i, lam in enumerate(points(LAT))]
     forward = sum(terms[i] for i in range(len(terms)))
     perm = rng.permutation(len(terms))
     shuffled = sum(terms[i] for i in perm)
     assert np.linalg.norm(forward - shuffled) <= 1e-10 * np.linalg.norm(forward)
-    T_rec = operator_of(synthesize_element(s, rec.fibers, LAT), LAT)
+    T_rec = operator_of(synthesize_element(s, H, LAT), LAT)
     assert np.linalg.norm(forward - T_rec) <= 1e-9 * np.linalg.norm(forward)
 
 
@@ -418,50 +407,47 @@ def test_seq_operator_convolve():
     delta[0] = 1
     assert np.allclose(seq_operator_convolve(delta, S, LAT), S)
     c = rand_coeffs(1)
-    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
+    P = trace_fibers([S], LAT)
     assert np.allclose(seq_operator_convolve(c[0], S, LAT),
-                       operator_of(synthesize_element(c, gens.fibers, LAT), LAT), atol=1e-10)
+                       operator_of(synthesize_element(c, P, LAT), LAT), atol=1e-10)
 
 
 def test_full_convolution_form_of_sampling_formula():
     # T == (T conv Qtilde restricted to the lattice) conv H
     S = rand_op()
-    gens = GeneratorSet.build(trace_fibers([S], LAT), LAT)
+    P = trace_fibers([S], LAT)
     Q = rand_op()
-    avgs = AveragerSet.build(trace_fibers([Q], LAT), LAT)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    T = operator_of(synthesize_element(rand_coeffs(1), gens.fibers, LAT), LAT)
+    That = transfer_matrix(sample_filter_matrix(P, trace_fibers([Q], LAT), LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    T = operator_of(synthesize_element(rand_coeffs(1), P, LAT), LAT)
     Qtilde = check_operator(Q.conj().T)
     conv = operator_convolve(T, Qtilde)
     s = np.array([conv[lam[0], lam[1]] for lam in points(LAT)])
-    T_rec = seq_operator_convolve(s, operator_of(rec.fibers[0], LAT), LAT)
+    T_rec = seq_operator_convolve(s, operator_of(H[0], LAT), LAT)
     assert np.linalg.norm(T_rec - T) <= 1e-9 * hs_norm(T)
 
 
 # --------------------------------------------------------------- interpolation
 
 def test_interpolation_whitened_single():
-    P = whiten_generator(trace_fibers(rand_op(), LAT), LAT)
-    gens = GeneratorSet.build([P], LAT)
-    avgs = AveragerSet.build([P], LAT)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    ok, dev = interpolation_check(rec, avgs)
+    P = whiten_generator(trace_fibers(rand_op(), LAT), LAT)[None]
+    That = transfer_matrix(sample_filter_matrix(P, P, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    ok, dev = interpolation_check(H, P, LAT, len(P))
     assert ok and dev <= 1e-9
 
 
 def test_interpolation_square_system():
-    gens, Q = gen_set(2), [rand_op() for _ in range(2)]
-    avgs = AveragerSet.build(trace_fibers(Q, LAT), LAT)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    ok, dev = interpolation_check(rec, avgs)
+    P, ops = rand_fibers(2), [rand_op() for _ in range(2)]
+    Q = trace_fibers(ops, LAT)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    ok, dev = interpolation_check(H, Q, LAT, len(P))
     assert ok and dev <= 1e-9
     # the check pairs the fibers; the operators they quantize, paired with the
     # translated averagers, sample the same way
-    H = operator_of(rec.fibers, LAT)
-    s = np.array([[[hs_inner(H[n], translate_operator(tuple(lam), Q[m])) for lam in points(LAT)]
+    Hops = operator_of(H, LAT)
+    s = np.array([[[hs_inner(Hops[n], translate_operator(tuple(lam), ops[m])) for lam in points(LAT)]
                    for n in range(2)] for m in range(2)])  # s[:, n]: samples of H_n
     expect = np.zeros_like(s)
     expect[:, :, 0] = np.eye(2)
@@ -469,19 +455,19 @@ def test_interpolation_square_system():
 
 
 def test_interpolation_rejects_scaled_reconstructor():
-    gens, avgs = gen_set(2), avg_set(2)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
-    ok, dev = interpolation_check(dataclasses.replace(rec, fibers=2 * rec.fibers), avgs)
+    P, Q = rand_fibers(2), rand_fibers(2)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
+    ok, dev = interpolation_check(2 * H, Q, LAT, len(P))
     assert not ok and dev == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interpolation_rejects_oversampled():
-    gens, avgs = gen_set(2), avg_set(3)
-    That = transfer_matrix(sample_filter_matrix(gens, avgs))
-    rec = build_reconstructor_multi(gens, That, frame_bounds(That))
+    P, Q = rand_fibers(2), rand_fibers(3)
+    That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+    H = build_reconstructor_multi(P, That, frame_bounds(That, LAT))
     with pytest.raises(ValueError):
-        interpolation_check(rec, avgs)
+        interpolation_check(H, Q, LAT, len(P))
 
 
 # ------------------------------------------------------------ refusal safety
@@ -489,13 +475,13 @@ def test_interpolation_rejects_oversampled():
 def test_refusal_no_nan_reaches_caller():
     for _ in range(5):
         bad = failing_generator()
-        gens = GeneratorSet.build(trace_fibers([bad], LAT), LAT)
-        avgs = AveragerSet.build(trace_fibers([bad], LAT), LAT)
-        A = sample_filter_matrix(gens, avgs)
+        P = trace_fibers([bad], LAT)
+        Q = trace_fibers([bad], LAT)
+        A = sample_filter_matrix(P, Q, LAT)
         assert np.isfinite(A.seqs).all()
         That = transfer_matrix(A)
         with pytest.raises(SingularTransfer) as err:
-            build_reconstructor_multi(gens, That, frame_bounds(That))
+            build_reconstructor_multi(P, That, frame_bounds(That, LAT))
         assert err.value.witness_xi is not None
         with pytest.raises(SingularTransfer):
             whiten_generator(trace_fibers(bad, LAT), LAT)
@@ -505,12 +491,11 @@ def test_reconstructor_riesz_and_filter_condition_consistent():
     # admissible instances: the reconstructor translates pass the Riesz
     # check exactly when the filter passes the 1 x 1 frame condition
     for _ in range(5):
-        gens, avgs = gen_set(1), avg_set(1)
-        That = transfer_matrix(sample_filter_matrix(gens, avgs))
-        rep = frame_bounds(That)
+        P, Q = rand_fibers(1), rand_fibers(1)
+        That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
+        rep = frame_bounds(That, LAT)
         assert rep.passed
-        rec = build_reconstructor_multi(gens, That, rep)
-        H = operator_of(rec.fibers, LAT)
+        H = operator_of(build_reconstructor_multi(P, That, rep), LAT)
         assert gram_matrix_bounds(fibers(fourier_wigner(H), LAT), LAT).passed
 
 
@@ -518,20 +503,15 @@ def test_reconstructor_riesz_and_filter_condition_consistent():
 def test_sampling_is_convolution_across_sizes(L, a, b):
     lat = Lattice(L, a, b)
     for n, m in ((1, 2), (2, 3)):
-        gens = GeneratorSet.build(trace_fibers([rand_op(L) for _ in range(n)], lat), lat)
-        avgs = AveragerSet.build(trace_fibers([rand_op(L) for _ in range(m)], lat), lat)
-        A = sample_filter_matrix(gens, avgs)
+        P = trace_fibers([rand_op(L) for _ in range(n)], lat)
+        Q = trace_fibers([rand_op(L) for _ in range(m)], lat)
+        A = sample_filter_matrix(P, Q, lat)
         c = rand_coeffs(n, lat)
-        s = average_samples(synthesize_element(c, gens.fibers, lat), avgs)
+        s = average_samples(synthesize_element(c, P, lat), Q, lat)
         assert np.linalg.norm(s - A.convolve(c)) <= 1e-9 * np.linalg.norm(s)
 
 
 # ------------------------------------------------------------ memory layout
-
-def test_operator_sets_keep_only_fibers():
-    for cls in (GeneratorSet, AveragerSet):
-        assert "ops" not in {f.name for f in dataclasses.fields(cls)}
-
 
 def test_many_channels_roundtrip_transient_memory_budget(traced_peak):
     # perfbench's many_channels shape: |Lambda| = 315, N = 4, M = 6.  Each
@@ -579,13 +559,12 @@ def test_fiber_roundtrip_error_matches_the_operator_route(shape, monkeypatch):
         cfg = parse_config(dict(ROUNDTRIP_SHAPES[shape], seed=seed))
         report, _ = runner.run_roundtrip(cfg)
         err = report["reconstruction"]["relative_error"]
-        (_, avgs), _ = seen["average_samples"]
-        _, rec = seen["build_reconstructor_multi"]
-        (_, P), fiber_err = seen["relative_error"]
-        lat = avgs.lattice
-        T = operator_of(P, lat)
-        s = average_samples(trace_fibers(T, lat), avgs)
-        T_rec = operator_of(synthesize_element(s, rec.fibers, lat), lat)
+        (_, Q, lat), _ = seen["average_samples"]
+        _, H = seen["build_reconstructor_multi"]
+        (_, E), fiber_err = seen["relative_error"]
+        T = operator_of(E, lat)
+        s = average_samples(trace_fibers(T, lat), Q, lat)
+        T_rec = operator_of(synthesize_element(s, H, lat), lat)
         op_err = np.linalg.norm(T_rec - T) / hs_norm(T)
         assert err == fiber_err and abs(err - op_err) <= 1e-12, (seed, err, op_err)
         assert report["reconstruction"]["pass"] == bool(op_err <= cfg.tolerance)
@@ -597,20 +576,24 @@ def _read_only(a):
     return a
 
 
+def _bounds(report):
+    return np.array([report.alpha, report.beta, report.tol])
+
+
 @pytest.mark.parametrize("name", ["fourier_wigner", "inverse_fourier_wigner",
-                                  "GeneratorSet.build", "AveragerSet.build",
+                                  "system_transfer", "gram_matrix_bounds",
                                   "average_samples"])
 def test_read_only_inputs_are_accepted_and_left_unchanged(name):
     ops = _read_only(np.stack([rand_op() for _ in range(3)]))
     P = _read_only(trace_fibers(ops, LAT))
     T = _read_only(trace_fibers(rand_op(), LAT))
-    avgs = avg_set(2)
+    Q = rand_fibers(2)
     calls = {
         "fourier_wigner": (fourier_wigner, ops),
         "inverse_fourier_wigner": (inverse_fourier_wigner, ops),
-        "GeneratorSet.build": (lambda x: GeneratorSet.build(x, LAT).fibers, P),
-        "AveragerSet.build": (lambda x: AveragerSet.build(x, LAT).fibers, P),
-        "average_samples": (lambda x: average_samples(x, avgs), T),
+        "system_transfer": (lambda x: system_transfer(x, x, LAT), P),
+        "gram_matrix_bounds": (lambda x: _bounds(gram_matrix_bounds(x, LAT)), P),
+        "average_samples": (lambda x: average_samples(x, Q, LAT), T),
     }
     fn, arg = calls[name]
     before = arg.copy()
@@ -623,7 +606,7 @@ def test_read_only_inputs_are_accepted_and_left_unchanged(name):
 @pytest.mark.parametrize("shape", [(16, 16), (15, 15, 1)])
 def test_average_samples_refuses_wrong_operator_shape(shape):
     # an element's fibers at (15, 3, 5) are (|Lambda|, a*b) = (15, 15)
-    avgs = avg_set(2)
+    Q = rand_fibers(2)
     with pytest.raises(ValueError) as err:
-        average_samples(np.zeros(shape, complex), avgs)
+        average_samples(np.zeros(shape, complex), Q, LAT)
     assert str(shape) in str(err.value) and str((15, 15)) in str(err.value)

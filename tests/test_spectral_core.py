@@ -12,11 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsampler.errors import SingularTransfer
-from opsampler.frames import TransferMatrix, frame_bounds
+from opsampler.frames import frame_bounds, gram_matrix_bounds
 from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
 from opsampler.sampling import (
-    AveragerSet,
-    GeneratorSet,
     average_samples,
     build_reconstructor_multi,
     relative_error,
@@ -77,30 +75,30 @@ def test_spectral_core_matches_direct_routes(system):
         assert direct.flags.c_contiguous
         oracle = trace_fibers(rank_one(x, y), lat)
         assert np.array_equal(direct.view(np.uint64), oracle.view(np.uint64))
-    gens = GeneratorSet.build(trace_fibers(gen_ops, lat), lat)
-    avgs = AveragerSet.build(trace_fibers(rand_complex(rng, (m, L, L)), lat), lat)
-    E = synthesize_element(c, gens.fibers, lat)  # the element's fibers
+    P = trace_fibers(gen_ops, lat)
+    Q = trace_fibers(rand_complex(rng, (m, L, L)), lat)
+    E = synthesize_element(c, P, lat)  # the element's fibers
     T = operator_of(E, lat)
     oracle = sum(seq_operator_convolve(c[k], gen_ops[k], lat) for k in range(n))
     assert np.linalg.norm(T - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
-    A = sample_filter_matrix(gens, avgs)
-    samples = average_samples(E, avgs)
+    A = sample_filter_matrix(P, Q, lat)
+    samples = average_samples(E, Q, lat)
     expect = A.convolve(c)
     assert np.linalg.norm(samples - expect) <= 1e-12 * np.linalg.norm(expect)
 
-    C = TransferMatrix(lat, rand_complex(rng, (lat.size, n, m)))
+    C = rand_complex(rng, (lat.size, n, m))
     That = transfer_matrix(A)
-    report = frame_bounds(That)
+    report = frame_bounds(That, lat)
     if n > lat.a * lat.b:
         # each transfer matrix has rank <= |adjoint| = a*b < N: never a frame,
         # whether the system is square or oversampled
-        assert not gens.riesz.passed
+        assert not gram_matrix_bounds(P, lat).passed
         with pytest.raises(SingularTransfer):
-            build_reconstructor_multi(gens, That, report, C)
+            build_reconstructor_multi(P, That, report, C)
         return
-    rec = build_reconstructor_multi(gens, That, report, C)
-    E_rec = synthesize_element(samples, rec.fibers, lat)
+    H = build_reconstructor_multi(P, That, report, C)
+    E_rec = synthesize_element(samples, H, lat)
     err = relative_error(E_rec, E)
     assert err <= 1e-9
     # the fibers are a reshape of a unitary transform: the same error as the operators'
@@ -114,11 +112,11 @@ def test_system_transfer_is_the_series_of_the_filter_system(system):
     # system, and the filter sequences are exactly its inverse series
     lat, n, m, seed = system
     rng = np.random.default_rng(seed)
-    gens = GeneratorSet.build(trace_fibers(rand_complex(rng, (n, lat.L, lat.L)), lat), lat)
-    avgs = AveragerSet.build(trace_fibers(rand_complex(rng, (m, lat.L, lat.L)), lat), lat)
-    T = system_transfer(gens, avgs)
-    A = sample_filter_matrix(gens, avgs)
-    assert T.values.shape == (lat.size, m, n)
-    oracle = transfer_matrix(A).values
-    assert np.abs(T.values - oracle).max() <= 1e-13 * np.abs(T.values).max()
-    assert A.seqs.tobytes() == dual_sequences(T).seqs.tobytes()
+    P = trace_fibers(rand_complex(rng, (n, lat.L, lat.L)), lat)
+    Q = trace_fibers(rand_complex(rng, (m, lat.L, lat.L)), lat)
+    T = system_transfer(P, Q, lat)
+    A = sample_filter_matrix(P, Q, lat)
+    assert T.shape == (lat.size, m, n)
+    oracle = transfer_matrix(A)
+    assert np.abs(T - oracle).max() <= 1e-13 * np.abs(T).max()
+    assert A.seqs.tobytes() == dual_sequences(T, lat).seqs.tobytes()
