@@ -10,7 +10,7 @@ Schema (all other top-level keys are rejected)::
       "seed": 12345,                # required when anything random is drawn
       "c_matrix": "zero",           # or "random": free parameter of the left inverse
       "tolerance": 1e-8,            # roundtrip error gate
-      "tol_pos": 1e-10              # relative positivity gate for spectra
+      "tol_pos": 1e-10              # relative positivity gate for spectra, in (0, 1)
     }
 
 Builder specs are documented in ``builders``.  Complex values appear
@@ -59,15 +59,6 @@ class ExperimentConfig:
     c_matrix: str
     tolerance: float
     tol_pos: float
-
-    @property
-    def effective_averagers(self) -> tuple[dict, ...]:
-        return self.averagers if self.averagers is not None else self.generators
-
-    @property
-    def uses_rng(self) -> bool:
-        specs = self.generators + self.effective_averagers
-        return any(spec_uses_rng(s) for s in specs) or self.c_matrix == "random"
 
 
 def _positive_finite(data: dict, name: str, default: float) -> float:
@@ -135,14 +126,19 @@ def parse_config(data) -> ExperimentConfig:
     if c_matrix not in ("zero", "random"):
         raise ConfigError(f"must be 'zero' or 'random', got {c_matrix!r}", field="c_matrix")
 
-    cfg = ExperimentConfig(L=L, a=steps["a"], b=steps["b"], generators=gens,
-                           averagers=avgs, seed=seed, c_matrix=c_matrix,
-                           tolerance=_positive_finite(data, "tolerance", 1e-8),
-                           tol_pos=_positive_finite(data, "tol_pos", 1e-10))
-    if cfg.uses_rng and seed is None:
+    tolerance = _positive_finite(data, "tolerance", 1e-8)
+    tol_pos = _positive_finite(data, "tol_pos", 1e-10)
+    if tol_pos >= 1:
+        raise ConfigError(f"must be below 1, since no gate alpha > tol_pos * beta with "
+                          f"alpha <= beta can pass otherwise; got {tol_pos!r}", field="tol_pos")
+
+    specs = gens + (avgs or ())
+    if seed is None and (c_matrix == "random" or any(spec_uses_rng(s) for s in specs)):
         raise ConfigError("a seed is required whenever a random builder or "
                           "c_matrix='random' is used", field="seed")
-    return cfg
+    return ExperimentConfig(L=L, a=steps["a"], b=steps["b"], generators=gens,
+                            averagers=avgs, seed=seed, c_matrix=c_matrix,
+                            tolerance=tolerance, tol_pos=tol_pos)
 
 
 def _nests_too_deep(text: str) -> bool:

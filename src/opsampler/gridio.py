@@ -15,23 +15,19 @@ import math
 
 import numpy as np
 
-from .report import format_float
-
 __all__ = ["write_phase_grid", "read_phase_grid", "write_dual_values", "write_transfer"]
 
 
 def _check_finite(values: np.ndarray) -> None:
-    """Refuse NaN/Inf, checked once per array.
-
-    Raises the ``ValueError`` that ``format_float`` raises for the first
-    non-finite float in write order (re before im).
-    """
+    """Refuse NaN/Inf, checked once per array, with a ``ValueError`` naming
+    the first non-finite float in write order (re before im)."""
     if np.isfinite(values).all():
         return
     if np.iscomplexobj(values):
         values = np.stack([values.real, values.imag], axis=-1)
     flat = np.ravel(values)
-    format_float(flat[np.argmax(~np.isfinite(flat))])
+    x = flat[np.argmax(~np.isfinite(flat))]
+    raise ValueError(f"non-finite value {x!r} must not reach a report")
 
 
 def _write_blocks(fh, blocks, keys) -> None:

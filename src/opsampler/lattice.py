@@ -14,7 +14,7 @@ phase space by the adjoint lattice, is the rectangle
 ``{(x, omega): 0 <= x < L/b, 0 <= omega < L/a}`` enumerated row-major;
 its size equals the lattice size.
 
-This module is the spectral core of the package.  Everything that is
+This module holds the spectral algebra of the package.  Everything that is
 invariant under lattice translation diagonalizes on the dual grid, and
 two maps say so:
 
@@ -46,8 +46,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _divide_real, validate_mod_size
-
 __all__ = [
     "Lattice",
     "symplectic_series",
@@ -67,7 +65,10 @@ class Lattice:
     b: int
 
     def __post_init__(self):
-        validate_mod_size(self.L)
+        if self.L < 3:
+            raise ValueError(f"modulus must be >= 3, got {self.L}")
+        if self.L % 2 == 0:
+            raise ValueError(f"modulus must be odd so that 2 is invertible mod L, got {self.L}")
         for name in ("a", "b"):
             step = getattr(self, name)
             if not (1 <= step <= self.L) or self.L % step != 0:
@@ -134,7 +135,9 @@ def inverse_symplectic_series(F, lat: Lattice) -> np.ndarray:
     c(lambda) = (1/|Lambda|) * sum_xi F(xi) * exp(-2*pi*i*sigma(lambda, z_xi)/L).
     Batches over leading axes.
     """
-    return _divide_real(_grid_dft(_as_seq(F, lat), lat.n_cols, lat.n_rows), lat.size)
+    c = _grid_dft(_as_seq(F, lat), lat.n_cols, lat.n_rows)
+    c /= lat.size
+    return c
 
 
 def fibers(F, lat: Lattice) -> np.ndarray:
@@ -170,14 +173,15 @@ def _fiber_grid(P, lat: Lattice) -> np.ndarray:
     return np.moveaxis(grid, (-2, -1), (-4, -2))
 
 
-def periodize_sq(F, lat: Lattice) -> np.ndarray:
-    """Adjoint-lattice periodization of |F|^2, on the dual grid.
+def periodize_sq(P, lat: Lattice) -> np.ndarray:
+    """Adjoint-lattice periodization of |F|^2, on the dual grid, from the
+    ``(|Lambda|, |adjoint|)`` fibers P of F.
 
     out(xi) = (1/|Lambda|) * sum_{mu in adjoint} |F(z_xi + mu)|^2.
     Nonnegative; strictly positive everywhere exactly when the lattice
     translates of the operator behind F form a Riesz sequence.
     """
-    F = np.asarray(F, dtype=complex)
-    if F.shape != (lat.L, lat.L):
-        raise ValueError(f"expected an {lat.L} x {lat.L} phase-space array, got {F.shape}")
-    return (np.abs(fibers(F, lat)) ** 2).sum(axis=1) / lat.size
+    P = np.asarray(P)
+    if P.shape != (lat.size, lat.a * lat.b):
+        raise ValueError(f"expected ({lat.size}, {lat.a * lat.b}) fibers, got {P.shape}")
+    return (np.abs(P) ** 2).sum(axis=-1) / lat.size

@@ -11,16 +11,8 @@ which is fixed.
 from __future__ import annotations
 
 import json
-import math
 
-__all__ = ["canonical_json", "format_float"]
-
-
-def format_float(x: float) -> str:
-    """A finite float with 17 significant digits, as the CSV diagnostics write it."""
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"non-finite value {x!r} must not reach a report")
-    return format(float(x), ".17g")
+__all__ = ["canonical_json"]
 
 
 def canonical_json(obj) -> str:

@@ -204,7 +204,7 @@ def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
         elif kind == "periodization":
             for n in range(len(P)):
                 _emit(f"periodization_g{n}.csv", write_dual_values,
-                      periodize_sq(unfibers(P[n], lat), lat))
+                      periodize_sq(P[n], lat))
         elif kind == "transfer":
             _emit("transfer.csv", write_transfer, system_transfer(P, Q, lat))
     report["export"] = {"what": list(kinds), "directory": str(out_dir), "files": files}

@@ -166,7 +166,7 @@ def interpolation_check(H, Q, lat: Lattice, n_gens: int, tol: float = 1e-9):
     return dev <= tol, dev
 
 
-def whiten_generator(P, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> np.ndarray:
+def whiten_generator(P, lat: Lattice) -> np.ndarray:
     """Fibers of a generator whose lattice translates are exactly orthonormal.
 
     Divides the (|Lambda|, a*b) fibers P of a generator's trace transform
@@ -176,7 +176,7 @@ def whiten_generator(P, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) ->
     coset power, so whitening them again changes them only in roundoff.
     """
     power = (np.abs(P) ** 2).sum(axis=-1)
-    if power.min() <= tol_factor * power.max():
+    if power.min() <= DEFAULT_TOL_FACTOR * power.max():
         xi = int(np.argmin(power))
         raise SingularTransfer(
             f"cannot whiten: periodized spectrum vanishes near dual index {xi}",

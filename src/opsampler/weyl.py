@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _divide_real, half_inverse
 from .lattice import Lattice, _fiber_grid
 
 __all__ = ["symplectic_ft", "rank_one_fibers"]
@@ -63,7 +62,7 @@ def rank_one_fibers(u, v, lat: Lattice) -> np.ndarray:
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if u.shape != (L,) or v.shape != (L,):
         raise ValueError(f"expected two signals of length {L}, got shapes {u.shape} and {v.shape}")
-    c = half_inverse(L)
+    c = (L + 1) // 2  # the inverse of 2 mod L; the Lattice has checked L
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
     diagonals = sliding_window_view(np.concatenate([u, u[:-1]]), L) * np.conj(v)
@@ -72,4 +71,5 @@ def rank_one_fibers(u, v, lat: Lattice) -> np.ndarray:
     out = np.empty((lat.size, lat.a * lat.b), dtype=complex)
     dest = _fiber_grid(out, lat)
     np.multiply(phase.reshape(dest.shape), trp.reshape(dest.shape), out=dest)
-    return _divide_real(out, np.sqrt(L))
+    out /= np.sqrt(L)
+    return out

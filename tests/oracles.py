@@ -31,7 +31,6 @@ over leading axes, slice by slice bit for bit.
 
 import numpy as np
 
-from opsampler.core import _divide_real, half_inverse
 from opsampler.lattice import (
     Lattice,
     _as_seq,
@@ -160,7 +159,7 @@ def cross_wigner(psi, phi) -> np.ndarray:
     if psi.shape != phi.shape:
         raise ValueError(f"size mismatch: {psi.shape} vs {phi.shape}")
     L = psi.shape[0]
-    c = half_inverse(L)
+    c = (L + 1) // 2
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
     g = psi[(x + c * t) % L] * np.conj(phi[(x - c * t) % L])
@@ -172,7 +171,7 @@ def weyl_symbol(S) -> np.ndarray:
     unitary onto phase-space functions, ``weyl_transform`` is its exact inverse."""
     S = _as_operator(S)
     L = S.shape[0]
-    c = half_inverse(L)
+    c = (L + 1) // 2
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
     g = S[(x + c * t) % L, (x - c * t) % L]
@@ -184,7 +183,7 @@ def weyl_transform(F) -> np.ndarray:
     out[u, v] = L**-0.5 * sum_omega F(c*(u+v), omega) * exp(2*pi*i*omega*(u-v)/L)."""
     F = _as_square_stack(F, "phase-space function")
     L = F.shape[-1]
-    c = half_inverse(L)
+    c = (L + 1) // 2
     g = np.sqrt(L) * np.fft.ifft(F, axis=-1)
     u = np.arange(L)[:, None]
     v = np.arange(L)[None, :]
@@ -198,13 +197,15 @@ def fourier_wigner(S) -> np.ndarray:
     Equals ``symplectic_ft(weyl_symbol(S))``."""
     S = _as_square_stack(S, "operator kernel")
     L = S.shape[-1]
-    c = half_inverse(L)
+    c = (L + 1) // 2
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
     diagonals = _flat(S).take(((t + x) % L) * L + t, axis=-1)  # S[..., (t + x) % L, t]
     trp = np.fft.fft(diagonals, axis=-1, out=diagonals)  # the gather is a fresh buffer
     phase = np.exp(2j * np.pi * np.arange(L) / L)[(-c * x * t) % L]
-    return _divide_real(np.multiply(phase, trp, out=trp), np.sqrt(L))
+    np.multiply(phase, trp, out=trp)
+    trp /= np.sqrt(L)
+    return trp
 
 
 def inverse_fourier_wigner(F) -> np.ndarray:
@@ -215,7 +216,7 @@ def inverse_fourier_wigner(F) -> np.ndarray:
     index from v to v + c*(u - v), which is c*(u + v) mod L."""
     F = _as_square_stack(F, "phase-space function")
     L = F.shape[-1]
-    c = half_inverse(L)
+    c = (L + 1) // 2
     u = np.arange(L)[:, None]
     v = np.arange(L)[None, :]
     g = np.fft.ifft(F, axis=-1, norm="ortho")  # the sqrt(L) * ifft of the kernel
@@ -357,10 +358,11 @@ def whiten_operator(S, lat: Lattice) -> np.ndarray:
     The trace transform of S, taken through its Weyl symbol on the full
     grid, is divided at every cell by |Lambda| times the square root of
     the periodization at the cell's adjoint coset, and quantized as
-    ``weyl_transform(symplectic_ft(.))``; no fibers are formed.
+    ``weyl_transform(symplectic_ft(.))``; only the periodization reads the
+    grid's fibers.
     """
     F = symplectic_ft(weyl_symbol(S))
-    power = periodize_sq(F, lat)
+    power = periodize_sq(fibers(F, lat), lat)
     x = np.arange(lat.L)[:, None] % lat.n_cols
     w = np.arange(lat.L)[None, :] % lat.n_rows
     return weyl_transform(symplectic_ft(F / (lat.size * np.sqrt(power[x * lat.n_rows + w]))))

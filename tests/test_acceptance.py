@@ -199,7 +199,7 @@ def test_criterion_08_riesz_criterion_equivalence():
     def verdicts(S):
         aS = weyl_symbol(S)
         q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in points(lat)])
-        P = periodize_sq(fourier_wigner(S), lat)
+        P = periodize_sq(trace_fibers(S, lat), lat)
         return (frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])), lat).passed,
                 gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat).passed,
                 bool(P.min() > 1e-10 * P.max()))

@@ -370,7 +370,10 @@ def test_rejected_arguments_leave_next_call_as_in_fresh_process(tmp_path, capsys
     ("tolerance", "1e400"),     # JSON reads it as inf
     ("tol_pos", "1e400"),
     ("tolerance", "1" + "0" * 400),     # an integer literal beyond the float range
-], ids=["tolerance-nan", "tolerance-1e400", "tol_pos-1e400", "tolerance-huge-int"])
+    ("tol_pos", "1"),           # alpha <= beta, so the gate could never pass
+    ("tol_pos", "1e308"),       # finite, but tol_pos * beta overflows
+], ids=["tolerance-nan", "tolerance-1e400", "tol_pos-1e400", "tolerance-huge-int",
+        "tol_pos-1", "tol_pos-1e308"])
 def test_non_finite_tolerance_is_config_error(tmp_path, capsys, key, literal):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(BASE)[:-1] + f', "{key}": {literal}}}')

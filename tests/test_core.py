@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from opsampler.core import _divide_real, half_inverse, validate_mod_size
 from oracles import (
     check_operator,
     hs_inner,
@@ -33,15 +32,6 @@ def tf_shift_matrix(z, L):
     for t in range(L):
         M[t, (t - x) % L] = np.exp(2j * np.pi * w * t / L)
     return M
-
-
-def test_validate_mod_size():
-    assert validate_mod_size(15) == 15
-    for bad in (2, 1, 0, -3, 4, 10):
-        with pytest.raises(ValueError):
-            validate_mod_size(bad)
-    assert half_inverse(15) == 8
-    assert (2 * half_inverse(33)) % 33 == 1
 
 
 def test_symplectic_form_values():
@@ -224,51 +214,3 @@ def test_size_mismatch_errors():
     with pytest.raises(ValueError):
         tf_shift((0, 0), rand_op(5))
 
-
-def _bits(z):
-    return np.ascontiguousarray(z).view(np.uint64)
-
-
-def _scaled_draws(shape):
-    """Complex draws over 600 decades, no component exactly zero."""
-    mags = 10.0 ** rng.uniform(-300, 300, (2,) + shape)
-    return rng.standard_normal(shape) * mags[0] + 1j * rng.standard_normal(shape) * mags[1]
-
-
-# the divisors the library scales by: sqrt(L), |Lambda| and sqrt(2)
-DIVISORS = [np.sqrt(105), 2601, np.sqrt(2.0), 3.0]
-
-
-@pytest.mark.parametrize("s", DIVISORS)
-@pytest.mark.parametrize("shape", [(7,), (4, 15, 15), (3, 25, 9)])
-def test_divide_real_matches_complex_division_bit_for_bit(shape, s):
-    z = _scaled_draws(shape)
-    expect = z / s
-    out = _divide_real(z, s)
-    assert out is z
-    assert np.array_equal(_bits(out), _bits(expect))
-
-
-@pytest.mark.parametrize("s", DIVISORS)
-def test_divide_real_keeps_signed_zeros(s):
-    # (re + im*0) / s and (im - re*0) / s: the signed zeros of a real
-    # multiply would differ, so arrays with a zero component are divided
-    parts = [0.0, -0.0, 1.5, -2.0e-300]
-    z = np.array([complex(re, im) for re in parts for im in parts])
-    z = np.concatenate([z, _scaled_draws((40,))])
-    expect = z / s
-    assert np.array_equal(_bits(_divide_real(z, s)), _bits(expect))
-
-
-@pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T, lambda a: a[1:, 3]])
-def test_divide_real_on_non_contiguous_views(view):
-    base = _scaled_draws((6, 10))
-    before = base.copy()
-    v = view(base)
-    expect = v / np.sqrt(15)
-    _divide_real(v, np.sqrt(15))
-    assert np.array_equal(_bits(v), _bits(expect))
-    # only the viewed elements of the base array are scaled
-    untouched = np.ones(base.shape, bool)
-    view(untouched)[...] = False
-    assert np.array_equal(_bits(base[untouched]), _bits(before[untouched]))

@@ -359,7 +359,7 @@ def test_single_gen_autocorrelation_cross_check():
     aS = weyl_symbol(S)
     q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in points(lat)])
     rep = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])), lat)
-    P = periodize_sq(fourier_wigner(S), lat)
+    P = periodize_sq(trace_fibers(S, lat), lat)
     assert np.sqrt(rep.alpha) == pytest.approx(lat.size**2 * P.min(), rel=1e-9)
     assert np.sqrt(rep.beta) == pytest.approx(lat.size**2 * P.max(), rel=1e-9)
     assert rep.alpha == pytest.approx(np.abs(symplectic_series(q, lat)).min() ** 2, rel=1e-9)
@@ -372,7 +372,7 @@ def test_gram_single_generator_scaling():
     lat = Lattice(15, 3, 5)
     S = rand_op(15)
     rep = gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat)
-    P = periodize_sq(fourier_wigner(S), lat)
+    P = periodize_sq(trace_fibers(S, lat), lat)
     assert rep.alpha == pytest.approx(lat.size * P.min(), rel=1e-9)
     assert rep.beta == pytest.approx(lat.size * P.max(), rel=1e-9)
 
@@ -567,7 +567,7 @@ def test_three_way_riesz_verdict_consistency():
         q = np.array([np.vdot(np.roll(aS, tuple(p), (0, 1)), aS) for p in points(lat)])
         v1 = frame_bounds(transfer_matrix(ConvolutionMatrix(lat, q[None, None])), lat).passed
         v2 = gram_matrix_bounds(fibers(fourier_wigner(S[None]), lat), lat).passed
-        P = periodize_sq(fourier_wigner(S), lat)
+        P = periodize_sq(trace_fibers(S, lat), lat)
         v3 = P.min() > 1e-10 * P.max()
         return v1, v2, v3
 

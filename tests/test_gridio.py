@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from opsampler.gridio import read_phase_grid, write_dual_values, write_phase_grid, write_transfer
-from opsampler.report import format_float
 
 # ---------------------------------------------------- per-value oracle writers
+
+
+def _g17(x) -> str:
+    """One value as the writers format it, ``format(x, ".17g")``; a
+    non-finite value is refused with the writers' message."""
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite value {x!r} must not reach a report")
+    return format(x, ".17g")
 
 
 def oracle_phase_grid(path, F):
@@ -17,7 +24,7 @@ def oracle_phase_grid(path, F):
         for x in range(L):
             for w in range(L):
                 v = F[x, w]
-                fh.write(f"{x},{w},{format_float(v.real)},{format_float(v.imag)}\n")
+                fh.write(f"{x},{w},{_g17(v.real)},{_g17(v.imag)}\n")
 
 
 def oracle_dual_values(path, values):
@@ -25,7 +32,7 @@ def oracle_dual_values(path, values):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("xi_index,value\n")
         for i, v in enumerate(values):
-            fh.write(f"{i},{format_float(v)}\n")
+            fh.write(f"{i},{_g17(v)}\n")
 
 
 def oracle_transfer(path, values):
@@ -37,7 +44,7 @@ def oracle_transfer(path, values):
             for m in range(M):
                 for n in range(N):
                     v = values[xi, m, n]
-                    fh.write(f"{xi},{m},{n},{format_float(v.real)},{format_float(v.imag)}\n")
+                    fh.write(f"{xi},{m},{n},{_g17(v.real)},{_g17(v.imag)}\n")
 
 
 EXTREMES = [-0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 0.1, 1.0 / 3.0, 2.0**53 + 1]

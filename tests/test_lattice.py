@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from opsampler.lattice import Lattice, inverse_symplectic_series, periodize_sq, symplectic_series
+from opsampler.lattice import (
+    Lattice,
+    fibers,
+    inverse_symplectic_series,
+    periodize_sq,
+    symplectic_series,
+)
 from oracles import index_of, involution, lattice_convolve, points, symplectic_form, translate_seq
 
 rng = np.random.default_rng(9001)
@@ -30,12 +36,16 @@ def naive_convolve(c, d, lat):
 
 
 def test_lattice_validation():
+    assert Lattice(15, 1, 1).L == 15
     with pytest.raises(ValueError):
         Lattice(15, 4, 5)
     with pytest.raises(ValueError):
         Lattice(15, 3, 0)
     with pytest.raises(ValueError):
         Lattice(10, 2, 5)  # even modulus
+    for bad in (2, 1, 0, -3, 4, 10):  # the modulus must be odd and >= 3
+        with pytest.raises(ValueError):
+            Lattice(bad, 1, 1)
 
 
 def test_adjoint_lattice_parameters():
@@ -186,16 +196,18 @@ def test_translate_pairing_exhaustive():
 def test_periodize_sq_constant_and_nonnegative():
     lat = Lattice(15, 3, 5)
     ones = np.ones((15, 15), complex)
-    out = periodize_sq(ones, lat)
+    out = periodize_sq(fibers(ones, lat), lat)
     assert np.allclose(out, lat.adjoint.size / lat.size)
     F = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
-    assert periodize_sq(F, lat).min() >= 0
+    assert periodize_sq(fibers(F, lat), lat).min() >= 0
+    with pytest.raises(ValueError):  # fibers of the wrong shape
+        periodize_sq(fibers(F, lat)[:-1], lat)
 
 
 def test_periodize_sq_matches_direct_sum():
     lat = Lattice(15, 3, 5)
     F = rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15))
-    out = periodize_sq(F, lat)
+    out = periodize_sq(fibers(F, lat), lat)
     for xi, z in enumerate(lat.dual_points):
         acc = sum(abs(F[(z[0] + mu[0]) % 15, (z[1] + mu[1]) % 15]) ** 2
                   for mu in points(lat.adjoint))

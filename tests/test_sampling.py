@@ -397,7 +397,7 @@ def test_spectrum_identity_via_operator_convolution():
     conv = operator_convolve(S, check_operator(S.conj().T))
     seq = np.array([conv[lam[0], lam[1]] for lam in points(LAT)])
     F = symplectic_series(seq, LAT)
-    P = periodize_sq(fourier_wigner(S), LAT)
+    P = periodize_sq(trace_fibers(S, LAT), LAT)
     assert np.abs(F - LAT.size**2 * P).max() <= 1e-9 * np.abs(F).max()
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opsampler.core import half_inverse
 from opsampler.lattice import Lattice
 from opsampler.weyl import rank_one_fibers, symplectic_ft
 from oracles import (
@@ -41,7 +40,7 @@ def rand_phase(L):
 
 def naive_cross_wigner(psi, phi):
     L = len(psi)
-    c = half_inverse(L)
+    c = (L + 1) // 2
     out = np.zeros((L, L), dtype=complex)
     for x in range(L):
         for w in range(L):
@@ -195,7 +194,8 @@ def test_fourier_wigner_half_phase_sign_matters():
     # flipping the half-phase sign breaks the identity, so the frozen sign
     # is the only consistent lifting
     L = 15
-    c = half_inverse(L)
+    c = (L + 1) // 2  # the inverse of 2 mod L
+    assert c == 8 and all((2 * ((n + 1) // 2)) % n == 1 for n in (15, 33))
     S = rand_op(L)
     good = fourier_wigner(S)
     grid = np.exp(2j * np.pi * ((c * np.outer(np.arange(L), np.arange(L))) % L) / L)
