@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opsampler.lattice import Lattice
 from oracles import (
     check_operator,
     hs_inner,
@@ -32,6 +33,17 @@ def tf_shift_matrix(z, L):
     for t in range(L):
         M[t, (t - x) % L] = np.exp(2j * np.pi * w * t / L)
     return M
+
+
+def test_validate_mod_size():
+    # the one modulus check is Lattice's: L must be odd and >= 3, so that
+    # (L + 1) // 2 is the inverse of 2 mod L
+    assert Lattice(15, 1, 1).L == 15
+    for bad in (2, 1, 0, -3, 4, 10):
+        with pytest.raises(ValueError):
+            Lattice(bad, 1, 1)
+    assert (15 + 1) // 2 == 8
+    assert (2 * ((33 + 1) // 2)) % 33 == 1
 
 
 def test_symplectic_form_values():

@@ -195,7 +195,6 @@ def test_fourier_wigner_half_phase_sign_matters():
     # is the only consistent lifting
     L = 15
     c = (L + 1) // 2  # the inverse of 2 mod L
-    assert c == 8 and all((2 * ((n + 1) // 2)) % n == 1 for n in (15, 33))
     S = rand_op(L)
     good = fourier_wigner(S)
     grid = np.exp(2j * np.pi * ((c * np.outer(np.arange(L), np.arange(L))) % L) / L)
