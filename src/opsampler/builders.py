@@ -153,8 +153,8 @@ def _periodized_gaussian(L: int, width: float, wraps: int, center: int) -> np.nd
 def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Materialize one validated builder spec as the (|Lambda|, a*b) fibers of
-    its operator's trace transform, written into ``out`` when it is given
-    (``random_hs`` draws straight into it) and returned."""
+    its operator's trace transform, written straight into ``out`` when it is
+    given, and returned."""
     L = lat.L
     kind = spec["kind"]
     if kind in ("random_signal_pair", "random_hs") and rng is None:
@@ -162,20 +162,17 @@ def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None,
     if kind == "random_hs":
         return rand_complex(rng, (lat.size, lat.a * lat.b), out=out)
     if kind == "whitened":
-        P = whiten_generator(build_operator(spec["inner"], lat, rng), lat)
+        # the inner fibers are built into the buffer and whitened in place
+        P = build_operator(spec["inner"], lat, rng, out=out)
+        return whiten_generator(P, lat, out=P)
+    if kind == "delta_pair":
+        u, v = _delta(L, spec["t1"]), _delta(L, spec["t2"])
+    elif kind == "boxcar":
+        u = v = (np.arange(L) < spec["width"]).astype(complex)
+    elif kind == "periodized_gaussian":
+        u = v = _periodized_gaussian(L, spec["width"], spec["wraps"], spec["center"])
+    elif kind == "random_signal_pair":
+        u, v = rand_complex(rng, L), rand_complex(rng, L)
     else:
-        if kind == "delta_pair":
-            u, v = _delta(L, spec["t1"]), _delta(L, spec["t2"])
-        elif kind == "boxcar":
-            u = v = (np.arange(L) < spec["width"]).astype(complex)
-        elif kind == "periodized_gaussian":
-            u = v = _periodized_gaussian(L, spec["width"], spec["wraps"], spec["center"])
-        elif kind == "random_signal_pair":
-            u, v = rand_complex(rng, L), rand_complex(rng, L)
-        else:
-            raise ConfigError(f"unknown builder kind {kind!r}")
-        P = rank_one_fibers(u, v, lat)
-    if out is None:
-        return P
-    out[...] = P
-    return out
+        raise ConfigError(f"unknown builder kind {kind!r}")
+    return rank_one_fibers(u, v, lat, out=out)

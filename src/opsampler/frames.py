@@ -201,17 +201,21 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     return _report(_eigh(gram, vectors=False), lat, tol_factor, "gram", VERDICT_RIESZ)
 
 
-def left_inverse_family(A, report: FrameReport, C=None) -> np.ndarray:
-    """Left inverses B_hat = A_dag + C (I - A A_dag), parametrized by C.
+def left_inverse_family(A, report: FrameReport, C=None, X=None) -> np.ndarray:
+    """Left inverses B_hat = A_dag + C (I - A A_dag), parametrized by C,
+    applied to X: returns B_hat X.
 
     ``A`` is a (|Lambda|, M, N) transfer matrix and ``report`` is
     ``frame_bounds(A, lat)``; a system that fails it is refused with
     SingularTransfer, so no NaN/Inf is returned.  A_dag is the per-xi
     Moore-Penrose left inverse (A* A)^{-1} A* = V diag(1/w) V* A*, read
     from the eigenpairs (w, V) the report carries, the member C = None.
-    C and the result are (|Lambda|, N, M).  Every member satisfies
-    ``B_hat(xi) A_hat(xi) = I`` for all xi; for square systems the
-    projector I - A A_dag vanishes and C is irrelevant.
+    C is (|Lambda|, N, M).  ``X`` is (|Lambda|, M, k) and the result
+    (|Lambda|, N, k), evaluated right to left without forming B_hat:
+    D = V diag(1/w) V* (A* X), then D + C (X - A D).  X = None stands for
+    the identity, so the result is B_hat itself, (|Lambda|, N, M).  Every
+    member satisfies ``B_hat(xi) A_hat(xi) = I`` for all xi; for square
+    systems the projector I - A A_dag vanishes and C is irrelevant.
     """
     if not report.passed:
         xi = report.witnesses[0]
@@ -219,13 +223,19 @@ def left_inverse_family(A, report: FrameReport, C=None) -> np.ndarray:
             f"transfer matrix is singular at dual index {xi} "
             f"(alpha={report.alpha:.3e}, beta={report.beta:.3e})",
             witness_xi=xi, witness_point=report.witness_points[0])
-    if (report.eigenpairs is None or report.eigenpairs[0].shape != (A.shape[0], A.shape[2])
-            or A.shape[1] < A.shape[2]):
+    size, m, n = A.shape
+    if report.eigenpairs is None or report.eigenpairs[0].shape != (size, n) or m < n:
         raise ValueError("report must be frame_bounds(A) of this transfer matrix")
     w, V = report.eigenpairs
-    dag = _matmul(V / w[:, None, :], _matmul(_adjoint(V), _adjoint(A)))
+    AX = _adjoint(A) if X is None else _matmul(_adjoint(A), X)
+    if n == 1:  # V = 1
+        D = AX / w[:, :, None]
+    else:
+        D = _matmul(_adjoint(V), AX)
+        D /= w[:, :, None]  # diag(1/w) scales the k columns of D, not the N of V
+        D = _matmul(V, D)
     if C is None:
-        return dag
-    if np.shape(C) != dag.shape:
-        raise ValueError(f"C must have shape {dag.shape}, got {np.shape(C)}")
-    return dag + _matmul(C, np.eye(A.shape[1]) - _matmul(A, dag))
+        return D
+    if np.shape(C) != (size, n, m):
+        raise ValueError(f"C must have shape {(size, n, m)}, got {np.shape(C)}")
+    return D + _matmul(C, (np.eye(m) if X is None else X) - _matmul(A, D))

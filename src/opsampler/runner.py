@@ -9,8 +9,14 @@ its name is recorded in the report.  Each ``random_hs`` operator is one
 draw straight into its slot of the fiber stack.
 
 The pipeline passes plain arrays with the lattice: the generator fibers
-P and averager fibers Q (one stack each; without averagers Q is P), the
-transfer matrix, and the reconstructor fibers.
+P and averager fibers Q (one stack each; without averagers Q is P) and
+the transfer matrix.  A roundtrip reconstructs in coefficient form: the
+left inverse is applied to the samples' series and the element is
+synthesized from P, so the left inverse and the reconstructor fibers
+H_m (``sampling.build_reconstructor_multi``, the paper's explicit
+reconstructors) are never formed.  Only the square-system interpolation
+check forms the left inverse B, and reads the reconstructors' samples off
+A B.
 
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure
 (a builder's refusal, a Riesz or frame verdict that fails, or a
@@ -18,7 +24,7 @@ roundtrip error above tolerance).  Every exit 2 report carries one
 ``failure`` block: a message, a witnessing dual-grid index and its
 point.  A failing verdict is witnessed by its report's first witness; a
 reconstruction by the dual index whose fiber it misses most.  A roundtrip
-whose verdict fails draws no coefficients and builds no reconstructor.
+whose verdict fails draws no coefficients and reconstructs nothing.
 """
 
 from __future__ import annotations
@@ -31,13 +37,13 @@ import numpy as np
 from .builders import build_operator, rand_complex
 from .config import ExperimentConfig, config_echo
 from .errors import ConfigError, SingularTransfer
-from .frames import frame_bounds, gram_matrix_bounds
+from .frames import frame_bounds, gram_matrix_bounds, left_inverse_family
 from .gridio import write_dual_values, write_phase_grid, write_transfer
 from .lattice import Lattice, periodize_sq, unfibers
 from .sampling import (
     average_samples,
-    build_reconstructor_multi,
     interpolation_check,
+    reconstruct,
     relative_error,
     synthesize_element,
     system_transfer,
@@ -148,12 +154,11 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     n, m = len(P), len(Q)
     c = rand_complex(rng, (n, lat.size))
     C = rand_complex(rng, (lat.size, n, m)) if cfg.c_matrix == "random" else None
-    H = build_reconstructor_multi(P, A, system, C)
 
     # the element, its samples and its reconstruction, all as fibers:
-    # reconstruction is synthesis from the reconstructors
+    # the left inverse recovers the coefficients' series from the samples'
     E = synthesize_element(c, P, lat)
-    E_rec = synthesize_element(average_samples(E, Q, lat), H, lat)
+    E_rec = reconstruct(average_samples(E, Q, lat), P, A, system, lat, C)
     err = relative_error(E_rec, E)
     report["reconstruction"] = {
         "c_matrix": cfg.c_matrix,
@@ -162,7 +167,7 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
         "pass": bool(err <= cfg.tolerance),
     }
     if m == n:
-        ok, dev = interpolation_check(H, Q, lat, n, tol=cfg.tolerance)
+        ok, dev = interpolation_check(A, left_inverse_family(A, system), lat, tol=cfg.tolerance)
         report["interpolation"] = {"max_deviation": dev, "pass": bool(ok)}
     else:
         report["interpolation"] = None

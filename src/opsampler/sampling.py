@@ -22,13 +22,23 @@ reconstructor sets, is parametrized by a free transfer matrix C.  The
 one-generator theorem is the system N = M = 1: for a filter q without
 zeros on the dual grid, the reconstructor's fibers are those of S / series(q).
 
+With H_m = sum_n b_nm * S_n the same sum regroups over the generators,
+
+    T = sum_n sum_lambda (sum_m b_nm * s_m)(lambda) * alpha_lambda(S_n),
+
+so ``reconstruct`` recovers the coefficients' series
+d_hat(xi) = B_hat(xi) s_hat(xi) and synthesizes T from the generators;
+neither B_hat nor the H_m are formed.  ``build_reconstructor_multi``
+builds the explicit H_m of the formula above, the reference the tests
+check the coefficient form against.
+
 Every stage runs on the dual grid, on the (|Lambda|, a*b) adjoint-coset
 fibers of the operators' trace transforms (see ``lattice`` and
 ``weyl``), which is the form the builders yield.  The pipeline passes
 plain arrays: generator fibers P (N, |Lambda|, a*b), averager fibers Q
 and reconstructor fibers H (M, |Lambda|, a*b), transfer matrices
-(|Lambda|, M, N) and left inverses (|Lambda|, N, M); every function
-that needs the lattice takes it as ``lat``.  Every array argument
+(|Lambda|, M, N), left inverses (|Lambda|, N, M) and samples
+(M, |Lambda|); every function that needs the lattice takes it as ``lat``.  Every array argument
 of every function here is fibers, never an operator kernel, even at
 a*b = L where the two have the same shape: no stage reads an operator, so
 none is ever formed.  Two identities do the rest, both exact since the
@@ -37,11 +47,15 @@ trace transform is unitary:
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
   is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
   reconstruction are per-fiber products (one batched matrix product over
-  the dual grid); reconstruction is synthesis from the reconstructors'
-  fibers, and elements stay fibers from synthesis to the error;
+  the dual grid); reconstruction is synthesis from the generators with
+  the recovered coefficients, and elements stay fibers from synthesis
+  to the error;
 * pairing: <S, alpha_lambda(Q)>_HS is the inverse series of
   |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]): that coset Gram sum is
-  the transfer matrix, and samples and filter sequences add one inverse series.
+  the transfer matrix, and samples and filter sequences add one inverse
+  series.  The coset Gram of the reconstructors and the averagers is the
+  product A B of the transfer matrix and the left inverse, so the
+  interpolation check reads no fibers.
 
 Since the fibers are a reshape of a unitary transform, the Frobenius
 norm of an element's fibers is its HS norm, so the reconstruction error
@@ -67,6 +81,7 @@ __all__ = [
     "average_samples",
     "system_transfer",
     "build_reconstructor_multi",
+    "reconstruct",
     "interpolation_check",
     "whiten_generator",
     "relative_error",
@@ -135,43 +150,66 @@ def system_transfer(P, Q, lat: Lattice) -> np.ndarray:
 
 
 def build_reconstructor_multi(P, A, report: FrameReport, C=None) -> np.ndarray:
-    """Fibers (M, |Lambda|, a*b) of the reconstruction operators H_m, from the
-    generator fibers P, the transfer matrix A (M >= N) and its
-    ``frame_bounds`` report; ``left_inverse_family`` refuses when the system
-    is not a frame.
+    """Fibers (M, |Lambda|, a*b) of the reconstruction operators H_m, the
+    paper's explicit H_m = sum_n b_nm * S_n, from the generator fibers P, the
+    transfer matrix A (M >= N) and its ``frame_bounds`` report;
+    ``left_inverse_family`` refuses when the system is not a frame.
 
     With B_hat the left inverse (Moore-Penrose for C = None, else the
     C-parametrized member), the m-th operator is sum_n sum_lambda
     B[n, m](lambda) alpha_lambda(S_n), with fibers sum_n B_hat[xi, n, m] * P_{S_n}[xi, mu].
+    ``reconstruct`` gives the same reconstruction without forming them.
     """
     if A.shape[2] != len(P):
         raise ValueError(f"system has {A.shape[2]} input channels but there are {len(P)} generators")
     return _combine(left_inverse_family(A, report, C).transpose(0, 2, 1), P)
 
 
-def interpolation_check(H, Q, lat: Lattice, n_gens: int, tol: float = 1e-9):
+def reconstruct(s, P, A, report: FrameReport, lat: Lattice, C=None) -> np.ndarray:
+    """Fibers (|Lambda|, a*b) of sum_m sum_lambda s_m(lambda) alpha_lambda(H_m),
+    from the (M, |Lambda|) samples s, the generator fibers P, the transfer
+    matrix A (M >= N), its ``frame_bounds`` report and the free parameter C.
+
+    The same sum regrouped over the generators is
+    sum_n sum_lambda d_n(lambda) alpha_lambda(S_n) with the recovered
+    coefficients d = b * s, whose series is d_hat(xi) = B_hat(xi) s_hat(xi):
+    the left inverse is applied to the samples' series and the element is
+    synthesized from P, so neither B_hat nor the H_m are formed.
+    """
+    P = _fiber_stack(P, lat)
+    if A.shape[2] != len(P):
+        raise ValueError(f"system has {A.shape[2]} input channels but there are {len(P)} generators")
+    s_hat = symplectic_series(_as_coeffs(s, A.shape[1], lat.size), lat)
+    d_hat = left_inverse_family(A, report, C, s_hat.T[:, :, None])
+    return _combine(d_hat.transpose(0, 2, 1), P)[0]
+
+
+def interpolation_check(A, B, lat: Lattice, tol: float = 1e-9):
     """Check the square-system interpolation pattern of the reconstructors.
 
-    For M == N the samples of each H_n (fibers H) against the averagers
-    (fibers Q) must be the delta pattern delta_{n,n'} delta_{lambda,0}.
-    Returns (passed, max_deviation).
+    For M == N the samples of each reconstructor H_n against the averagers
+    must be the delta pattern delta_{n,n'} delta_{lambda,0}.  The coset Gram
+    of the fibers H and Q is the product of the transfer matrix A and the
+    left inverse B, so the samples are the inverse series of A B and no
+    fibers are read.  Returns (passed, max_deviation).
     """
-    if not len(H) == len(Q) == n_gens:
-        raise ValueError(f"interpolation pattern needs a square system, got {len(H)} "
-                         f"reconstructors, {len(Q)} averagers and {n_gens} generators")
-    s = _pairings(H, Q, lat)  # s[:, n]: samples of H_n
-    expect = np.zeros_like(s)
-    expect[:, :, 0] = np.eye(n_gens)
-    dev = float(np.abs(s - expect).max())
+    m, n = A.shape[1:]
+    if not m == n or B.shape != (lat.size, n, m):
+        raise ValueError(f"interpolation pattern needs a square system, got a {m} x {n} "
+                         f"transfer matrix and left inverses of shape {B.shape}")
+    s = inverse_symplectic_series(np.moveaxis(_matmul(A, B), 0, -1), lat)  # s[:, n]: samples of H_n
+    s[:, :, 0] -= np.eye(n)  # the deviation from the delta pattern
+    dev = float(np.abs(s).max())
     return dev <= tol, dev
 
 
-def whiten_generator(P, lat: Lattice) -> np.ndarray:
+def whiten_generator(P, lat: Lattice, out: np.ndarray | None = None) -> np.ndarray:
     """Fibers of a generator whose lattice translates are exactly orthonormal.
 
     Divides the (|Lambda|, a*b) fibers P of a generator's trace transform
     by the square root of |Lambda| times their coset power, the
-    adjoint-lattice periodization.  Refuses when that power has a zero
+    adjoint-lattice periodization, into ``out`` when it is given (which may
+    be P itself).  Refuses when that power has a zero
     (the translates are not a Riesz sequence).  Whitened fibers have flat
     coset power, so whitening them again changes them only in roundoff.
     """
@@ -181,7 +219,7 @@ def whiten_generator(P, lat: Lattice) -> np.ndarray:
         raise SingularTransfer(
             f"cannot whiten: periodized spectrum vanishes near dual index {xi}",
             witness_xi=xi, witness_point=tuple(int(v) for v in lat.dual_points[xi]))
-    return P / np.sqrt(lat.size * power)[:, None]
+    return np.divide(P, np.sqrt(lat.size * power)[:, None], out=out)
 
 
 def relative_error(P_rec, P) -> float:

@@ -48,9 +48,10 @@ def symplectic_ft(F) -> np.ndarray:
     return np.fft.fft(np.fft.ifft(F, axis=-1), axis=-2).swapaxes(-1, -2)
 
 
-def rank_one_fibers(u, v, lat: Lattice) -> np.ndarray:
+def rank_one_fibers(u, v, lat: Lattice, out: np.ndarray | None = None) -> np.ndarray:
     """The (|Lambda|, a*b) fibers of the trace transform of the rank-one
-    operator u (x) v*, which acts as f -> <f, v> u.
+    operator u (x) v*, which acts as f -> <f, v> u, written into ``out`` (a
+    C-contiguous complex array of that shape) when it is given.
 
     Its kernel's diagonals are the products u[(t + x) % L] * conj(v[t]): a
     sliding window over u extended by its first L - 1 entries, times
@@ -62,13 +63,19 @@ def rank_one_fibers(u, v, lat: Lattice) -> np.ndarray:
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if u.shape != (L,) or v.shape != (L,):
         raise ValueError(f"expected two signals of length {L}, got shapes {u.shape} and {v.shape}")
+    shape = (lat.size, lat.a * lat.b)
+    if out is not None and (out.shape != shape or out.dtype != complex
+                            or not out.flags.c_contiguous):
+        # the grid view below must be a view of out, not a copy
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
     c = (L + 1) // 2  # the inverse of 2 mod L; the Lattice has checked L
     x = np.arange(L)[:, None]
     t = np.arange(L)[None, :]
     diagonals = sliding_window_view(np.concatenate([u, u[:-1]]), L) * np.conj(v)
     trp = np.fft.fft(diagonals, axis=-1, out=diagonals)
     phase = np.exp(2j * np.pi * np.arange(L) / L)[(-c * x * t) % L]
-    out = np.empty((lat.size, lat.a * lat.b), dtype=complex)
+    if out is None:  # allocated last, after the L x L temporaries above
+        out = np.empty(shape, dtype=complex)
     dest = _fiber_grid(out, lat)
     np.multiply(phase.reshape(dest.shape), trp.reshape(dest.shape), out=dest)
     out /= np.sqrt(L)

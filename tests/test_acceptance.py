@@ -177,8 +177,9 @@ def test_criterion_07_interpolation_property():
         ops = [rand_op(15) for _ in range(n)]
         Q = trace_fibers(ops, lat)
         That = transfer_matrix(sample_filter_matrix(P, Q, lat))
-        H = build_reconstructor_multi(P, That, frame_bounds(That, lat))
-        _, dev = interpolation_check(H, Q, lat, n)
+        report = frame_bounds(That, lat)
+        H = build_reconstructor_multi(P, That, report)
+        _, dev = interpolation_check(That, left_inverse_family(That, report), lat)
         worst = max(worst, dev)
         # the quantized operators H_n, paired with the translated averagers
         Hops = operator_of(H, lat)

@@ -40,3 +40,13 @@ def test_no_module_carries_the_operator_calculus(name):
                 if _is_routine(obj) and obj.__module__ == oracles.__name__}
     assert sorted(calculus & set(vars(mod))) == []
     assert not any(hasattr(mod.__dict__.get("Lattice"), key) for key in ("points", "index_of"))
+
+
+def test_runner_reconstructs_through_the_coefficients():
+    # the roundtrip applies the left inverse to the samples' series and
+    # synthesizes from the generators: the reconstructors are never formed
+    from opsampler import runner, sampling
+
+    assert "reconstruct" in sampling.__all__ and "build_reconstructor_multi" in sampling.__all__
+    assert runner.reconstruct is sampling.reconstruct
+    assert not hasattr(runner, "build_reconstructor_multi")

@@ -17,6 +17,7 @@ from opsampler.config import MAX_FIBER_BYTES, config_echo, load_config, parse_co
 from opsampler.errors import ConfigError
 from opsampler.lattice import Lattice
 from opsampler.runner import _make_rng as make_rng
+from opsampler.weyl import rank_one_fibers
 from oracles import hs_inner, operator_of, points, rank_one, trace_fibers, translate_operator
 from test_weyl import lattices
 
@@ -137,6 +138,33 @@ def test_rank_one_build_forms_no_kernel(traced_peak, lat):
     _, peak = traced_peak(build_operator, spec, lat, None)
     unit = 16 * lat.L ** 2
     assert peak <= 3.5 * unit, f"peak {peak / unit:.2f} x 16 L^2 bytes"
+
+
+@pytest.mark.parametrize("spec", [{"kind": "boxcar", "width": 7},
+                                  {"kind": "whitened", "inner": {"kind": "random_hs"}}],
+                         ids=["boxcar", "whitened"])
+def test_build_into_a_slot_allocates_no_fiber_array_for_it(traced_peak, spec):
+    # the rank-one transform writes its phase multiply into the slot and
+    # whitening divides in place there: no fresh output, no copy into the
+    # slot, and the same bits as a fresh build
+    lat = Lattice(45, 3, 3)
+    unit = 16 * lat.L ** 2
+    build_operator(spec, lat, make_rng(5))  # warm-up: caches, first-call allocations
+    fresh, fresh_peak = traced_peak(build_operator, spec, lat, make_rng(5))
+    slot = np.empty((2, lat.size, lat.a * lat.b), dtype=complex)
+    built, slot_peak = traced_peak(build_operator, spec, lat, make_rng(5), slot[1])
+    assert np.shares_memory(built, slot[1])
+    assert np.array_equal(slot[1].view(np.uint64), fresh.view(np.uint64))
+    assert slot_peak <= fresh_peak - 0.9 * unit, (
+        f"slot {slot_peak / unit:.2f}, fresh {fresh_peak / unit:.2f} x 16 L^2 bytes")
+
+
+def test_rank_one_fibers_refuse_an_out_they_cannot_write_through():
+    u = np.ones(15, dtype=complex)
+    for out in (np.empty((15, 15)), np.empty((15, 16), dtype=complex),
+                np.empty((15, 30), dtype=complex)[:, ::2]):
+        with pytest.raises(ValueError):
+            rank_one_fibers(u, u, LAT, out=out)
 
 
 def test_random_builder_requires_rng():

@@ -20,7 +20,7 @@ from opsampler.report import canonical_json
 from opsampler.runner import _fibers, _make_rng, run_analyze, run_export, run_roundtrip
 from opsampler.sampling import (
     average_samples,
-    build_reconstructor_multi,
+    reconstruct,
     synthesize_element,
     system_transfer,
 )
@@ -218,9 +218,8 @@ def test_roundtrip_tolerance_flag(tmp_path, capsys):
     lat = Lattice(cfg.L, cfg.a, cfg.b)
     P = _fibers(cfg.generators, lat, rng)
     A = system_transfer(P, P, lat)
-    H = build_reconstructor_multi(P, A, frame_bounds(A, lat))
     E = synthesize_element(rand_complex(rng, (len(P), lat.size)), P, lat)
-    E_rec = synthesize_element(average_samples(E, P, lat), H, lat)
+    E_rec = reconstruct(average_samples(E, P, lat), P, A, frame_bounds(A, lat), lat)
     xi = int(np.argmax(np.linalg.norm(E_rec - E, axis=-1)))
     failure = report["failure"]
     assert failure["witness_xi"] == xi

@@ -510,6 +510,28 @@ def test_left_inverse_family_is_left_inverse():
     assert np.abs(prod - np.eye(2)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("M,N", [(1, 1), (3, 3), (3, 2), (6, 4)])
+def test_left_inverse_family_applied_to_x_is_b_times_x(M, N):
+    # B_hat X evaluated right to left equals the formed B_hat times X, for
+    # the pseudo-inverse and a C-parametrized member; the refusals hold
+    lat = Lattice(15, 3, 5)
+    That = transfer_matrix(rand_system(lat, M, N))
+    rep = frame_bounds(That, lat)
+    X = rng.standard_normal((lat.size, M, 2)) + 1j * rng.standard_normal((lat.size, M, 2))
+    C = rng.standard_normal((lat.size, N, M)) + 1j * rng.standard_normal((lat.size, N, M))
+    for free in (None, C):
+        BX = left_inverse_family(That, rep, free) @ X
+        assert np.abs(left_inverse_family(That, rep, free, X) - BX).max() <= 1e-12 * np.abs(BX).max()
+    with pytest.raises(ValueError):
+        left_inverse_family(That, rep, C[:, :, :-1] if M > 1 else C[:-1], X)
+    with pytest.raises(ValueError):
+        left_inverse_family(That, dataclasses.replace(rep, eigenpairs=None), None, X)
+    vals = That.copy()
+    vals[3] = 0.0
+    with pytest.raises(SingularTransfer):
+        left_inverse_family(vals, frame_bounds(vals, lat), None, X)
+
+
 # -------------------------------------------------------------- dual sequences
 
 def test_dual_sequences_identity():

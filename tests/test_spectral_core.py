@@ -17,6 +17,7 @@ from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
 from opsampler.sampling import (
     average_samples,
     build_reconstructor_multi,
+    reconstruct,
     relative_error,
     synthesize_element,
     system_transfer,
@@ -99,6 +100,9 @@ def test_spectral_core_matches_direct_routes(system):
         return
     H = build_reconstructor_multi(P, That, report, C)
     E_rec = synthesize_element(samples, H, lat)
+    # the coefficient route: the left inverse applied to the samples' series
+    direct = reconstruct(samples, P, That, report, lat, C)
+    assert np.linalg.norm(direct - E_rec) <= 1e-12 * np.linalg.norm(E_rec)
     err = relative_error(E_rec, E)
     assert err <= 1e-9
     # the fibers are a reshape of a unitary transform: the same error as the operators'
