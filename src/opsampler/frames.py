@@ -228,12 +228,9 @@ def left_inverse_family(A, report: FrameReport, C=None, X=None) -> np.ndarray:
         raise ValueError("report must be frame_bounds(A) of this transfer matrix")
     w, V = report.eigenpairs
     AX = _adjoint(A) if X is None else _matmul(_adjoint(A), X)
-    if n == 1:  # V = 1
-        D = AX / w[:, :, None]
-    else:
-        D = _matmul(_adjoint(V), AX)
-        D /= w[:, :, None]  # diag(1/w) scales the k columns of D, not the N of V
-        D = _matmul(V, D)
+    D = _matmul(_adjoint(V), AX)
+    D /= w[:, :, None]  # diag(1/w) scales the k columns of D, not the N of V
+    D = _matmul(V, D)
     if C is None:
         return D
     if np.shape(C) != (size, n, m):

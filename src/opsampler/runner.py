@@ -16,7 +16,8 @@ synthesized from P, so the left inverse and the reconstructor fibers
 H_m (``sampling.build_reconstructor_multi``, the paper's explicit
 reconstructors) are never formed.  Only the square-system interpolation
 check forms the left inverse B, and reads the reconstructors' samples off
-A B.
+A B.  It takes the Moore-Penrose member (no C): a square system has one
+left inverse, so every C gives it up to roundoff.
 
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure
 (a builder's refusal, a Riesz or frame verdict that fails, or a

@@ -192,6 +192,11 @@ def interpolation_check(A, B, lat: Lattice, tol: float = 1e-9):
     of the fibers H and Q is the product of the transfer matrix A and the
     left inverse B, so the samples are the inverse series of A B and no
     fibers are read.  Returns (passed, max_deviation).
+
+    The runner passes the Moore-Penrose member, B = ``left_inverse_family(A,
+    report)``.  For a square system the projector I - A A_dag vanishes, so
+    every member C equals it up to roundoff and the check covers the
+    reconstructors the roundtrip used, whatever its C.
     """
     m, n = A.shape[1:]
     if not m == n or B.shape != (lat.size, n, m):
