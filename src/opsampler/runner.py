@@ -12,11 +12,10 @@ The pipeline passes plain arrays with the lattice: the generator fibers
 P and averager fibers Q (one stack each; without averagers Q is P) and
 the transfer matrix.  A roundtrip reconstructs in coefficient form: the
 left inverse is applied to the samples' series and the element is
-synthesized from P, so the left inverse and the reconstructor fibers
-H_m (``sampling.build_reconstructor_multi``, the paper's explicit
-reconstructors) are never formed.  Only the square-system interpolation
-check forms the left inverse B, and reads the reconstructors' samples off
-A B.  It takes the Moore-Penrose member (no C): a square system has one
+synthesized from P, so the left inverse and the fibers of the paper's
+explicit reconstructors H_m are never formed.  Only the square-system
+interpolation check forms the left inverse B, and reads the
+reconstructors' samples off A B.  It takes the Moore-Penrose member (no C): a square system has one
 left inverse, so every C gives it up to roundoff.
 
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure

@@ -28,28 +28,26 @@ With H_m = sum_n b_nm * S_n the same sum regroups over the generators,
 
 so ``reconstruct`` recovers the coefficients' series
 d_hat(xi) = B_hat(xi) s_hat(xi) and synthesizes T from the generators;
-neither B_hat nor the H_m are formed.  ``build_reconstructor_multi``
-builds the explicit H_m of the formula above, the reference the tests
-check the coefficient form against.
+neither B_hat nor the H_m are formed.  The explicit H_m of the formula
+above live with the test suite, as the reference the coefficient form is
+checked against.
 
 Every stage runs on the dual grid, on the (|Lambda|, a*b) adjoint-coset
 fibers of the operators' trace transforms (see ``lattice`` and
 ``weyl``), which is the form the builders yield.  The pipeline passes
 plain arrays: generator fibers P (N, |Lambda|, a*b), averager fibers Q
-and reconstructor fibers H (M, |Lambda|, a*b), transfer matrices
-(|Lambda|, M, N), left inverses (|Lambda|, N, M) and samples
-(M, |Lambda|); every function that needs the lattice takes it as ``lat``.  Every array argument
-of every function here is fibers, never an operator kernel, even at
-a*b = L where the two have the same shape: no stage reads an operator, so
-none is ever formed.  Two identities do the rest, both exact since the
+(M, |Lambda|, a*b), transfer matrices (|Lambda|, M, N), left inverses
+(|Lambda|, N, M) and samples (M, |Lambda|); every function that needs
+the lattice takes it as ``lat``.  Every array argument of every function
+here is fibers, never an operator kernel, even at a*b = L where the two
+have the same shape: no stage reads an operator, so none is ever formed.  Two identities do the rest, both exact since the
 trace transform is unitary:
 
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
-  is series(c)(xi) * P_S[xi, mu], so synthesis, reconstructors and
-  reconstruction are per-fiber products (one batched matrix product over
-  the dual grid); reconstruction is synthesis from the generators with
-  the recovered coefficients, and elements stay fibers from synthesis
-  to the error;
+  is series(c)(xi) * P_S[xi, mu], so synthesis and reconstruction are
+  per-fiber products (one batched matrix product over the dual grid);
+  reconstruction is synthesis from the generators with the recovered
+  coefficients, and elements stay fibers from synthesis to the error;
 * pairing: <S, alpha_lambda(Q)>_HS is the inverse series of
   |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]): that coset Gram sum is
   the transfer matrix, and samples and filter sequences add one inverse
@@ -80,7 +78,6 @@ __all__ = [
     "synthesize_element",
     "average_samples",
     "system_transfer",
-    "build_reconstructor_multi",
     "reconstruct",
     "interpolation_check",
     "whiten_generator",
@@ -147,22 +144,6 @@ def system_transfer(P, Q, lat: Lattice) -> np.ndarray:
     """(|Lambda|, M, N) transfer matrix of the filter system of the generator
     fibers P and the averager fibers Q: their coset Gram, no series."""
     return _coset_gram(_fiber_stack(P, lat), _fiber_stack(Q, lat), lat)
-
-
-def build_reconstructor_multi(P, A, report: FrameReport, C=None) -> np.ndarray:
-    """Fibers (M, |Lambda|, a*b) of the reconstruction operators H_m, the
-    paper's explicit H_m = sum_n b_nm * S_n, from the generator fibers P, the
-    transfer matrix A (M >= N) and its ``frame_bounds`` report;
-    ``left_inverse_family`` refuses when the system is not a frame.
-
-    With B_hat the left inverse (Moore-Penrose for C = None, else the
-    C-parametrized member), the m-th operator is sum_n sum_lambda
-    B[n, m](lambda) alpha_lambda(S_n), with fibers sum_n B_hat[xi, n, m] * P_{S_n}[xi, mu].
-    ``reconstruct`` gives the same reconstruction without forming them.
-    """
-    if A.shape[2] != len(P):
-        raise ValueError(f"system has {A.shape[2]} input channels but there are {len(P)} generators")
-    return _combine(left_inverse_family(A, report, C).transpose(0, 2, 1), P)
 
 
 def reconstruct(s, P, A, report: FrameReport, lat: Lattice, C=None) -> np.ndarray:

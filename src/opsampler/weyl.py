@@ -9,8 +9,12 @@ Every stage reads an operator S through the adjoint-coset fibers (see
 with c = (L+1)//2 the inverse of 2 mod L.  The transform is unitary from
 operators (HS inner product) onto phase-space functions (L x L complex
 arrays indexed ``F[x, omega]``), so no stage needs the operator itself.
-The half-phase values are L-th roots of unity, read from the L roots at
-the residues ``(-c*x*omega) % L`` rather than exponentiated at every point.
+For a rank-one S = u (x) v* the half-phase is a shift, not a multiply:
+substituting t -> t - c*x cancels it, since x - c*x = c*x mod L, and
+leaves the discrete Wigner product u(t + x/2) * conj(v(t - x/2)) with
+1/2 = c (Gross, "Hudson's theorem for finite-dimensional quantum
+systems", J. Math. Phys. 47, 122107, 2006), so ``rank_one_fibers`` forms
+no phase.
 
 ``symplectic_ft`` (factor 1/L, self-inverse and unitary) maps a trace
 transform to the operator's Weyl symbol, which is what ``export`` writes.
@@ -53,30 +57,32 @@ def rank_one_fibers(u, v, lat: Lattice, out: np.ndarray | None = None) -> np.nda
     operator u (x) v*, which acts as f -> <f, v> u, written into ``out`` (a
     C-contiguous complex array of that shape) when it is given.
 
-    Its kernel's diagonals are the products u[(t + x) % L] * conj(v[t]): a
-    sliding window over u extended by its first L - 1 entries, times
-    conj(v).  The FFT over t runs in place on them, and the half-phase
-    multiply writes straight into the fiber buffer through its
-    ``(b, L/b, a, L/a)`` grid view, so no L x L kernel is formed.
+    The transform is the discrete Wigner product F(x, omega) = L**-0.5 *
+    sum_t exp(-2*pi*i*omega*t/L) * u[(t + c*x) % L] * conj(v[(t - c*x) % L]).
+    Its row y = c*x is a window of u extended by its first L - 1 entries
+    times a reversed window of conj(v), and lands at row x = 2*y mod L: the
+    first c rows fill the even rows, the rest the odd ones.  The orthonormal
+    FFT runs in place on them and one copy writes them into the fibers
+    through their ``(b, L/b, a, L/a)`` grid view, so no L x L kernel, index
+    table or phase is formed.
     """
     L = lat.L
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if u.shape != (L,) or v.shape != (L,):
         raise ValueError(f"expected two signals of length {L}, got shapes {u.shape} and {v.shape}")
     shape = (lat.size, lat.a * lat.b)
-    if out is not None and (out.shape != shape or out.dtype != complex
-                            or not out.flags.c_contiguous):
+    if out is None:  # before the work: a fresh build peaks one fiber array above a slot's
+        out = np.empty(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
         # the grid view below must be a view of out, not a copy
         raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
     c = (L + 1) // 2  # the inverse of 2 mod L; the Lattice has checked L
-    x = np.arange(L)[:, None]
-    t = np.arange(L)[None, :]
-    diagonals = sliding_window_view(np.concatenate([u, u[:-1]]), L) * np.conj(v)
-    trp = np.fft.fft(diagonals, axis=-1, out=diagonals)
-    phase = np.exp(2j * np.pi * np.arange(L) / L)[(-c * x * t) % L]
-    if out is None:  # allocated last, after the L x L temporaries above
-        out = np.empty(shape, dtype=complex)
+    ups = sliding_window_view(np.concatenate([u, u[:-1]]), L)  # ups[y, t] = u[t + y mod L]
+    downs = sliding_window_view(np.conj(np.concatenate([v[1:], v])), L)[::-1]  # conj(v[t - y mod L])
+    wig = np.empty((L, L), dtype=complex)
+    np.multiply(ups[:c], downs[:c], out=wig[0::2])
+    np.multiply(ups[c:], downs[c:], out=wig[1::2])
+    np.fft.fft(wig, axis=-1, norm="ortho", out=wig)
     dest = _fiber_grid(out, lat)
-    np.multiply(phase.reshape(dest.shape), trp.reshape(dest.shape), out=dest)
-    out /= np.sqrt(L)
+    dest[...] = wig.reshape(dest.shape)
     return out

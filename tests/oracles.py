@@ -4,8 +4,9 @@ tested against.
 ``opsampler`` reads every operator as the adjoint-coset fibers of its
 trace transform and computes on the dual grid.  This module computes the
 same things the direct way, by operator kernels, sums of translated
-operators, the Weyl symbol on the full grid, and filter sequences and
-their series.  No CLI path reaches it.
+operators, the Weyl symbol on the full grid, filter sequences and
+their series, and the paper's explicit reconstruction operators.  No CLI
+path reaches it.
 
 An operator is an L x L kernel, ``(S f)(t) = sum_x S[t, x] f(x)``, and the
 HS inner product is the Frobenius one.  ``(pi(z) f)(t) = exp(2*pi*i*omega*t/L)
@@ -31,6 +32,7 @@ over leading axes, slice by slice bit for bit.
 
 import numpy as np
 
+from opsampler.frames import left_inverse_family
 from opsampler.lattice import (
     Lattice,
     _as_seq,
@@ -336,6 +338,24 @@ def sample_filter_matrix(P, Q, lat: Lattice) -> ConvolutionMatrix:
     generator fibers P and averager fibers Q, so that
     average_samples(synthesize_element(c, P, lat), Q, lat) == A * c."""
     return dual_sequences(system_transfer(P, Q, lat), lat)
+
+
+def build_reconstructor_multi(P, A, report, C=None) -> np.ndarray:
+    """Fibers (M, |Lambda|, a*b) of the paper's explicit reconstruction
+    operators H_m = sum_n b_nm * S_n, from the generator fibers P, the
+    transfer matrix A (M >= N) and its ``frame_bounds`` report;
+    ``left_inverse_family`` refuses when the system is not a frame.
+
+    With B_hat the left inverse (Moore-Penrose for C = None, else the
+    C-parametrized member), H_m has the fibers sum_n B_hat[xi, n, m] *
+    P[n, xi, mu], so that T = sum_m sum_lambda s_m(lambda) alpha_lambda(H_m).
+    ``opsampler.sampling.reconstruct`` gives the same T without forming them.
+    """
+    P = np.asarray(P, dtype=complex)
+    if A.shape[2] != len(P):
+        raise ValueError(f"system has {A.shape[2]} input channels but there are {len(P)} generators")
+    B = left_inverse_family(A, report, C)
+    return np.matmul(B.transpose(0, 2, 1), P.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
 def seq_operator_convolve(c, S, lat: Lattice) -> np.ndarray:

@@ -14,7 +14,6 @@ from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_fami
 from opsampler.lattice import Lattice, fibers, periodize_sq
 from opsampler.sampling import (
     average_samples,
-    build_reconstructor_multi,
     interpolation_check,
     relative_error,
     synthesize_element,
@@ -22,6 +21,7 @@ from opsampler.sampling import (
 from opsampler.weyl import symplectic_ft
 from oracles import (
     ConvolutionMatrix,
+    build_reconstructor_multi,
     fourier_wigner,
     hs_inner,
     hs_norm,

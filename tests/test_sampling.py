@@ -15,7 +15,6 @@ from opsampler.lattice import (
 )
 from opsampler.sampling import (
     average_samples,
-    build_reconstructor_multi,
     interpolation_check,
     reconstruct,
     relative_error,
@@ -26,6 +25,7 @@ from opsampler.sampling import (
 from opsampler.weyl import symplectic_ft
 from oracles import (
     ConvolutionMatrix,
+    build_reconstructor_multi,
     check_operator,
     fourier_wigner,
     hs_inner,

@@ -16,7 +16,6 @@ from opsampler.frames import frame_bounds, gram_matrix_bounds
 from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
 from opsampler.sampling import (
     average_samples,
-    build_reconstructor_multi,
     reconstruct,
     relative_error,
     synthesize_element,
@@ -24,6 +23,7 @@ from opsampler.sampling import (
 )
 from opsampler.weyl import rank_one_fibers
 from oracles import (
+    build_reconstructor_multi,
     dual_sequences,
     operator_of,
     points,
@@ -34,6 +34,7 @@ from oracles import (
     transfer_matrix,
 )
 from test_lattice import naive_series
+from test_weyl import assert_matches_oracle
 
 
 @st.composite
@@ -68,14 +69,13 @@ def test_spectral_core_matches_direct_routes(system):
     assert np.allclose(symplectic_series(c[0], lat), naive_series(c[0], lat), rtol=0, atol=1e-10)
 
     gen_ops = rand_complex(rng, (n, L, L))
-    # the fibers written by the rank-one transform's phase multiply, for two
+    # the fibers the rank-one transform copies its rows into, for two
     # signals, a signal with itself, and a pair whose transform has exact zeros
     u, v = rand_complex(rng, (2, L))
     for x, y in ((u, v), (u, u), (np.ones(L), np.ones(L))):
         direct = rank_one_fibers(x, y, lat)
         assert direct.flags.c_contiguous
-        oracle = trace_fibers(rank_one(x, y), lat)
-        assert np.array_equal(direct.view(np.uint64), oracle.view(np.uint64))
+        assert_matches_oracle(direct, trace_fibers(rank_one(x, y), lat))
     P = trace_fibers(gen_ops, lat)
     Q = trace_fibers(rand_complex(rng, (m, L, L)), lat)
     E = synthesize_element(c, P, lat)  # the element's fibers
