@@ -113,11 +113,11 @@ def _witnesses(lows: np.ndarray, tol: float, lat: Lattice,
                band: float = 0.0) -> tuple[tuple[int, ...], tuple]:
     """The lowest index with ``lows <= min + band``, then the other
     indices with ``lows <= tol``."""
-    first = int(np.argmax(lows <= lows.min() + band))
-    order = [first]
-    order += [int(i) for i in np.flatnonzero(lows <= tol) if int(i) != first]
-    points = tuple(divmod(i, lat.n_rows) for i in order)  # the rows of lat.dual_points
-    return tuple(order), points
+    first = np.argmax(lows <= lows.min() + band)
+    rest = np.flatnonzero(lows <= tol)
+    order = np.concatenate(([first], rest[rest != first]))
+    rows, cols = np.divmod(order, lat.n_rows)  # the rows of lat.dual_points
+    return tuple(order.tolist()), tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verdict: str,

@@ -1,8 +1,12 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from opsampler import gridio
 from opsampler.gridio import read_phase_grid, write_dual_values, write_phase_grid, write_transfer
 
 # ---------------------------------------------------- per-value oracle writers
@@ -69,6 +73,10 @@ CASES = {
     "phase_grid": (write_phase_grid, oracle_phase_grid, lambda: _complex_values((15, 15), 1)),
     "dual_values": (write_dual_values, oracle_dual_values, lambda: _values((45,), 2)),
     "transfer": (write_transfer, oracle_transfer, lambda: _complex_values((9, 3, 2), 3)),
+    # several chunks of rows each, the dual indices past four digits
+    "phase_grid_chunked": (write_phase_grid, oracle_phase_grid, lambda: _complex_values((47, 47), 7)),
+    "dual_values_chunked": (write_dual_values, oracle_dual_values, lambda: _values((10007,), 8)),
+    "transfer_chunked": (write_transfer, oracle_transfer, lambda: _complex_values((401, 3, 2), 9)),
 }
 
 
@@ -79,6 +87,31 @@ def test_writers_match_per_value_loop_byte_for_byte(tmp_path, kind):
     writer(tmp_path / "new.csv", values)
     oracle(tmp_path / "old.csv", values)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in CASES if k.endswith("_chunked")))
+def test_chunked_cases_span_several_chunks(kind):
+    assert CASES[kind][2]().size > 2 * gridio._CHUNK  # one row per value
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_writers_without_the_fast_path_write_the_same_bytes(tmp_path, monkeypatch, kind):
+    """Every value formatted by ``'%.17g'``, as where ``np.longdouble`` has 53 bits."""
+    monkeypatch.setattr(gridio, "_FAST", False)
+    writer, oracle, make = CASES[kind]
+    values = make()
+    writer(tmp_path / "new.csv", values)
+    oracle(tmp_path / "old.csv", values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_phase_grid_writer_temporaries_do_not_grow_with_the_grid(traced_peak):
+    """The rows are formatted a chunk at a time: at L = 255 (65025 rows) the
+    writer peaks at about 360 KB, while index fields for the whole grid
+    alone would take 1 MB."""
+    F = _complex_values((255, 255), 10)
+    _, peak = traced_peak(write_phase_grid, "/dev/null", F)
+    assert peak < 768 * 1024
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
@@ -138,3 +171,54 @@ def test_read_phase_grid_refuses_malformed_rows(tmp_path, defect):
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=re.escape(f"{path}, line {lineno}: ")):
         read_phase_grid(path, 3)
+
+
+# ------------------------------------------------------------- the formatter
+
+
+def _formatted(values):
+    """Each value as ``gridio._format17`` writes it."""
+    x = np.asarray(values, dtype=float)
+    out = np.zeros(x.shape + (6,), np.uint64)
+    gridio._format17(out, x, np.uint64(0))
+    return [row.tobytes().translate(None, b"\0").decode() for row in out]
+
+
+def _edge_values():
+    """Powers of ten and their neighbours, powers of two, values near the
+    17-digit rounding boundary and its ties, subnormals, the extremes and
+    zeros, with their negatives."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+              np.ldexp(1.0, np.arange(-1074, 1024)),
+              1e15 + np.arange(-64, 65) / 8, 1e16 + np.arange(-64, 65), 1e17 + 16 * np.arange(-64, 65),
+              np.ldexp(np.arange(1, 2000), -1074), np.arange(-1000, 1001, dtype=float),
+              [0.0, np.finfo(float).max, np.finfo(float).smallest_normal, 0.1, 1 / 3, 2.0**53 + 2]]
+    values = np.concatenate([np.ravel(v) for v in values])
+    return np.concatenate([values, -values])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_formatter_is_percent_17g(values):
+    assert _formatted(values) == [format(v, ".17g") for v in values]
+
+
+def test_formatter_on_random_bit_patterns():
+    bits = np.random.default_rng(22).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert len(values) > 99_000
+    assert _formatted(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+def test_formatter_on_edge_values():
+    values = _edge_values()
+    assert _formatted(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+@pytest.mark.skipif(not gridio._FAST, reason="np.longdouble has fewer than 63 fraction bits")
+def test_power_of_ten_table_is_within_2_to_the_minus_64():
+    for k, p in zip(range(-293, 342), gridio._P10):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= exact / 2**64, k
