@@ -1,19 +1,19 @@
 """Test-fixture operator builders used by the experiment harness.
 
 Each builder spec names a construction recipe for a generator or
-averaging operator, and ``build_operator`` yields the operator as the
-``(|Lambda|, a*b)`` adjoint-coset fibers of its trace transform (see
-``lattice``), the one form every later stage reads, into the caller's
-buffer when one is given.  No builder forms an operator kernel.  The
-rank-one kinds (delta_pair, boxcar, periodized_gaussian,
-random_signal_pair) transform their two signals straight to fibers
+averaging operator, and ``build_operator`` writes the operator into the
+caller's stack slot as the ``(|Lambda|, a*b)`` adjoint-coset fibers of
+its trace transform (see ``lattice``), the one form every later stage
+reads.  No builder forms an operator kernel or a second fiber array.
+The rank-one kinds (delta_pair, boxcar, periodized_gaussian,
+random_signal_pair) transform their two signals straight into the slot
 (``weyl.rank_one_fibers``).  ``random_hs`` draws its fibers directly, in
-one ``rand_complex`` call straight into the buffer: the trace transform
-is unitary, so an i.i.d. standard complex Gaussian kernel has i.i.d.
-standard complex Gaussian fibers.  ``whitened`` whitens the fibers of
-its inner operator.  Deterministic kinds never touch the random stream;
-random kinds consume it in a documented order, so a fixed seed
-reproduces every operator.
+one ``rand_complex`` call into the slot: the trace transform is unitary,
+so an i.i.d. standard complex Gaussian kernel has i.i.d. standard
+complex Gaussian fibers.  ``whitened`` builds its inner operator into
+the slot and whitens it there.  Deterministic kinds never touch the
+random stream; random kinds consume it in a documented order, so a fixed
+seed reproduces every operator.
 
 A periodized Gaussian needs a width whose square is a positive finite
 float (else its signal is NaN or overflows) and at most ``MAX_WRAPS``
@@ -151,20 +151,18 @@ def _periodized_gaussian(L: int, width: float, wraps: int, center: int) -> np.nd
 
 
 def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray) -> np.ndarray:
     """Materialize one validated builder spec as the (|Lambda|, a*b) fibers of
-    its operator's trace transform, written straight into ``out`` when it is
-    given, and returned."""
+    its operator's trace transform, written into ``out`` (a C-contiguous
+    complex array of that shape: a slot of a fiber stack) and returned."""
     L = lat.L
     kind = spec["kind"]
-    if kind in ("random_signal_pair", "random_hs") and rng is None:
+    if rng is None and spec_uses_rng(spec):
         raise ConfigError("random builder requires a seed")
     if kind == "random_hs":
         return rand_complex(rng, (lat.size, lat.a * lat.b), out=out)
     if kind == "whitened":
-        # the inner fibers are built into the buffer and whitened in place
-        P = build_operator(spec["inner"], lat, rng, out=out)
-        return whiten_generator(P, lat, out=P)
+        return whiten_generator(build_operator(spec["inner"], lat, rng, out), lat)
     if kind == "delta_pair":
         u, v = _delta(L, spec["t1"]), _delta(L, spec["t2"])
     elif kind == "boxcar":

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from .builders import spec_uses_rng, validate_builder_spec
 from .errors import ConfigError
+from .frames import DEFAULT_TOL_FACTOR
 
 __all__ = ["ExperimentConfig", "parse_config", "load_config", "config_echo"]
 
@@ -127,7 +128,7 @@ def parse_config(data) -> ExperimentConfig:
         raise ConfigError(f"must be 'zero' or 'random', got {c_matrix!r}", field="c_matrix")
 
     tolerance = _positive_finite(data, "tolerance", 1e-8)
-    tol_pos = _positive_finite(data, "tol_pos", 1e-10)
+    tol_pos = _positive_finite(data, "tol_pos", DEFAULT_TOL_FACTOR)
     if tol_pos >= 1:
         raise ConfigError(f"must be below 1, since no gate alpha > tol_pos * beta with "
                           f"alpha <= beta can pass otherwise; got {tol_pos!r}", field="tol_pos")

@@ -21,16 +21,15 @@ localized.
 
 Each transfer matrix is factorized once: one batched ``eigh`` of its
 Gram matrices gives the bounds, ``delta`` and the Moore-Penrose left
-inverse.  A 1 x 1 Gram matrix (N = 1) is its own eigendecomposition and a
-product over a contracted dimension of 1 is elementwise: no LAPACK or BLAS.
+inverse.  A 1 x 1 Gram matrix (N = 1) is its own eigendecomposition: no LAPACK.
 
 The verdict string is one of ``riesz_basis`` (pass with M == N, or a
 Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
 (pass with M > N), ``fail`` (lower bound not positive; witnesses
 attached).
 
-Every stage is evaluated on the dual grid (see ``lattice``): the Gram
-test reads the adjoint-coset fibers of the trace transforms.
+Every stage is evaluated on the dual grid with ``lattice``'s algebra: the
+Gram test is the coset product of the generators' fibers with themselves.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularTransfer
-from .lattice import Lattice
+from .lattice import Lattice, _adjoint, _coset_gram, _matmul
 
 __all__ = [
     "DEFAULT_TOL_FACTOR",
@@ -133,17 +132,6 @@ def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verd
                        wit, pts, tol, kind, eigenpairs)
 
 
-def _adjoint(values: np.ndarray) -> np.ndarray:
-    """Per-xi conjugate transpose of a (size, M, N) stack."""
-    return values.conj().transpose(0, 2, 1)
-
-
-def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``np.matmul(A, B)``; over a contracted dimension of 1 the outer
-    products ``A * B``, which numpy would hand to BLAS once per matrix."""
-    return A * B if A.shape[-1] == 1 else np.matmul(A, B)
-
-
 def _eigh(G: np.ndarray, vectors: bool = True):
     """``np.linalg.eigh(G)``, or ``eigvalsh`` without ``vectors``, of a Hermitian
     stack.  For 1 x 1 matrices that is the real part and the eigenvector 1
@@ -189,16 +177,16 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     ``V`` stacks the adjoint-coset fibers of the phase-weighted trace
     transforms of the generators, shape (N, size, n_adjoint).  Builds, per
     dual-grid representative z, the N x N Gram matrix
-    ``G(z) = sum_mu v(z + mu) v(z + mu)^H`` over the adjoint lattice and
-    returns the extreme eigenvalues over the grid.  For a single
-    generator the bounds are |Lambda| times the extremes of the
-    periodized square (scaling documented in ``periodize_sq``).
+    ``G(z) = sum_mu v(z + mu) v(z + mu)^H`` over the adjoint lattice (the
+    coset product of V with itself) and returns the extreme eigenvalues
+    over the grid.  For a single generator the bounds are |Lambda| times
+    the extremes of the periodized square (scaling documented in
+    ``periodize_sq``).
     """
     if len(V) == 0:
         raise ValueError("need at least one generator")
-    Vx = V.transpose(1, 0, 2)
-    gram = _matmul(Vx, _adjoint(Vx))
-    return _report(_eigh(gram, vectors=False), lat, tol_factor, "gram", VERDICT_RIESZ)
+    return _report(_eigh(_coset_gram(V, V), vectors=False), lat, tol_factor, "gram",
+                   VERDICT_RIESZ)
 
 
 def left_inverse_family(A, report: FrameReport, C=None, X=None) -> np.ndarray:

@@ -37,6 +37,12 @@ per-fiber products between these two maps.  Both batch over leading
 axes.  Sequences are convolved, reflected and translated only through
 the series; the direct sums over lattice points are the test suite's
 oracle.
+
+The per-dual-point algebra of the other modules lives here too, in the
+private helpers ``_fiber_grid``, ``_adjoint``, ``_matmul`` and
+``_coset_gram``, the one coset product of two fiber stacks: the Gram
+matrices of the Riesz test in ``frames`` and, conjugated and scaled, the
+transfer matrix in ``sampling``.
 """
 
 from __future__ import annotations
@@ -185,3 +191,20 @@ def periodize_sq(P, lat: Lattice) -> np.ndarray:
     if P.shape != (lat.size, lat.a * lat.b):
         raise ValueError(f"expected ({lat.size}, {lat.a * lat.b}) fibers, got {P.shape}")
     return (np.abs(P) ** 2).sum(axis=-1) / lat.size
+
+
+def _adjoint(values: np.ndarray) -> np.ndarray:
+    """Per-xi conjugate transpose of a (size, M, N) stack."""
+    return values.conj().transpose(0, 2, 1)
+
+
+def _matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.matmul(A, B)``; over a contracted dimension of 1 the outer
+    products ``A * B``, which numpy would hand to BLAS once per matrix."""
+    return A * B if A.shape[-1] == 1 else np.matmul(A, B)
+
+
+def _coset_gram(Q: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """out[xi, m, n] = sum_mu Q[m, xi, mu] * conj(P[n, xi, mu]) from the
+    (M, |Lambda|, a*b) and (N, |Lambda|, a*b) fiber stacks Q and P."""
+    return _matmul(Q.transpose(1, 0, 2), P.conj().transpose(1, 2, 0))

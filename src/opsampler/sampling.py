@@ -48,12 +48,12 @@ trace transform is unitary:
   per-fiber products (one batched matrix product over the dual grid);
   reconstruction is synthesis from the generators with the recovered
   coefficients, and elements stay fibers from synthesis to the error;
-* pairing: <S, alpha_lambda(Q)>_HS is the inverse series of
-  |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]): that coset Gram sum is
-  the transfer matrix, and samples and filter sequences add one inverse
-  series.  The coset Gram of the reconstructors and the averagers is the
-  product A B of the transfer matrix and the left inverse, so the
-  interpolation check reads no fibers.
+* pairing: <S, alpha_lambda(Q)>_HS is the inverse series of the transfer
+  matrix |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]), ``lattice``'s
+  coset product of the averagers and the generators, conjugated and
+  scaled.  The coset Gram of the reconstructors and the averagers is A B,
+  the transfer matrix times the left inverse, so the interpolation check
+  reads no fibers.
 
 Since the fibers are a reshape of a unitary transform, the Frobenius
 norm of an element's fibers is its HS norm, so the reconstruction error
@@ -66,13 +66,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularTransfer
-from .frames import (
-    DEFAULT_TOL_FACTOR,
-    FrameReport,
-    _matmul,
-    left_inverse_family,
-)
-from .lattice import Lattice, inverse_symplectic_series, symplectic_series
+from .frames import DEFAULT_TOL_FACTOR, FrameReport, left_inverse_family
+from .lattice import Lattice, _coset_gram, _matmul, inverse_symplectic_series, symplectic_series
 
 __all__ = [
     "synthesize_element",
@@ -110,18 +105,13 @@ def _combine(W, P) -> np.ndarray:
     return _matmul(W, P.transpose(1, 0, 2)).transpose(1, 0, 2)
 
 
-def _coset_gram(P, Q, lat: Lattice) -> np.ndarray:
+def _transfer(P, Q, lat: Lattice) -> np.ndarray:
     """out[xi, m, n] = |Lambda| * sum_mu P[n, xi, mu] * conj(Q[m, xi, mu]) from fibers P, Q."""
-    # the conjugate of sum_mu Q * conj(P): copies P, which never has more
-    # channels than Q, and conjugates the small product in place
-    gram = _matmul(Q.transpose(1, 0, 2), P.conj().transpose(1, 2, 0))
+    # the conjugate of the coset Gram of Q and P: copies P, which never has
+    # more channels than Q, and conjugates the small product in place
+    gram = _coset_gram(Q, P)
     np.conjugate(gram, out=gram)
     return np.multiply(gram, lat.size, out=gram)
-
-
-def _pairings(P, Q, lat: Lattice) -> np.ndarray:
-    """out[m, n](lambda) = <op_n, alpha_lambda(q_m)>_HS: one inverse series of the coset Gram."""
-    return inverse_symplectic_series(np.moveaxis(_coset_gram(P, Q, lat), 0, -1), lat)
 
 
 def synthesize_element(c, P, lat: Lattice) -> np.ndarray:
@@ -137,13 +127,14 @@ def average_samples(E, Q, lat: Lattice) -> np.ndarray:
     the (|Lambda|, a*b) fibers E, from the (M, |Lambda|, a*b) averager
     fibers Q; shape (M, size)."""
     E = _fiber_stack(E, lat, ndim=2)
-    return _pairings(E[None], _fiber_stack(Q, lat), lat)[:, 0]
+    A = _transfer(E[None], _fiber_stack(Q, lat), lat)
+    return inverse_symplectic_series(np.moveaxis(A, 0, -1), lat)[:, 0]
 
 
 def system_transfer(P, Q, lat: Lattice) -> np.ndarray:
     """(|Lambda|, M, N) transfer matrix of the filter system of the generator
     fibers P and the averager fibers Q: their coset Gram, no series."""
-    return _coset_gram(_fiber_stack(P, lat), _fiber_stack(Q, lat), lat)
+    return _transfer(_fiber_stack(P, lat), _fiber_stack(Q, lat), lat)
 
 
 def reconstruct(s, P, A, report: FrameReport, lat: Lattice, C=None) -> np.ndarray:
@@ -189,15 +180,14 @@ def interpolation_check(A, B, lat: Lattice, tol: float = 1e-9):
     return dev <= tol, dev
 
 
-def whiten_generator(P, lat: Lattice, out: np.ndarray | None = None) -> np.ndarray:
-    """Fibers of a generator whose lattice translates are exactly orthonormal.
-
-    Divides the (|Lambda|, a*b) fibers P of a generator's trace transform
-    by the square root of |Lambda| times their coset power, the
-    adjoint-lattice periodization, into ``out`` when it is given (which may
-    be P itself).  Refuses when that power has a zero
-    (the translates are not a Riesz sequence).  Whitened fibers have flat
-    coset power, so whitening them again changes them only in roundoff.
+def whiten_generator(P: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Whiten the (|Lambda|, a*b) complex fibers P of a generator's trace
+    transform in place, so that its lattice translates are exactly
+    orthonormal, and return P: divide P by the square root of |Lambda|
+    times its coset power, the adjoint-lattice periodization.  Refuses,
+    leaving P as it was, when that power has a zero (the translates are
+    not a Riesz sequence).  Whitened fibers have flat coset power, so
+    whitening them again changes them only in roundoff.
     """
     power = (np.abs(P) ** 2).sum(axis=-1)
     if power.min() <= DEFAULT_TOL_FACTOR * power.max():
@@ -205,7 +195,7 @@ def whiten_generator(P, lat: Lattice, out: np.ndarray | None = None) -> np.ndarr
         raise SingularTransfer(
             f"cannot whiten: periodized spectrum vanishes near dual index {xi}",
             witness_xi=xi, witness_point=tuple(int(v) for v in lat.dual_points[xi]))
-    return np.divide(P, np.sqrt(lat.size * power)[:, None], out=out)
+    return np.divide(P, np.sqrt(lat.size * power)[:, None], out=P)
 
 
 def relative_error(P_rec, P) -> float:

@@ -52,10 +52,10 @@ def symplectic_ft(F) -> np.ndarray:
     return np.fft.fft(np.fft.ifft(F, axis=-1), axis=-2).swapaxes(-1, -2)
 
 
-def rank_one_fibers(u, v, lat: Lattice, out: np.ndarray | None = None) -> np.ndarray:
+def rank_one_fibers(u, v, lat: Lattice, out: np.ndarray) -> np.ndarray:
     """The (|Lambda|, a*b) fibers of the trace transform of the rank-one
     operator u (x) v*, which acts as f -> <f, v> u, written into ``out`` (a
-    C-contiguous complex array of that shape) when it is given.
+    C-contiguous complex array of that shape) and returned.
 
     The transform is the discrete Wigner product F(x, omega) = L**-0.5 *
     sum_t exp(-2*pi*i*omega*t/L) * u[(t + c*x) % L] * conj(v[(t - c*x) % L]).
@@ -71,9 +71,7 @@ def rank_one_fibers(u, v, lat: Lattice, out: np.ndarray | None = None) -> np.nda
     if u.shape != (L,) or v.shape != (L,):
         raise ValueError(f"expected two signals of length {L}, got shapes {u.shape} and {v.shape}")
     shape = (lat.size, lat.a * lat.b)
-    if out is None:  # before the work: a fresh build peaks one fiber array above a slot's
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+    if out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
         # the grid view below must be a view of out, not a copy
         raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
     c = (L + 1) // 2  # the inverse of 2 mod L; the Lattice has checked L

@@ -3,13 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from opsampler.builders import build_operator
 from opsampler.config import parse_config
 from opsampler.errors import SingularTransfer
 from opsampler.frames import (
     DEFAULT_TOL_FACTOR,
     _eigh,
-    _matmul,
     _report,
     _witnesses,
     frame_bounds,
@@ -18,6 +16,7 @@ from opsampler.frames import (
 )
 from opsampler.lattice import (
     Lattice,
+    _matmul,
     fibers,
     inverse_symplectic_series,
     periodize_sq,
@@ -26,6 +25,7 @@ from opsampler.lattice import (
 from opsampler.runner import run_analyze
 from opsampler.sampling import system_transfer
 from opsampler.weyl import symplectic_ft
+from test_builders_config import build
 from oracles import (
     ConvolutionMatrix,
     dual_sequences,
@@ -107,15 +107,15 @@ def test_witnesses_do_not_depend_on_summation_order(seed):
     # the witnesses must not.
     lat = Lattice(45, 3, 3)
     draw = np.random.default_rng(seed)
-    P = build_operator({"kind": "whitened", "inner": {"kind": "random_hs"}}, lat, draw)[None]
+    P = build({"kind": "whitened", "inner": {"kind": "random_hs"}}, lat, draw)[None]
     riesz = gram_matrix_bounds(P, lat)
     oracle = _einsum_report(np.einsum("nxa,mxa->xnm", P, P.conj()), lat, "gram", "riesz_basis")
     assert riesz.verdict == oracle.verdict == "riesz_basis"
     assert riesz.witnesses == oracle.witnesses
     assert riesz.witness_points == oracle.witness_points
 
-    P = build_operator({"kind": "random_hs"}, lat, draw)[None]
-    Q = np.stack([build_operator({"kind": "delta_pair", "t1": t1, "t2": t2}, lat, None)
+    P = build({"kind": "random_hs"}, lat, draw)[None]
+    Q = np.stack([build({"kind": "delta_pair", "t1": t1, "t2": t2}, lat, None)
                   for t1, t2 in ((1, 2), (0, 4))])
     system = frame_bounds(transfer_matrix(sample_filter_matrix(P, Q, lat)), lat)
     seqs = inverse_symplectic_series(
@@ -189,7 +189,7 @@ def test_delta_averagers_leave_exactly_zero_transfer_blocks():
                      {"kind": "delta_pair", "t1": 0, "t2": 4}]
     lat = Lattice(L, 3, 3)
     P = trace_fibers([rand_op(L)], lat)
-    Q = np.stack([build_operator(spec, lat, None) for spec in deltas])
+    Q = np.stack([build(spec, lat, None) for spec in deltas])
     T = system_transfer(P, Q, lat)
     zero = [int(i) for i in np.flatnonzero(~T.reshape(lat.size, -1).any(axis=1))]
     assert 0 < len(zero) < lat.size
@@ -215,7 +215,7 @@ def _one_by_one_stacks():
     local = np.random.default_rng(45)  # collection time: leaves the module's draws alone
     S = local.standard_normal((L, L)) + 1j * local.standard_normal((L, L))
     P = trace_fibers([S], lat)
-    Q = np.stack([build_operator(spec, lat, None) for spec in deltas])
+    Q = np.stack([build(spec, lat, None) for spec in deltas])
     T = system_transfer(P, Q, lat)
     gram = np.matmul(T.conj().transpose(0, 2, 1), T)
     assert (gram == 0).any() and (gram != 0).any()

@@ -199,7 +199,8 @@ def test_fiber_whitening_matches_the_operator_route(L, a, b):
     oracle = trace_fibers(whiten_operator(S, lat), lat)
     assert np.linalg.norm(P - oracle) <= 1e-14 * np.linalg.norm(oracle)
     # whitening is idempotent up to roundoff: the coset power is already flat
-    assert np.linalg.norm(whiten_generator(P, lat) - P) <= 1e-14 * np.linalg.norm(P)
+    # (it divides in place, so it whitens a copy)
+    assert np.linalg.norm(whiten_generator(P.copy(), lat) - P) <= 1e-14 * np.linalg.norm(P)
 
 
 # ------------------------------------------------------ single reconstruction

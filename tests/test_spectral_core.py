@@ -73,7 +73,7 @@ def test_spectral_core_matches_direct_routes(system):
     # signals, a signal with itself, and a pair whose transform has exact zeros
     u, v = rand_complex(rng, (2, L))
     for x, y in ((u, v), (u, u), (np.ones(L), np.ones(L))):
-        direct = rank_one_fibers(x, y, lat)
+        direct = rank_one_fibers(x, y, lat, np.empty((lat.size, lat.a * lat.b), dtype=complex))
         assert direct.flags.c_contiguous
         assert_matches_oracle(direct, trace_fibers(rank_one(x, y), lat))
     P = trace_fibers(gen_ops, lat)
