@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import Lattice
+from .lattice import Lattice, _fiber_slot
 from .sampling import whiten_generator
 from .weyl import rank_one_fibers
 
@@ -154,7 +154,10 @@ def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None,
                    out: np.ndarray) -> np.ndarray:
     """Materialize one validated builder spec as the (|Lambda|, a*b) fibers of
     its operator's trace transform, written into ``out`` (a C-contiguous
-    complex array of that shape: a slot of a fiber stack) and returned."""
+    complex array of that shape: a slot of a fiber stack) and returned.
+    Any other ``out`` is refused with a ``ValueError`` before anything is
+    drawn or written."""
+    _fiber_slot(out, lat)
     L = lat.L
     kind = spec["kind"]
     if rng is None and spec_uses_rng(spec):

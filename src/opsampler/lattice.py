@@ -42,7 +42,9 @@ The per-dual-point algebra of the other modules lives here too, in the
 private helpers ``_fiber_grid``, ``_adjoint``, ``_matmul`` and
 ``_coset_gram``, the one coset product of two fiber stacks: the Gram
 matrices of the Riesz test in ``frames`` and, conjugated and scaled, the
-transfer matrix in ``sampling``.
+transfer matrix in ``sampling``.  ``_fiber_slot`` is the one check on
+the stack slot that ``builders`` and ``weyl`` write an operator's
+fibers through.
 """
 
 from __future__ import annotations
@@ -170,6 +172,15 @@ def unfibers(P, lat: Lattice) -> np.ndarray:
     if P.shape[-2:] != (lat.size, lat.a * lat.b):
         raise ValueError(f"expected ({lat.size}, {lat.a * lat.b}) fibers, got {P.shape}")
     return _fiber_grid(P, lat).reshape(P.shape[:-2] + (lat.L, lat.L))
+
+
+def _fiber_slot(out, lat: Lattice) -> None:
+    """Refuse, with a ``ValueError``, an ``out`` that is not a C-contiguous
+    complex ``(|Lambda|, a*b)`` array: a build writes a whole operator's
+    fibers through it, and its ``_fiber_grid`` must be a view, not a copy."""
+    shape = (lat.size, lat.a * lat.b)
+    if out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
 
 
 def _fiber_grid(P, lat: Lattice) -> np.ndarray:

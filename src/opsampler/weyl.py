@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import Lattice, _fiber_grid
+from .lattice import Lattice, _fiber_grid, _fiber_slot
 
 __all__ = ["symplectic_ft", "rank_one_fibers"]
 
@@ -70,10 +70,7 @@ def rank_one_fibers(u, v, lat: Lattice, out: np.ndarray) -> np.ndarray:
     u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if u.shape != (L,) or v.shape != (L,):
         raise ValueError(f"expected two signals of length {L}, got shapes {u.shape} and {v.shape}")
-    shape = (lat.size, lat.a * lat.b)
-    if out.shape != shape or out.dtype != complex or not out.flags.c_contiguous:
-        # the grid view below must be a view of out, not a copy
-        raise ValueError(f"out must be a C-contiguous complex array of shape {shape}")
+    _fiber_slot(out, lat)
     c = (L + 1) // 2  # the inverse of 2 mod L; the Lattice has checked L
     ups = sliding_window_view(np.concatenate([u, u[:-1]]), L)  # ups[y, t] = u[t + y mod L]
     downs = sliding_window_view(np.conj(np.concatenate([v[1:], v])), L)[::-1]  # conj(v[t - y mod L])

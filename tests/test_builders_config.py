@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsampler.builders import (
+    BUILDER_KINDS,
     MAX_WHITENED_NESTING,
     _periodized_gaussian,
     build_operator,
@@ -180,6 +181,36 @@ def test_rank_one_fibers_refuse_an_out_they_cannot_write_through():
                 np.empty((15, 30), dtype=complex)[:, ::2]):
         with pytest.raises(ValueError):
             rank_one_fibers(u, u, LAT, out=out)
+
+
+# one valid spec of every builder kind
+EVERY_KIND = {"delta_pair": {"kind": "delta_pair", "t1": 1, "t2": 4},
+              "boxcar": {"kind": "boxcar", "width": 3},
+              "periodized_gaussian": {"kind": "periodized_gaussian", "width": 4.0},
+              "random_signal_pair": {"kind": "random_signal_pair"},
+              "random_hs": {"kind": "random_hs"},
+              "whitened": {"kind": "whitened", "inner": {"kind": "random_hs"}}}
+
+
+def test_every_kind_has_a_spec():
+    assert sorted(EVERY_KIND) == sorted(BUILDER_KINDS)
+
+
+@pytest.mark.parametrize("where", ["wrong_shape", "strided_view"])
+@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+def test_build_operator_refuses_an_out_it_cannot_write_through(kind, where):
+    # every kind, random_hs (whose draws would fill any out) included, refuses
+    # an out that is not a C-contiguous (|Lambda|, a*b) slot before drawing
+    # or writing anything
+    spec = validate_builder_spec(EVERY_KIND[kind], 15, "g")
+    base = np.full((15, 30), complex(np.nan, np.nan))
+    out = np.full((3, 3), complex(np.nan, np.nan)) if where == "wrong_shape" else base[:, ::2]
+    before = out.copy()
+    rng = make_rng(5)
+    with pytest.raises(ValueError, match=r"out must be a C-contiguous complex array of shape \(15, 15\)"):
+        build_operator(spec, LAT, rng, out)
+    assert out.tobytes() == before.tobytes()
+    assert rng.random() == make_rng(5).random()  # nothing drawn
 
 
 def test_random_builder_requires_rng():

@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,8 @@ CASES = {
     "phase_grid_chunked": (write_phase_grid, oracle_phase_grid, lambda: _complex_values((47, 47), 7)),
     "dual_values_chunked": (write_dual_values, oracle_dual_values, lambda: _values((10007,), 8)),
     "transfer_chunked": (write_transfer, oracle_transfer, lambda: _complex_values((401, 3, 2), 9)),
+    # two-digit channel indices
+    "transfer_wide": (write_transfer, oracle_transfer, lambda: _complex_values((7, 12, 10), 11)),
 }
 
 
@@ -94,15 +97,34 @@ def test_chunked_cases_span_several_chunks(kind):
     assert CASES[kind][2]().size > 2 * gridio._CHUNK  # one row per value
 
 
+# Values the fast path leaves to '%.17g': |E| > 280 (among them subnormals
+# and the extremes) and exact ties of the 17-digit rounding, which
+# round half to even (12345678901234562.5 * 10**-1 is 1234567890123456.2).
+FALLBACK = [1e300, -1.7976931348623157e308, 1e-290, -2.5e-310, 5e-324,
+            1234567890123456.25, -1234567890123456.75, 123456789012345.125,
+            1 + 2.0**-17, -(0.5 + 2.0**-18)]
+
+
 @pytest.mark.parametrize("kind", sorted(CASES))
-def test_writers_without_the_fast_path_write_the_same_bytes(tmp_path, monkeypatch, kind):
-    """Every value formatted by ``'%.17g'``, as where ``np.longdouble`` has 53 bits."""
-    monkeypatch.setattr(gridio, "_FAST", False)
+def test_writers_send_unsettled_values_to_percent_17g(tmp_path, kind):
     writer, oracle, make = CASES[kind]
     values = make()
+    flat = values.reshape(-1)
+    where = np.linspace(0, flat.size - 1, len(FALLBACK)).astype(int)
+    flat[where] = np.array(FALLBACK) - 1j * np.array(FALLBACK[::-1]) if np.iscomplexobj(values) else FALLBACK
     writer(tmp_path / "new.csv", values)
     oracle(tmp_path / "old.csv", values)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_fallback_values_go_to_percent_17g():
+    assert _format_count(FALLBACK) == len(FALLBACK)
+    assert format(1234567890123456.25, ".17g") == "1234567890123456.2"
+
+
+def test_standard_normals_almost_never_fall_back():
+    values = np.random.default_rng(23).standard_normal(10**5)
+    assert _format_count(values) <= 10
 
 
 def test_phase_grid_writer_temporaries_do_not_grow_with_the_grid(traced_peak):
@@ -176,20 +198,38 @@ def test_read_phase_grid_refuses_malformed_rows(tmp_path, defect):
 # ------------------------------------------------------------- the formatter
 
 
+def _format_words(values):
+    """``gridio._format17``'s words for ``values`` and the number of values
+    it sent to ``'%.17g'``."""
+    x = np.asarray(values, dtype=float)
+    out = np.zeros((6, len(x)), np.uint64)
+    return out.T, gridio._format17(out, x, np.zeros(len(x), np.uint64))
+
+
 def _formatted(values):
     """Each value as ``gridio._format17`` writes it."""
-    x = np.asarray(values, dtype=float)
-    out = np.zeros(x.shape + (6,), np.uint64)
-    gridio._format17(out, x, np.uint64(0))
+    out, _ = _format_words(values)
     return [row.tobytes().translate(None, b"\0").decode() for row in out]
 
 
+def _format_count(values):
+    return _format_words(values)[1]
+
+
+def _near_carry(E):
+    """The doubles nearest ``(10**17 - j) * 10**(E - 16)``, j = 1 .. 8: 17
+    nines down to ...92, whose significands round up across the decade or
+    stop just short of it."""
+    return [float((10**17 - j) * 10 ** (E - 16)) if E >= 16 else (10**17 - j) / 10 ** (16 - E) for j in range(1, 9)]
+
+
 def _edge_values():
-    """Powers of ten and their neighbours, powers of two, values near the
-    17-digit rounding boundary and its ties, subnormals, the extremes and
-    zeros, with their negatives."""
+    """Powers of ten and their neighbours, values just below the next
+    decade, powers of two, values near the 17-digit rounding boundary and
+    its ties, subnormals, the extremes and zeros, with their negatives."""
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
     values = [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+              [_near_carry(E) for E in range(-323, 308)],
               np.ldexp(1.0, np.arange(-1074, 1024)),
               1e15 + np.arange(-64, 65) / 8, 1e16 + np.arange(-64, 65), 1e17 + 16 * np.arange(-64, 65),
               np.ldexp(np.arange(1, 2000), -1074), np.arange(-1000, 1001, dtype=float),
@@ -217,8 +257,39 @@ def test_formatter_on_edge_values():
     assert _formatted(values) == [format(v, ".17g") for v in values.tolist()]
 
 
-@pytest.mark.skipif(not gridio._FAST, reason="np.longdouble has fewer than 63 fraction bits")
-def test_power_of_ten_table_is_within_2_to_the_minus_64():
-    for k, p in zip(range(-293, 342), gridio._P10):
-        exact = Fraction(10) ** k
-        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= exact / 2**64, k
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_decade_rule_settles_any_estimate_off_by_one(shift):
+    """``log10`` may put ``E`` one off either way: from ``floor(log10(a)) +
+    shift`` (exact, from ``Decimal``), ``_settle`` finds the significand
+    and exponent of ``'%.16e'``, here also for the values just below a
+    power of ten, whose ``h`` is ``1e17`` with ``l < 0``."""
+    values = np.concatenate([[v for E in range(-270, 271) for v in _near_carry(E)],
+                             [float(f"1e{k}") for k in range(-270, 271)],
+                             np.random.default_rng(24).standard_normal(2000) * 10.0 ** np.arange(-5, 5).repeat(200)])
+    x = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    a = np.abs(x)
+    e = np.array([Decimal(v).adjusted() - gridio._EMIN + shift for v in a.tolist()])
+    p, t = gridio._scale(a, e)
+    gridio._settle(np.arange(len(x)), x, a, e, p, t)
+    n = np.rint(t)
+    D = p.astype(np.int64) + n.astype(np.int64)
+    sure = np.abs(t - n) <= 0.5 - 2.0**-40
+    want = [("%.16e" % v).split("e") for v in a[sure].tolist()]
+    assert [(int(m.replace(".", "")), int(E)) for m, E in want] == list(zip(D[sure].tolist(), (e[sure] + gridio._EMIN).tolist()))
+    assert sure.sum() > len(x) - 10
+
+
+def test_power_of_ten_table_is_within_2_to_the_minus_106():
+    """``_PH + _PL`` is ``10**(16 - E)`` to ``2**-106`` relative on every row
+    a product can read, and ``_PH`` splits exactly into two 26-bit halves."""
+    ph, phh, phl, pl = gridio._PTAB
+    for E, h, hh, hl, l in zip(range(gridio._EMIN, 309), ph, phh, phl, pl):
+        if abs(E) > gridio._EMAX + 1:
+            assert h == hh == hl == l == 0.0, E
+            continue
+        exact = Fraction(10) ** (16 - E)
+        assert abs(Fraction(h) + Fraction(l) - exact) <= exact / 2**106, E
+        assert hh + hl == h and Fraction(hh) + Fraction(hl) == Fraction(h), E
+        for half in (hh, hl):
+            mantissa, _ = Fraction(abs(half)).as_integer_ratio()
+            assert mantissa.bit_length() - (mantissa & -mantissa).bit_length() + 1 <= 26, E
