@@ -145,8 +145,10 @@ def _periodized_gaussian(L: int, width: float, wraps: int, center: int) -> np.nd
     # tail beyond 3 wraps is < 1e-15 for width <= L/3
     t = np.arange(L, dtype=float)
     g = np.zeros(L)
-    for k in range(-wraps, wraps + 1):
-        g += np.exp(-np.pi * (t - center + k * L) ** 2 / width**2)
+    # a width below about 1e-152 overflows the exponent to -inf: exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        for k in range(-wraps, wraps + 1):
+            g += np.exp(-np.pi * (t - center + k * L) ** 2 / width**2)
     return g.astype(complex)
 
 

@@ -8,15 +8,29 @@ is numpy's SFC64 bit generator, seeded through ``SeedSequence(seed)``;
 its name is recorded in the report.  Each ``random_hs`` operator is one
 draw straight into its slot of the fiber stack.
 
-The pipeline passes plain arrays with the lattice: the generator fibers
-P and averager fibers Q (one stack each; without averagers Q is P) and
-the transfer matrix.  A roundtrip reconstructs in coefficient form: the
-left inverse is applied to the samples' series and the element is
-synthesized from P, so the left inverse and the fibers of the paper's
-explicit reconstructors H_m are never formed.  Only the square-system
+Every operator of a run is built into one ``(N + M, |Lambda|, a*b)``
+fiber stack by one ``_fibers`` call, generators first; the pipeline
+passes plain arrays with the lattice: the generator fibers P and the
+averager fibers Q, the stack's two slices (without averagers Q is P),
+and the transfer matrix.  One stack, not two, is what keeps a repeated
+call's working set resident under glibc: a freed block above the mmap
+threshold is unmapped and lifts the heap's trim threshold to twice its
+size.  Two stacks left that at twice Q (2.1 MB for many_channels'
+roundtrip, (105, 7, 5) with N = 4, M = 6), below a call's 2.5 MB, so
+each call trimmed the heap and the next faulted some 600 pages back in;
+the one stack (1.76 MB) lifts it to 3.5 MB and those calls fault none.
+Still churning: runs without averagers, whose stack is only P (about
+330 faults a call at (105, 7, 5), N = 4), and a standalone repeated
+L = 75 export (about 300, from the CSV writer's temporaries).
+
+A roundtrip reconstructs in coefficient form: the left inverse is
+applied to the samples' series and the element is synthesized from P,
+so the left inverse and the fibers of the paper's explicit
+reconstructors H_m are never formed.  Only the square-system
 interpolation check forms the left inverse B, and reads the
-reconstructors' samples off A B.  It takes the Moore-Penrose member (no C): a square system has one
-left inverse, so every C gives it up to roundoff.
+reconstructors' samples off A B.  It takes the Moore-Penrose member (no
+C): a square system has one left inverse, so every C gives it up to
+roundoff.
 
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure
 (a builder's refusal, a Riesz or frame verdict that fails, or a
@@ -38,7 +52,6 @@ from .builders import build_operator, rand_complex
 from .config import ExperimentConfig, config_echo
 from .errors import ConfigError, SingularTransfer
 from .frames import frame_bounds, gram_matrix_bounds, left_inverse_family
-from .gridio import write_dual_values, write_phase_grid, write_transfer
 from .lattice import Lattice, periodize_sq, unfibers
 from .sampling import (
     average_samples,
@@ -81,9 +94,9 @@ def _failure(report: dict, message: str, xi: int, point) -> None:
 
 
 def _start(cfg: ExperimentConfig, command: str, rng):
-    """The lattice, the report header and the (generator, averager) fiber
-    stacks (P, Q); the stacks are None when a builder refuses, with the
-    failure recorded."""
+    """The lattice, the report header and the generator and averager fibers
+    (P, Q), two slices of one stack; they are None when a builder refuses,
+    with the failure recorded."""
     lat = Lattice(cfg.L, cfg.a, cfg.b)
     report = {
         "command": command,
@@ -95,13 +108,14 @@ def _start(cfg: ExperimentConfig, command: str, rng):
         },
     }
     try:
-        P = _fibers(cfg.generators, lat, rng)
-        # without averagers the generators average themselves
-        Q = P if cfg.averagers is None else _fibers(cfg.averagers, lat, rng)
+        S = _fibers(cfg.generators + (cfg.averagers or ()), lat, rng)
     except SingularTransfer as exc:  # a builder's refusal (whitening)
         _failure(report, str(exc), exc.witness_xi, exc.witness_point)
         return lat, report, None
-    return lat, report, (P, Q)
+    n = len(cfg.generators)
+    P = S[:n]
+    # without averagers the generators average themselves
+    return lat, report, (P, P if cfg.averagers is None else S[n:])
 
 
 def _verdicts(report: dict, P, Q, lat: Lattice, tol_factor: float):
@@ -181,6 +195,9 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
 
 def run_export(cfg: ExperimentConfig, what, out_dir) -> tuple[dict, int]:
     """Write CSV diagnostics; returns a manifest of the files written."""
+    # imported here, so that analyze and roundtrip never load the CSV writers
+    from .gridio import write_dual_values, write_phase_grid, write_transfer
+
     started = time.monotonic()
     kinds = EXPORT_KINDS if what in (None, "all") else (what,)
     for kind in kinds:

@@ -401,6 +401,30 @@ def test_unrunnable_periodized_gaussian_is_config_error(tmp_path, capsys, param,
     assert f"generators[0].{param}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "export"])
+@pytest.mark.parametrize("width", ["1e-160", "2e-152"])
+def test_tiny_periodized_gaussian_width_is_a_clean_condition_failure(tmp_path, capsys,
+                                                                    command, width):
+    # below a width of about 1e-152 the exponent overflows to -inf, as
+    # intended (exp(-inf) = 0): the signal is a delta, which analyze refuses
+    # at its gram verdict; with every warning an error (tests/conftest.py)
+    # nothing is printed and nothing is raised
+    spec = {"kind": "periodized_gaussian", "width": 4.0}
+    text = json.dumps({"L": 45, "lattice": {"a": 3, "b": 3}, "generators": [spec]})
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace("4.0", width))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")]
+              if command == "export" else [command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    if command == "export":
+        assert rc == 0 and "failure" not in report
+        return
+    assert rc == 2
+    assert report["failure"]["message"] == "gram condition failed at dual index 15"
+
+
 def _count_calls(monkeypatch, counted):
     """Count calls (weight 1) or transformed operators (weight "ops") per function name.
     A name that only the oracle defines stays at 0: no CLI path can reach it."""
