@@ -76,8 +76,11 @@ class FrameReport:
 
     ``eigenpairs`` holds the per-xi ascending eigenvalues and
     eigenvectors ``(w, V)`` of the transfer Gram matrices that
-    ``frame_bounds`` factorized, for ``left_inverse_family``; it is None
-    for Gram reports and takes no part in the JSON form, equality or repr.
+    ``frame_bounds`` factorized, for ``left_inverse_family``; ``gram``
+    holds the (|Lambda|, N, N) coset Gram that ``gram_matrix_bounds``
+    tested, whose quadratic form at xi is the squared norm of an element's
+    fiber there.  Each is None on the other kind of report, and neither
+    takes part in the JSON form, equality or repr.
     """
 
     alpha: float
@@ -90,6 +93,7 @@ class FrameReport:
     kind: str
     eigenpairs: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, compare=False, repr=False)
+    gram: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -120,7 +124,7 @@ def _witnesses(lows: np.ndarray, tol: float, lat: Lattice,
 
 
 def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verdict: str,
-            delta: float | None = None, eigenpairs=None) -> FrameReport:
+            delta: float | None = None, eigenpairs=None, gram=None) -> FrameReport:
     """Report from per-xi ascending eigenvalues w, shape (size, K)."""
     lows = w[:, 0]
     alpha = float(lows.min())
@@ -129,7 +133,7 @@ def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verd
     passed = alpha > tol
     wit, pts = _witnesses(lows, -np.inf if passed else tol, lat, WITNESS_BAND * beta)
     return FrameReport(alpha, beta, delta, pass_verdict if passed else VERDICT_FAIL,
-                       wit, pts, tol, kind, eigenpairs)
+                       wit, pts, tol, kind, eigenpairs, gram)
 
 
 def _eigh(G: np.ndarray, vectors: bool = True):
@@ -181,12 +185,12 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     coset product of V with itself) and returns the extreme eigenvalues
     over the grid.  For a single generator the bounds are |Lambda| times
     the extremes of the periodized square (scaling documented in
-    ``periodize_sq``).
+    ``periodize_sq``).  The report keeps G as ``gram``.
     """
     if len(V) == 0:
         raise ValueError("need at least one generator")
-    return _report(_eigh(_coset_gram(V, V), vectors=False), lat, tol_factor, "gram",
-                   VERDICT_RIESZ)
+    G = _coset_gram(V, V)
+    return _report(_eigh(G, vectors=False), lat, tol_factor, "gram", VERDICT_RIESZ, gram=G)
 
 
 def left_inverse_family(A, report: FrameReport, C=None, X=None) -> np.ndarray:

@@ -65,7 +65,7 @@ import math
 
 import numpy as np
 
-__all__ = ["write_phase_grid", "read_phase_grid", "write_dual_values", "write_transfer"]
+__all__ = ["write_phase_grid", "write_dual_values", "write_transfer"]
 
 _CHUNK = 1024  # rows formatted at once; bounds the writers' temporaries
 _EMIN = -324  # nonzero float64 have decimal exponents -324 .. 308
@@ -294,35 +294,6 @@ def write_phase_grid(path, F) -> None:
     F = np.asarray(F, dtype=complex)
     _check_finite(F)
     _write_rows(path, "x,omega,re,im", F)
-
-
-def read_phase_grid(path, L: int) -> np.ndarray:
-    """Read back what ``write_phase_grid`` wrote, bit for bit; anything it
-    cannot have written is a ``ValueError`` naming the file (and line)."""
-    out = np.zeros((L, L), dtype=complex)
-    seen = np.zeros((L, L), dtype=bool)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,omega,re,im":
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        for lineno, line in enumerate(fh, start=2):
-            where = f"{path}, line {lineno}"
-            try:
-                xs, ws, re, im = line.strip().split(",")
-                x, w, r, i = int(xs), int(ws), float(re), float(im)
-            except ValueError:
-                raise ValueError(f"{where}: expected x,omega,re,im, got {line.strip()!r}") from None
-            if not (0 <= x < L and 0 <= w < L):
-                raise ValueError(f"{where}: cell ({x}, {w}) is outside the {L}x{L} grid")
-            if seen[x, w]:
-                raise ValueError(f"{where}: cell ({x}, {w}) is listed twice")
-            if not (math.isfinite(r) and math.isfinite(i)):
-                raise ValueError(f"{where}: non-finite value {re},{im}")
-            seen[x, w] = True
-            out[x, w] = complex(r, i)
-    if not seen.all():
-        raise ValueError(f"expected {L * L} rows in {path}, found {int(seen.sum())}")
-    return out
 
 
 def write_dual_values(path, values) -> None:

@@ -26,9 +26,9 @@ two maps say so:
   inverse (unnormalized) DFT over k, followed by a transpose into the
   dual-grid order; it satisfies the Parseval identity
   ``sum_xi |F(xi)|^2 = |Lambda| * sum_lambda |c(lambda)|^2``;
-* the fibers of a phase-space function, ``fibers(F)[xi, mu] =
-  F(z_xi + mu)`` over the adjoint lattice points mu, are a reshape of
-  the L x L grid: no index table is built.
+* the fibers of a phase-space function, ``P[xi, mu] = F(z_xi + mu)``
+  over the adjoint lattice points mu, are a reshape of the L x L grid:
+  ``unfibers`` maps them back to the grid, and no index table is built.
 
 Lattice translation of an operator multiplies its phase-weighted trace
 transform by the series of the coefficients, fiber by fiber, so
@@ -41,8 +41,9 @@ oracle.
 The per-dual-point algebra of the other modules lives here too, in the
 private helpers ``_fiber_grid``, ``_adjoint``, ``_matmul`` and
 ``_coset_gram``, the one coset product of two fiber stacks: the Gram
-matrices of the Riesz test in ``frames`` and, conjugated and scaled, the
-transfer matrix in ``sampling``.  ``_fiber_slot`` is the one check on
+matrices of the Riesz test in ``frames``, whose quadratic forms are also
+the roundtrip's error norms, and, conjugated and scaled, the transfer
+matrix in ``sampling``.  ``_fiber_slot`` is the one check on
 the stack slot that ``builders`` and ``weyl`` write an operator's
 fibers through.
 """
@@ -58,7 +59,6 @@ __all__ = [
     "Lattice",
     "symplectic_series",
     "inverse_symplectic_series",
-    "fibers",
     "unfibers",
     "periodize_sq",
 ]
@@ -148,26 +148,10 @@ def inverse_symplectic_series(F, lat: Lattice) -> np.ndarray:
     return c
 
 
-def fibers(F, lat: Lattice) -> np.ndarray:
-    """Adjoint-coset fibers of phase-space functions.
-
-    Maps ``(..., L, L)`` to ``(..., |Lambda|, |adjoint|)`` with
-    ``out[..., xi, mu] = F(z_xi + mu)``, xi in dual-grid order and mu in
-    the enumeration of the adjoint lattice.  Row x + (L/b)*p, column
-    omega + (L/a)*q of the grid is z_xi + mu for xi = (x, omega) and
-    mu = ((L/b)*p, (L/a)*q), so this is a reshape and an axis move.
-    """
-    F = np.asarray(F)
-    if F.shape[-2:] != (lat.L, lat.L):
-        raise ValueError(f"expected {lat.L} x {lat.L} phase-space arrays, got {F.shape}")
-    lead = F.shape[:-2]
-    grid = F.reshape(lead + (lat.b, lat.n_cols, lat.a, lat.n_rows))
-    grid = np.moveaxis(grid, (-4, -2), (-2, -1))
-    return grid.reshape(lead + (lat.size, lat.a * lat.b))
-
-
 def unfibers(P, lat: Lattice) -> np.ndarray:
-    """Exact inverse of ``fibers``: ``(..., |Lambda|, |adjoint|)`` to ``(..., L, L)``."""
+    """The phase-space grids ``(..., L, L)`` of fibers ``(..., |Lambda|, |adjoint|)``:
+    grid cell ``z_xi + mu`` is ``P[..., xi, mu]``, xi in dual-grid order and
+    mu in the enumeration of the adjoint lattice (see ``_fiber_grid``)."""
     P = np.asarray(P)
     if P.shape[-2:] != (lat.size, lat.a * lat.b):
         raise ValueError(f"expected ({lat.size}, {lat.a * lat.b}) fibers, got {P.shape}")

@@ -16,29 +16,37 @@ and the transfer matrix.  One stack, not two, is what keeps a repeated
 call's working set resident under glibc: a freed block above the mmap
 threshold is unmapped and lifts the heap's trim threshold to twice its
 size.  Two stacks left that at twice Q (2.1 MB for many_channels'
-roundtrip, (105, 7, 5) with N = 4, M = 6), below a call's 2.5 MB, so
-each call trimmed the heap and the next faulted some 600 pages back in;
-the one stack (1.76 MB) lifts it to 3.5 MB and those calls fault none.
-Still churning: runs without averagers, whose stack is only P (about
-330 faults a call at (105, 7, 5), N = 4), and a standalone repeated
-L = 75 export (about 300, from the CSV writer's temporaries).
+roundtrip, (105, 7, 5) with N = 4, M = 6), below a call's working set,
+so each call trimmed the heap and the next faulted some 600 pages back
+in; the one stack (1.76 MB) lifts it to 3.5 MB and those calls fault
+none.  Still churning (``ru_minflt``, calls 11-20 in one interpreter):
+runs without averagers, whose stack is only P (about 310 faults a
+roundtrip and 330 an analyze at (105, 7, 5), N = 4), and a repeated
+export at (75, 5, 5), N = 3, M = 4 (about 275, from the CSV writer's
+temporaries).
 
-A roundtrip reconstructs in coefficient form: the left inverse is
-applied to the samples' series and the element is synthesized from P,
-so the left inverse and the fibers of the paper's explicit
-reconstructors H_m are never formed.  Only the square-system
-interpolation check forms the left inverse B, and reads the
-reconstructors' samples off A B.  It takes the Moore-Penrose member (no
-C): a square system has one left inverse, so every C gives it up to
-roundoff.
+A roundtrip stays in coefficient space.  Synthesis is linear, so the
+samples' series is A c_hat, the transfer matrix applied to the
+coefficients' series; the left inverse recovers d_hat from it, and the
+error fiber at xi, sum_n e_n P_n[xi] with e_hat = d_hat - c_hat, has the
+squared norm e^T G conj(e), G being the coset Gram the Riesz test formed
+and kept on its report.  So no element, sample or reconstructor is
+formed; the relative error is sqrt(sum_xi e^T G conj(e) / sum_xi c^T G
+conj(c)).  Only the square-system interpolation check forms the left
+inverse B, and reads the reconstructors' samples off A B.  It takes the
+Moore-Penrose member (no C): a square system has one left inverse, so
+every C gives it up to roundoff.
 
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure
-(a builder's refusal, a Riesz or frame verdict that fails, or a
-roundtrip error above tolerance).  Every exit 2 report carries one
-``failure`` block: a message, a witnessing dual-grid index and its
-point.  A failing verdict is witnessed by its report's first witness; a
-reconstruction by the dual index whose fiber it misses most.  A roundtrip
-whose verdict fails draws no coefficients and reconstructs nothing.
+(a builder's refusal, a Riesz or frame verdict that fails, a roundtrip
+error above tolerance, or a square system's interpolation deviation
+above it).  Every exit 2 report carries one ``failure`` block: a
+message, a witnessing dual-grid index and its point.  A failing verdict
+is witnessed by its report's first witness; a reconstruction by the dual
+index whose error fiber is largest; an interpolation miss, which a
+reconstruction miss takes precedence over, by the dual index with the
+largest entry of |A B - I|.  A roundtrip whose verdict fails draws no
+coefficients and reconstructs nothing.
 """
 
 from __future__ import annotations
@@ -52,15 +60,8 @@ from .builders import build_operator, rand_complex
 from .config import ExperimentConfig, config_echo
 from .errors import ConfigError, SingularTransfer
 from .frames import frame_bounds, gram_matrix_bounds, left_inverse_family
-from .lattice import Lattice, periodize_sq, unfibers
-from .sampling import (
-    average_samples,
-    interpolation_check,
-    reconstruct,
-    relative_error,
-    synthesize_element,
-    system_transfer,
-)
+from .lattice import Lattice, _matmul, periodize_sq, symplectic_series, unfibers
+from .sampling import interpolation_check, system_transfer
 from .weyl import symplectic_ft
 
 __all__ = ["run_analyze", "run_roundtrip", "run_export", "EXPORT_KINDS"]
@@ -120,7 +121,8 @@ def _start(cfg: ExperimentConfig, command: str, rng):
 
 def _verdicts(report: dict, P, Q, lat: Lattice, tol_factor: float):
     """Record the Riesz and frame reports; the first failing one writes the
-    failure block at its first witness.  Returns the transfer matrix and its report."""
+    failure block at its first witness.  Returns both reports and the
+    transfer matrix."""
     riesz = gram_matrix_bounds(P, lat, tol_factor)
     A = system_transfer(P, Q, lat)
     system = frame_bounds(A, lat, tol_factor)
@@ -131,7 +133,7 @@ def _verdicts(report: dict, P, Q, lat: Lattice, tol_factor: float):
         xi = failing.witnesses[0]
         _failure(report, f"{failing.kind} condition failed at dual index {xi}",
                  xi, failing.witness_points[0])
-    return A, system
+    return riesz, A, system
 
 
 def _finish(report: dict, started: float) -> tuple[dict, int]:
@@ -151,8 +153,15 @@ def run_analyze(cfg: ExperimentConfig) -> tuple[dict, int]:
     return _finish(report, started)
 
 
+def _norms_sq(G, x) -> np.ndarray:
+    """x[xi]^T G[xi] conj(x[xi]) per xi, for coefficient series x (|Lambda|, N, 1):
+    the squared norm of the fiber sum_n x_n P_n[xi] when G is P's coset Gram."""
+    return (x * _matmul(G, x.conj())).sum(axis=(1, 2)).real
+
+
 def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
-    """Synthesize a random element, sample it, reconstruct, report the error."""
+    """Draw a random element's coefficients, recover them from the series of
+    its samples, report the relative HS error of the reconstruction."""
     started = time.monotonic()
     if cfg.seed is None:
         raise ConfigError("roundtrip draws random coefficients and needs a seed", field="seed")
@@ -161,7 +170,7 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     if stacks is None:
         return _finish(report, started)
     P, Q = stacks
-    A, system = _verdicts(report, P, Q, lat, cfg.tol_pos)
+    riesz, A, system = _verdicts(report, P, Q, lat, cfg.tol_pos)
     if "failure" in report:
         return _finish(report, started)
 
@@ -169,11 +178,14 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     c = rand_complex(rng, (n, lat.size))
     C = rand_complex(rng, (lat.size, n, m)) if cfg.c_matrix == "random" else None
 
-    # the element, its samples and its reconstruction, all as fibers:
-    # the left inverse recovers the coefficients' series from the samples'
-    E = synthesize_element(c, P, lat)
-    E_rec = reconstruct(average_samples(E, Q, lat), P, A, system, lat, C)
-    err = relative_error(E_rec, E)
+    # in coefficient space: the samples' series is A c_hat, the left inverse
+    # recovers d_hat from it, and the error fiber's squared norm at xi is the
+    # Riesz Gram's quadratic form in e_hat = d_hat - c_hat
+    c_hat = symplectic_series(c, lat).T[:, :, None]
+    e_hat = left_inverse_family(A, system, C, _matmul(A, c_hat))
+    e_hat -= c_hat
+    misses = _norms_sq(riesz.gram, e_hat)  # >= 0 up to roundoff, as is their sum
+    err = float(np.sqrt(max(misses.sum(), 0.0) / _norms_sq(riesz.gram, c_hat).sum()))
     report["reconstruction"] = {
         "c_matrix": cfg.c_matrix,
         "relative_error": err,
@@ -181,14 +193,20 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
         "pass": bool(err <= cfg.tolerance),
     }
     if m == n:
-        ok, dev = interpolation_check(A, left_inverse_family(A, system), lat, tol=cfg.tolerance)
+        B = left_inverse_family(A, system)
+        ok, dev = interpolation_check(A, B, lat, tol=cfg.tolerance)
         report["interpolation"] = {"max_deviation": dev, "pass": bool(ok)}
     else:
         report["interpolation"] = None
     if not report["reconstruction"]["pass"]:
-        # witnessed by the fiber the reconstruction misses most
-        xi = int(np.argmax(np.linalg.norm(E_rec - E, axis=-1)))
+        # witnessed by the dual index whose fiber the reconstruction misses most
+        xi = int(np.argmax(misses))
         _failure(report, f"relative error {err:.3e} above tolerance {cfg.tolerance:.3e}",
+                 xi, lat.dual_points[xi])
+    elif m == n and not ok:
+        # witnessed by the dual index where A B is furthest from the identity
+        xi = int(np.argmax(np.abs(_matmul(A, B) - np.eye(n)).max(axis=(1, 2))))
+        _failure(report, f"interpolation deviation {dev:.3e} above tolerance {cfg.tolerance:.3e}",
                  xi, lat.dual_points[xi])
     return _finish(report, started)
 

@@ -26,28 +26,27 @@ With H_m = sum_n b_nm * S_n the same sum regroups over the generators,
 
     T = sum_n sum_lambda (sum_m b_nm * s_m)(lambda) * alpha_lambda(S_n),
 
-so ``reconstruct`` recovers the coefficients' series
-d_hat(xi) = B_hat(xi) s_hat(xi) and synthesizes T from the generators;
-neither B_hat nor the H_m are formed.  The explicit H_m of the formula
-above live with the test suite, as the reference the coefficient form is
-checked against.
+so a reconstruction is the synthesis of the recovered coefficients, whose
+series is d_hat(xi) = B_hat(xi) s_hat(xi).  Synthesis is linear, so the
+samples' series is s_hat = A c_hat for an element with coefficients c,
+and the roundtrip (``runner``) stays in coefficient space: it applies the
+left inverse to A c_hat and forms no element, sample or reconstructor.
 
 Every stage runs on the dual grid, on the (|Lambda|, a*b) adjoint-coset
 fibers of the operators' trace transforms (see ``lattice`` and
-``weyl``), which is the form the builders yield.  The pipeline passes
-plain arrays: generator fibers P (N, |Lambda|, a*b), averager fibers Q
-(M, |Lambda|, a*b), transfer matrices (|Lambda|, M, N), left inverses
-(|Lambda|, N, M) and samples (M, |Lambda|); every function that needs
-the lattice takes it as ``lat``.  Every array argument of every function
-here is fibers, never an operator kernel, even at a*b = L where the two
-have the same shape: no stage reads an operator, so none is ever formed.  Two identities do the rest, both exact since the
-trace transform is unitary:
+``weyl``), which is the form the builders yield.  The functions here
+take plain arrays: generator fibers P (N, |Lambda|, a*b), averager
+fibers Q (M, |Lambda|, a*b), transfer matrices (|Lambda|, M, N) and
+left inverses (|Lambda|, N, M); every function that needs the lattice
+takes it as ``lat``.  Every fiber argument is fibers, never an operator
+kernel, even at a*b = L where the two have the same shape: no stage
+reads an operator, so none is ever formed.  Two identities do the rest,
+both exact since the trace transform is unitary:
 
 * translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
-  is series(c)(xi) * P_S[xi, mu], so synthesis and reconstruction are
-  per-fiber products (one batched matrix product over the dual grid);
-  reconstruction is synthesis from the generators with the recovered
-  coefficients, and elements stay fibers from synthesis to the error;
+  is series(c)(xi) * P_S[xi, mu], so an element's fiber at xi is
+  sum_n c_hat_n(xi) P_n[xi], and its squared norm is the quadratic form
+  of the generators' coset Gram G(xi) in c_hat(xi);
 * pairing: <S, alpha_lambda(Q)>_HS is the inverse series of the transfer
   matrix |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]), ``lattice``'s
   coset product of the averagers and the generators, conjugated and
@@ -55,10 +54,9 @@ trace transform is unitary:
   the transfer matrix times the left inverse, so the interpolation check
   reads no fibers.
 
-Since the fibers are a reshape of a unitary transform, the Frobenius
-norm of an element's fibers is its HS norm, so the reconstruction error
-is read off the fibers too.  Sums of translated operators compute the
-same things directly; they live with the test suite as its oracle.
+Synthesis, sampling and reconstruction as fibers, and the same things by
+sums of translated operators, live with the test suite as the reference
+the coefficient route is checked against.
 """
 
 from __future__ import annotations
@@ -66,94 +64,33 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularTransfer
-from .frames import DEFAULT_TOL_FACTOR, FrameReport, left_inverse_family
-from .lattice import Lattice, _coset_gram, _matmul, inverse_symplectic_series, symplectic_series
+from .frames import DEFAULT_TOL_FACTOR
+from .lattice import Lattice, _coset_gram, _matmul, inverse_symplectic_series
 
-__all__ = [
-    "synthesize_element",
-    "average_samples",
-    "system_transfer",
-    "reconstruct",
-    "interpolation_check",
-    "whiten_generator",
-    "relative_error",
-]
+__all__ = ["system_transfer", "interpolation_check", "whiten_generator"]
 
 
-def _fiber_stack(P, lat: Lattice, ndim: int = 3) -> np.ndarray:
-    """Fibers as a complex (K, |Lambda|, a*b) stack, or with ndim=2 as the
-    (|Lambda|, a*b) fibers of one element; a complex array is used as it is.
-    P is always fibers: an operator kernel has the same shape at a*b = L and
-    would be read as fibers, so none may be passed."""
+def _fiber_stack(P, lat: Lattice) -> np.ndarray:
+    """Fibers as a complex (K, |Lambda|, a*b) stack; a complex array is used
+    as it is.  P is always fibers: an operator kernel has the same shape at
+    a*b = L and would be read as fibers, so none may be passed."""
     P = np.asarray(P, dtype=complex)
-    if P.ndim != ndim or P.shape[-2:] != (lat.size, lat.a * lat.b):
+    if P.ndim != 3 or P.shape[-2:] != (lat.size, lat.a * lat.b):
         raise ValueError(f"expected fibers of shape ({lat.size}, {lat.a * lat.b}), got {P.shape}")
     return P
 
 
-def _as_coeffs(c, n: int, size: int) -> np.ndarray:
-    c = np.asarray(c, dtype=complex)
-    if c.ndim == 1:
-        c = c[None, :]
-    if c.shape != (n, size):
-        raise ValueError(f"expected ({n}, {size}) coefficient array, got {c.shape}")
-    return c
-
-
-def _combine(W, P) -> np.ndarray:
-    """out[k, xi, mu] = sum_n W[xi, k, n] * P[n, xi, mu]: one matrix product per fiber."""
-    return _matmul(W, P.transpose(1, 0, 2)).transpose(1, 0, 2)
-
-
-def _transfer(P, Q, lat: Lattice) -> np.ndarray:
-    """out[xi, m, n] = |Lambda| * sum_mu P[n, xi, mu] * conj(Q[m, xi, mu]) from fibers P, Q."""
-    # the conjugate of the coset Gram of Q and P: copies P, which never has
-    # more channels than Q, and conjugates the small product in place
-    gram = _coset_gram(Q, P)
-    np.conjugate(gram, out=gram)
-    return np.multiply(gram, lat.size, out=gram)
-
-
-def synthesize_element(c, P, lat: Lattice) -> np.ndarray:
-    """Fibers series(c) * P of sum_n sum_lambda c_n(lambda) alpha_lambda(S_n),
-    shape (|Lambda|, a*b), from the (K, |Lambda|, a*b) fibers P of the S_n."""
-    P = _fiber_stack(P, lat)
-    c = _as_coeffs(c, P.shape[0], lat.size)
-    return _combine(symplectic_series(c, lat).T[:, None, :], P)[0]
-
-
-def average_samples(E, Q, lat: Lattice) -> np.ndarray:
-    """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS of the element T with
-    the (|Lambda|, a*b) fibers E, from the (M, |Lambda|, a*b) averager
-    fibers Q; shape (M, size)."""
-    E = _fiber_stack(E, lat, ndim=2)
-    A = _transfer(E[None], _fiber_stack(Q, lat), lat)
-    return inverse_symplectic_series(np.moveaxis(A, 0, -1), lat)[:, 0]
-
-
 def system_transfer(P, Q, lat: Lattice) -> np.ndarray:
     """(|Lambda|, M, N) transfer matrix of the filter system of the generator
-    fibers P and the averager fibers Q: their coset Gram, no series."""
-    return _transfer(_fiber_stack(P, lat), _fiber_stack(Q, lat), lat)
+    fibers P and the averager fibers Q: their coset Gram, no series.
 
-
-def reconstruct(s, P, A, report: FrameReport, lat: Lattice, C=None) -> np.ndarray:
-    """Fibers (|Lambda|, a*b) of sum_m sum_lambda s_m(lambda) alpha_lambda(H_m),
-    from the (M, |Lambda|) samples s, the generator fibers P, the transfer
-    matrix A (M >= N), its ``frame_bounds`` report and the free parameter C.
-
-    The same sum regrouped over the generators is
-    sum_n sum_lambda d_n(lambda) alpha_lambda(S_n) with the recovered
-    coefficients d = b * s, whose series is d_hat(xi) = B_hat(xi) s_hat(xi):
-    the left inverse is applied to the samples' series and the element is
-    synthesized from P, so neither B_hat nor the H_m are formed.
+    out[xi, m, n] = |Lambda| * sum_mu P[n, xi, mu] * conj(Q[m, xi, mu]), the
+    conjugate of the coset Gram of Q and P: it copies P, which never has
+    more channels than Q, and conjugates the small product in place.
     """
-    P = _fiber_stack(P, lat)
-    if A.shape[2] != len(P):
-        raise ValueError(f"system has {A.shape[2]} input channels but there are {len(P)} generators")
-    s_hat = symplectic_series(_as_coeffs(s, A.shape[1], lat.size), lat)
-    d_hat = left_inverse_family(A, report, C, s_hat.T[:, :, None])
-    return _combine(d_hat.transpose(0, 2, 1), P)[0]
+    gram = _coset_gram(_fiber_stack(Q, lat), _fiber_stack(P, lat))
+    np.conjugate(gram, out=gram)
+    return np.multiply(gram, lat.size, out=gram)
 
 
 def interpolation_check(A, B, lat: Lattice, tol: float = 1e-9):
@@ -196,10 +133,3 @@ def whiten_generator(P: np.ndarray, lat: Lattice) -> np.ndarray:
             f"cannot whiten: periodized spectrum vanishes near dual index {xi}",
             witness_xi=xi, witness_point=tuple(int(v) for v in lat.dual_points[xi]))
     return np.divide(P, np.sqrt(lat.size * power)[:, None], out=P)
-
-
-def relative_error(P_rec, P) -> float:
-    """Relative HS-norm error of a reconstruction, as the Frobenius ratio of
-    the two elements' fibers (a reshape of a unitary transform)."""
-    P = np.asarray(P)
-    return float(np.linalg.norm(np.asarray(P_rec) - P) / np.linalg.norm(P))

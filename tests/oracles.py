@@ -1,12 +1,14 @@
-"""The operator calculus on Z_L x Z_L: the reference the fiber route is
-tested against.
+"""The operator calculus on Z_L x Z_L and the fiber route: the references
+the package is tested against.
 
 ``opsampler`` reads every operator as the adjoint-coset fibers of its
-trace transform and computes on the dual grid.  This module computes the
-same things the direct way, by operator kernels, sums of translated
-operators, the Weyl symbol on the full grid, filter sequences and
-their series, and the paper's explicit reconstruction operators.  No CLI
-path reaches it.
+trace transform and computes on the dual grid, and its roundtrip stays
+in coefficient space.  This module computes the same things the direct
+ways: by operator kernels, sums of translated operators, the Weyl symbol
+on the full grid, filter sequences and their series, and the paper's
+explicit reconstruction operators; and, one step closer to the package,
+by the fibers of the element itself, which is synthesized, sampled,
+reconstructed and compared fiber by fiber.  No CLI path reaches it.
 
 An operator is an L x L kernel, ``(S f)(t) = sum_x S[t, x] f(x)``, and the
 HS inner product is the Frobenius one.  ``(pi(z) f)(t) = exp(2*pi*i*omega*t/L)
@@ -30,19 +32,23 @@ self-inverse (c = (L+1)//2 is the inverse of 2 mod L):
 over leading axes, slice by slice bit for bit.
 """
 
+import math
+
 import numpy as np
 
-from opsampler.frames import left_inverse_family
+from opsampler import runner
+from opsampler.builders import rand_complex
+from opsampler.frames import frame_bounds, left_inverse_family
 from opsampler.lattice import (
     Lattice,
     _as_seq,
-    fibers,
+    _matmul,
     inverse_symplectic_series,
     periodize_sq,
     symplectic_series,
     unfibers,
 )
-from opsampler.sampling import system_transfer
+from opsampler.sampling import interpolation_check, system_transfer
 from opsampler.weyl import _as_square_stack, symplectic_ft
 
 
@@ -225,6 +231,25 @@ def inverse_fourier_wigner(F) -> np.ndarray:
     return _flat(g).take(((u - v) % L) * L + (c * (u + v)) % L, axis=-1)
 
 
+def fibers(F, lat: Lattice) -> np.ndarray:
+    """Adjoint-coset fibers of phase-space functions, the inverse of
+    ``opsampler.lattice.unfibers``.
+
+    Maps ``(..., L, L)`` to ``(..., |Lambda|, |adjoint|)`` with
+    ``out[..., xi, mu] = F(z_xi + mu)``, xi in dual-grid order and mu in
+    the enumeration of the adjoint lattice.  Row x + (L/b)*p, column
+    omega + (L/a)*q of the grid is z_xi + mu for xi = (x, omega) and
+    mu = ((L/b)*p, (L/a)*q), so this is a reshape and an axis move.
+    """
+    F = np.asarray(F)
+    if F.shape[-2:] != (lat.L, lat.L):
+        raise ValueError(f"expected {lat.L} x {lat.L} phase-space arrays, got {F.shape}")
+    lead = F.shape[:-2]
+    grid = F.reshape(lead + (lat.b, lat.n_cols, lat.a, lat.n_rows))
+    grid = np.moveaxis(grid, (-4, -2), (-2, -1))
+    return grid.reshape(lead + (lat.size, lat.a * lat.b))
+
+
 def trace_fibers(S, lat: Lattice) -> np.ndarray:
     """The (..., |Lambda|, a*b) fibers of the trace transforms of operators S."""
     return np.ascontiguousarray(fibers(fourier_wigner(S), lat))
@@ -349,7 +374,7 @@ def build_reconstructor_multi(P, A, report, C=None) -> np.ndarray:
     With B_hat the left inverse (Moore-Penrose for C = None, else the
     C-parametrized member), H_m has the fibers sum_n B_hat[xi, n, m] *
     P[n, xi, mu], so that T = sum_m sum_lambda s_m(lambda) alpha_lambda(H_m).
-    ``opsampler.sampling.reconstruct`` gives the same T without forming them.
+    ``reconstruct`` gives the same T without forming them.
     """
     P = np.asarray(P, dtype=complex)
     if A.shape[2] != len(P):
@@ -386,3 +411,126 @@ def whiten_operator(S, lat: Lattice) -> np.ndarray:
     x = np.arange(lat.L)[:, None] % lat.n_cols
     w = np.arange(lat.L)[None, :] % lat.n_rows
     return weyl_transform(symplectic_ft(F / (lat.size * np.sqrt(power[x * lat.n_rows + w]))))
+
+
+# --------------------------------------------------------- the fiber route
+
+def _as_fibers(P, lat: Lattice, ndim: int = 3) -> np.ndarray:
+    """Fibers as a complex (K, |Lambda|, a*b) stack, or with ndim=2 as the
+    (|Lambda|, a*b) fibers of one element."""
+    P = np.asarray(P, dtype=complex)
+    if P.ndim != ndim or P.shape[-2:] != (lat.size, lat.a * lat.b):
+        raise ValueError(f"expected fibers of shape ({lat.size}, {lat.a * lat.b}), got {P.shape}")
+    return P
+
+
+def _as_coeffs(c, n: int, size: int) -> np.ndarray:
+    c = np.asarray(c, dtype=complex)
+    if c.ndim == 1:
+        c = c[None, :]
+    if c.shape != (n, size):
+        raise ValueError(f"expected ({n}, {size}) coefficient array, got {c.shape}")
+    return c
+
+
+def _combine(W, P) -> np.ndarray:
+    """out[k, xi, mu] = sum_n W[xi, k, n] * P[n, xi, mu]: one matrix product per fiber."""
+    return _matmul(W, P.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def synthesize_element(c, P, lat: Lattice) -> np.ndarray:
+    """Fibers series(c) * P of sum_n sum_lambda c_n(lambda) alpha_lambda(S_n),
+    shape (|Lambda|, a*b), from the (K, |Lambda|, a*b) fibers P of the S_n."""
+    P = _as_fibers(P, lat)
+    c = _as_coeffs(c, P.shape[0], lat.size)
+    return _combine(symplectic_series(c, lat).T[:, None, :], P)[0]
+
+
+def average_samples(E, Q, lat: Lattice) -> np.ndarray:
+    """Samples s[m, i] = <T, alpha_{lambda_i}(Q_m)>_HS of the element T with
+    the (|Lambda|, a*b) fibers E, from the (M, |Lambda|, a*b) averager
+    fibers Q; shape (M, size).  Their series is the transfer matrix of the
+    one-generator system of E."""
+    E = _as_fibers(E, lat, ndim=2)
+    A = system_transfer(E[None], _as_fibers(Q, lat), lat)
+    return inverse_symplectic_series(np.moveaxis(A, 0, -1), lat)[:, 0]
+
+
+def reconstruct(s, P, A, report, lat: Lattice, C=None) -> np.ndarray:
+    """Fibers (|Lambda|, a*b) of sum_m sum_lambda s_m(lambda) alpha_lambda(H_m),
+    from the (M, |Lambda|) samples s, the generator fibers P, the transfer
+    matrix A (M >= N), its ``frame_bounds`` report and the free parameter C:
+    the synthesis from P of the recovered coefficients, whose series is
+    d_hat(xi) = B_hat(xi) s_hat(xi)."""
+    P = _as_fibers(P, lat)
+    if A.shape[2] != len(P):
+        raise ValueError(f"system has {A.shape[2]} input channels but there are {len(P)} generators")
+    s_hat = symplectic_series(_as_coeffs(s, A.shape[1], lat.size), lat)
+    d_hat = left_inverse_family(A, report, C, s_hat.T[:, :, None])
+    return _combine(d_hat.transpose(0, 2, 1), P)[0]
+
+
+def relative_error(P_rec, P) -> float:
+    """Relative HS-norm error of a reconstruction, as the Frobenius ratio of
+    the two elements' fibers (a reshape of a unitary transform)."""
+    P = np.asarray(P)
+    return float(np.linalg.norm(np.asarray(P_rec) - P) / np.linalg.norm(P))
+
+
+def roundtrip_draws(cfg):
+    """What ``runner.run_roundtrip`` draws for a config whose builders and
+    verdicts pass, from the same stream in the same order: the lattice, the
+    generator and averager fibers P and Q, the transfer matrix A and its
+    frame report, the coefficients c, and the free parameter C (None unless
+    ``c_matrix`` is random)."""
+    rng = runner._make_rng(cfg.seed)
+    lat, _, (P, Q) = runner._start(cfg, "roundtrip", rng)
+    A = system_transfer(P, Q, lat)
+    system = frame_bounds(A, lat, cfg.tol_pos)
+    c = rand_complex(rng, (len(P), lat.size))
+    C = rand_complex(rng, (lat.size, len(P), len(Q))) if cfg.c_matrix == "random" else None
+    return lat, P, Q, A, system, c, C
+
+
+def fiber_roundtrip(cfg) -> tuple[float, int]:
+    """The roundtrip's relative error and exit code by the fiber route:
+    synthesize the element's fibers, sample them, reconstruct, and take the
+    Frobenius ratio; a square system must also pass the interpolation check."""
+    lat, P, Q, A, system, c, C = roundtrip_draws(cfg)
+    E = synthesize_element(c, P, lat)
+    err = relative_error(reconstruct(average_samples(E, Q, lat), P, A, system, lat, C), E)
+    passed = err <= cfg.tolerance
+    if len(P) == len(Q):
+        passed = passed and interpolation_check(A, left_inverse_family(A, system), lat,
+                                                cfg.tolerance)[0]
+    return err, 0 if passed else 2
+
+
+def read_phase_grid(path, L: int) -> np.ndarray:
+    """Read back what ``opsampler.gridio.write_phase_grid`` wrote, bit for
+    bit; anything it cannot have written is a ``ValueError`` naming the
+    file (and line)."""
+    out = np.zeros((L, L), dtype=complex)
+    seen = np.zeros((L, L), dtype=bool)
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "x,omega,re,im":
+            raise ValueError(f"unexpected header {header!r} in {path}")
+        for lineno, line in enumerate(fh, start=2):
+            where = f"{path}, line {lineno}"
+            try:
+                xs, ws, re, im = line.strip().split(",")
+                x, w, r, i = int(xs), int(ws), float(re), float(im)
+            except ValueError:
+                raise ValueError(f"{where}: expected x,omega,re,im, got {line.strip()!r}") from None
+            if not (0 <= x < L and 0 <= w < L):
+                raise ValueError(f"{where}: cell ({x}, {w}) is outside the {L}x{L} grid")
+            if seen[x, w]:
+                raise ValueError(f"{where}: cell ({x}, {w}) is listed twice")
+            if not (math.isfinite(r) and math.isfinite(i)):
+                raise ValueError(f"{where}: non-finite value {re},{im}")
+            seen[x, w] = True
+            out[x, w] = complex(r, i)
+    if not seen.all():
+        raise ValueError(f"expected {L * L} rows in {path}, found {int(seen.sum())}")
+    return out

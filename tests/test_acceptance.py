@@ -11,23 +11,22 @@ import numpy as np
 
 from opsampler.cli import main
 from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
-from opsampler.lattice import Lattice, fibers, periodize_sq
-from opsampler.sampling import (
-    average_samples,
-    interpolation_check,
-    relative_error,
-    synthesize_element,
-)
+from opsampler.lattice import Lattice, periodize_sq
+from opsampler.sampling import interpolation_check
 from opsampler.weyl import symplectic_ft
 from oracles import (
     ConvolutionMatrix,
+    average_samples,
     build_reconstructor_multi,
+    fibers,
     fourier_wigner,
     hs_inner,
     hs_norm,
     operator_of,
     points,
+    relative_error,
     sample_filter_matrix,
+    synthesize_element,
     trace_fibers,
     transfer_matrix,
     translate_operator,

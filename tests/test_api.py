@@ -1,8 +1,7 @@
 """Each module's ``__all__`` lists exactly the public functions and classes
 that the module defines, so a deleted name cannot linger in it; the
-commands reach every public function but two library entry points; and
-the only private names one module imports from another are ``lattice``'s
-shared helpers."""
+commands reach every public function; and the only private names one
+module imports from another are ``lattice``'s shared helpers."""
 
 import ast
 import importlib
@@ -19,11 +18,11 @@ import opsampler
 MODULES = sorted(info.name for info in pkgutil.iter_modules(opsampler.__path__))
 SRC = Path(opsampler.__file__).parent
 
-# Public functions that no command calls, kept as library entry points:
-# ``read_phase_grid`` reads an exported CSV back, and ``fibers`` reshapes
-# an L x L grid to fibers, which the builders never need, since they
-# write fibers directly.
-NOT_REACHED_BY_THE_COMMANDS = {"gridio.read_phase_grid", "lattice.fibers"}
+# Public functions that no command calls.  None is left: reading an
+# exported CSV back and reshaping an L x L grid to fibers, which the
+# builders never need since they write fibers directly, are the tests'
+# (``oracles.read_phase_grid`` and ``oracles.fibers``).
+NOT_REACHED_BY_THE_COMMANDS = set()
 
 
 def _is_routine(obj) -> bool:
@@ -57,23 +56,24 @@ def test_no_module_carries_the_operator_calculus(name):
 
 
 def test_runner_reconstructs_through_the_coefficients():
-    # the roundtrip applies the left inverse to the samples' series and
-    # synthesizes from the generators: the reconstructors are never formed,
-    # and their explicit form is the tests' reference, not the package's
+    # the roundtrip applies the left inverse to the samples' series A c_hat
+    # and reads the error off the Riesz Gram: no element, sample or
+    # reconstructor is formed, and the fiber route and the explicit H_m
+    # are the tests' reference, not the package's
     import oracles
-    from opsampler import runner, sampling
 
-    assert "reconstruct" in sampling.__all__ and "build_reconstructor_multi" not in sampling.__all__
-    assert runner.reconstruct is sampling.reconstruct
-    assert not hasattr(runner, "build_reconstructor_multi")
-    assert callable(oracles.build_reconstructor_multi)
+    fiber_route = ("synthesize_element", "average_samples", "reconstruct", "relative_error",
+                   "build_reconstructor_multi")
+    for name in fiber_route:
+        assert callable(getattr(oracles, name))
+        assert [mod for mod in MODULES if hasattr(importlib.import_module(f"opsampler.{mod}"), name)] == []
 
 
 def test_the_commands_reach_every_public_function(tmp_path, capsys):
     # analyze, roundtrip and export of one seeded design whose generator is
     # whitened and whose averager is a random rank-one pair, plus a seedless
     # analyze (the only path to the config's seed check), run every public
-    # function of every module but the two library entry points above
+    # function of every module but those listed above
     from opsampler import cli
 
     seeded = tmp_path / "seeded.json"

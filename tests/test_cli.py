@@ -13,18 +13,12 @@ import opsampler.cli
 from opsampler.builders import rand_complex
 from opsampler.cli import main
 from opsampler.config import MAX_FIBER_BYTES, MAX_JSON_NESTING, parse_config
-from opsampler.frames import frame_bounds
-from opsampler.gridio import read_phase_grid
-from opsampler.lattice import Lattice, unfibers
+from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
+from opsampler.lattice import Lattice, _matmul, symplectic_series, unfibers
 from opsampler.report import canonical_json
-from opsampler.runner import _fibers, _make_rng, run_analyze, run_export, run_roundtrip
-from opsampler.sampling import (
-    average_samples,
-    reconstruct,
-    synthesize_element,
-    system_transfer,
-)
-from oracles import inverse_fourier_wigner, weyl_symbol, weyl_transform
+from opsampler.runner import _fibers, _make_rng, _norms_sq, run_analyze, run_export, run_roundtrip
+from opsampler.sampling import system_transfer
+from oracles import inverse_fourier_wigner, read_phase_grid, weyl_symbol, weyl_transform
 
 BASE = {
     "L": 15,
@@ -212,20 +206,52 @@ def test_roundtrip_tolerance_flag(tmp_path, capsys):
     assert rc == 2
     assert report["reconstruction"]["pass"] is False
     # the failure is witnessed by the dual index whose fiber the reconstruction
-    # misses most, recomputed here from the same draws
+    # misses most, recomputed here from the same draws in coefficient space:
+    # the squared norm of the error fiber at xi is e^T G conj(e), with G the
+    # generators' coset Gram and e = B_hat (A c_hat) - c_hat
     cfg = parse_config(data)
     rng = _make_rng(cfg.seed)
     lat = Lattice(cfg.L, cfg.a, cfg.b)
     P = _fibers(cfg.generators, lat, rng)
     A = system_transfer(P, P, lat)
-    E = synthesize_element(rand_complex(rng, (len(P), lat.size)), P, lat)
-    E_rec = reconstruct(average_samples(E, P, lat), P, A, frame_bounds(A, lat), lat)
-    xi = int(np.argmax(np.linalg.norm(E_rec - E, axis=-1)))
+    c_hat = symplectic_series(rand_complex(rng, (len(P), lat.size)), lat).T[:, :, None]
+    e_hat = left_inverse_family(A, frame_bounds(A, lat), None, _matmul(A, c_hat)) - c_hat
+    xi = int(np.argmax(_norms_sq(gram_matrix_bounds(P, lat).gram, e_hat)))
+    assert xi == 5
     failure = report["failure"]
     assert failure["witness_xi"] == xi
     assert failure["witness_point"] == lat.dual_points[xi].tolist()
+    # the interpolation check of this square system misses too, but the
+    # reconstruction's miss takes precedence in the failure block
+    assert report["interpolation"]["pass"] is False
     assert failure["message"] == "relative error %.3e above tolerance 1.000e-30" % (
         report["reconstruction"]["relative_error"])
+
+
+def test_roundtrip_interpolation_miss_exits_2(tmp_path, capsys):
+    # a square system whose reconstruction meets the tolerance (8.7e-14)
+    # while its reconstructors' samples miss the delta pattern by more
+    # (1.35e-13): the failed interpolation check fails the run
+    data = {"L": 21, "lattice": {"a": 3, "b": 1}, "seed": 35, "tolerance": 1e-13,
+            "generators": [{"kind": "random_hs"}] * 2, "averagers": [{"kind": "random_hs"}] * 2}
+    rc = main(["roundtrip", "--config", write_cfg(tmp_path, data)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (rc, report["exit_code"], report["status"]) == (2, 2, "condition_failure")
+    assert captured.err == ""
+    assert report["reconstruction"]["pass"] is True and report["interpolation"]["pass"] is False
+    failure = report["failure"]
+    assert failure["message"] == "interpolation deviation %.3e above tolerance 1.000e-13" % (
+        report["interpolation"]["max_deviation"])
+    # witnessed by the dual index with the largest |A B - I| entry
+    cfg = parse_config(data)
+    lat = Lattice(cfg.L, cfg.a, cfg.b)
+    S = _fibers(cfg.generators + cfg.averagers, lat, _make_rng(cfg.seed))
+    A = system_transfer(S[:2], S[2:], lat)
+    B = left_inverse_family(A, frame_bounds(A, lat))
+    xi = int(np.argmax(np.abs(A @ B - np.eye(2)).max(axis=(1, 2))))
+    assert failure["witness_xi"] == xi
+    assert failure["witness_point"] == lat.dual_points[xi].tolist()
 
 
 def test_roundtrip_out_file(tmp_path):
@@ -473,6 +499,31 @@ def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkey
     # transformed or quantized
     assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
                      "fourier_wigner": 0, "inverse_fourier_wigner": 0}
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
+def test_roundtrip_forms_the_generators_coset_gram_once(tmp_path, capsys, monkeypatch, m):
+    # the Riesz test's coset Gram of P, kept on its report, also gives the
+    # error norms: a roundtrip forms that Gram and the transfer's product of
+    # (Q, P), and no third coset product
+    import opsampler.frames as frames
+    import opsampler.lattice as lattice
+    import opsampler.sampling as sampling
+
+    calls = []
+
+    def recording(Q, P):
+        calls.append((Q is P, len(Q), len(P)))
+        return lattice._coset_gram(Q, P)
+
+    for mod in (frames, sampling):
+        monkeypatch.setattr(mod, "_coset_gram", recording)
+    n = 2
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
+                averagers=[{"kind": "random_hs"}] * m, c_matrix="random")
+    assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
+    capsys.readouterr()
+    assert calls == [(True, n, n), (False, m, n)]
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])

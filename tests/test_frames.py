@@ -17,7 +17,6 @@ from opsampler.frames import (
 from opsampler.lattice import (
     Lattice,
     _matmul,
-    fibers,
     inverse_symplectic_series,
     periodize_sq,
     symplectic_series,
@@ -29,6 +28,7 @@ from test_builders_config import build
 from oracles import (
     ConvolutionMatrix,
     dual_sequences,
+    fibers,
     fourier_wigner,
     index_of,
     involution,

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsampler import gridio
-from opsampler.gridio import read_phase_grid, write_dual_values, write_phase_grid, write_transfer
+from opsampler.gridio import write_dual_values, write_phase_grid, write_transfer
+from oracles import read_phase_grid
 
 # ---------------------------------------------------- per-value oracle writers
 

@@ -3,12 +3,19 @@ import pytest
 
 from opsampler.lattice import (
     Lattice,
-    fibers,
     inverse_symplectic_series,
     periodize_sq,
     symplectic_series,
 )
-from oracles import index_of, involution, lattice_convolve, points, symplectic_form, translate_seq
+from oracles import (
+    fibers,
+    index_of,
+    involution,
+    lattice_convolve,
+    points,
+    symplectic_form,
+    translate_seq,
+)
 
 rng = np.random.default_rng(9001)
 

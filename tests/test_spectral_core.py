@@ -13,23 +13,22 @@ from hypothesis import strategies as st
 
 from opsampler.errors import SingularTransfer
 from opsampler.frames import frame_bounds, gram_matrix_bounds
-from opsampler.lattice import Lattice, fibers, symplectic_series, unfibers
-from opsampler.sampling import (
-    average_samples,
-    reconstruct,
-    relative_error,
-    synthesize_element,
-    system_transfer,
-)
+from opsampler.lattice import Lattice, symplectic_series, unfibers
+from opsampler.sampling import system_transfer
 from opsampler.weyl import rank_one_fibers
 from oracles import (
+    average_samples,
     build_reconstructor_multi,
     dual_sequences,
+    fibers,
     operator_of,
     points,
     rank_one,
+    reconstruct,
+    relative_error,
     sample_filter_matrix,
     seq_operator_convolve,
+    synthesize_element,
     trace_fibers,
     transfer_matrix,
 )
