@@ -19,9 +19,9 @@ Positivity of a floating-point minimum is gated relatively:
 index attaining the minimum, up to a roundoff band, so failures can be
 localized.
 
-Each transfer matrix is factorized once: one batched ``eigh`` of its
-Gram matrices gives the bounds, ``delta`` and the Moore-Penrose left
-inverse.  A 1 x 1 Gram matrix (N = 1) is its own eigendecomposition: no LAPACK.
+Both reports read eigenvalues only, one batched ``eigvalsh`` (no LAPACK
+for 1 x 1 matrices), and keep the Hermitian stack they bound as ``gram``;
+the left inverse solves the transfer report's ``G = A* A``.
 
 The verdict string is one of ``riesz_basis`` (pass with M == N, or a
 Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
@@ -74,13 +74,10 @@ class FrameReport:
     ties do not make it depend on summation order; a failing report then
     lists every other index whose lower eigenvalue is ``<= tol``.
 
-    ``eigenpairs`` holds the per-xi ascending eigenvalues and
-    eigenvectors ``(w, V)`` of the transfer Gram matrices that
-    ``frame_bounds`` factorized, for ``left_inverse_family``; ``gram``
-    holds the (|Lambda|, N, N) coset Gram that ``gram_matrix_bounds``
-    tested, whose quadratic form at xi is the squared norm of an element's
-    fiber there.  Each is None on the other kind of report, and neither
-    takes part in the JSON form, equality or repr.
+    ``gram`` holds the (|Lambda|, N, N) Hermitian stack whose eigenvalues
+    the report bounds: ``A* A``, for ``left_inverse_family``, or the coset
+    Gram, whose quadratic form at xi is the squared norm of an element's
+    fiber there.  It takes no part in the JSON form, equality or repr.
     """
 
     alpha: float
@@ -91,8 +88,6 @@ class FrameReport:
     witness_points: tuple[tuple[int, int], ...]
     tol: float
     kind: str
-    eigenpairs: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False)
     gram: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -124,7 +119,7 @@ def _witnesses(lows: np.ndarray, tol: float, lat: Lattice,
 
 
 def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verdict: str,
-            delta: float | None = None, eigenpairs=None, gram=None) -> FrameReport:
+            delta: float | None = None, gram=None) -> FrameReport:
     """Report from per-xi ascending eigenvalues w, shape (size, K)."""
     lows = w[:, 0]
     alpha = float(lows.min())
@@ -133,17 +128,23 @@ def _report(w: np.ndarray, lat: Lattice, tol_factor: float, kind: str, pass_verd
     passed = alpha > tol
     wit, pts = _witnesses(lows, -np.inf if passed else tol, lat, WITNESS_BAND * beta)
     return FrameReport(alpha, beta, delta, pass_verdict if passed else VERDICT_FAIL,
-                       wit, pts, tol, kind, eigenpairs, gram)
+                       wit, pts, tol, kind, gram)
 
 
-def _eigh(G: np.ndarray, vectors: bool = True):
-    """``np.linalg.eigh(G)``, or ``eigvalsh`` without ``vectors``, of a Hermitian
-    stack.  For 1 x 1 matrices that is the real part and the eigenvector 1
-    (LAPACK's bits, signed zeros included), with no LAPACK call per matrix."""
-    if G.shape[-1] == 1:
-        w = G.real[..., 0]
-        return (w, np.ones_like(G)) if vectors else w
-    return np.linalg.eigh(G) if vectors else np.linalg.eigvalsh(G)
+def _eigvalsh(G: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(G)`` of a Hermitian stack.  For 1 x 1 matrices
+    that is the real part (LAPACK's bits, signed zeros included), with no
+    LAPACK call per matrix."""
+    return G.real[..., 0] if G.shape[-1] == 1 else np.linalg.eigvalsh(G)
+
+
+def _singular(report: FrameReport) -> SingularTransfer:
+    """The refusal of a transfer matrix at its report's first witness."""
+    xi = report.witnesses[0]
+    return SingularTransfer(
+        f"transfer matrix is singular at dual index {xi} "
+        f"(alpha={report.alpha:.3e}, beta={report.beta:.3e})",
+        witness_xi=xi, witness_point=report.witness_points[0])
 
 
 def frame_bounds(A, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
@@ -162,17 +163,17 @@ def frame_bounds(A, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> Fra
     and with a zero row appended).  For a 1 x 1 system with filter q,
     alpha = min |series q|^2.
 
-    One batched ``eigh`` factorizes the Gram matrices; the report keeps
-    its eigenpairs for ``left_inverse_family``.
+    The report keeps the Gram matrices G = A* A for ``left_inverse_family``.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 3 or A.shape[0] != lat.size or A.shape[1] < A.shape[2]:
         raise ValueError(f"expected a ({lat.size}, M, N) transfer matrix with M >= N, got {A.shape}")
-    w, V = _eigh(_matmul(_adjoint(A), A))
+    G = _matmul(_adjoint(A), A)
+    w = _eigvalsh(G)
     square = A.shape[1] == A.shape[2]
     delta = float(np.sqrt(np.clip(w, 0.0, None).prod(axis=1).min())) if square else None
     return _report(w, lat, tol_factor, "transfer",
-                   VERDICT_RIESZ if square else VERDICT_FRAME, delta, (w, V))
+                   VERDICT_RIESZ if square else VERDICT_FRAME, delta, G)
 
 
 def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
@@ -190,7 +191,7 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     if len(V) == 0:
         raise ValueError("need at least one generator")
     G = _coset_gram(V, V)
-    return _report(_eigh(G, vectors=False), lat, tol_factor, "gram", VERDICT_RIESZ, gram=G)
+    return _report(_eigvalsh(G), lat, tol_factor, "gram", VERDICT_RIESZ, gram=G)
 
 
 def left_inverse_family(A, report: FrameReport, C=None, X=None) -> np.ndarray:
@@ -200,29 +201,30 @@ def left_inverse_family(A, report: FrameReport, C=None, X=None) -> np.ndarray:
     ``A`` is a (|Lambda|, M, N) transfer matrix and ``report`` is
     ``frame_bounds(A, lat)``; a system that fails it is refused with
     SingularTransfer, so no NaN/Inf is returned.  A_dag is the per-xi
-    Moore-Penrose left inverse (A* A)^{-1} A* = V diag(1/w) V* A*, read
-    from the eigenpairs (w, V) the report carries, the member C = None.
-    C is (|Lambda|, N, M).  ``X`` is (|Lambda|, M, k) and the result
-    (|Lambda|, N, k), evaluated right to left without forming B_hat:
-    D = V diag(1/w) V* (A* X), then D + C (X - A D).  X = None stands for
+    Moore-Penrose left inverse G^{-1} A*, G = A* A from the report, the
+    member C = None.  C is (|Lambda|, N, M).  ``X`` is (|Lambda|, M, k) and
+    the result (|Lambda|, N, k), evaluated right to left without forming
+    B_hat: D solves G D = A* X, then D + C (X - A D).  X = None stands for
     the identity, so the result is B_hat itself, (|Lambda|, N, M).  Every
     member satisfies ``B_hat(xi) A_hat(xi) = I`` for all xi; for square
-    systems the projector I - A A_dag vanishes and C is irrelevant.
+    systems the projector I - A A_dag vanishes and C is irrelevant.  A
+    passing G with an exactly zero pivot (only a ``tol_factor`` far below
+    eps passes a numerically singular G) is refused the same way.
     """
     if not report.passed:
-        xi = report.witnesses[0]
-        raise SingularTransfer(
-            f"transfer matrix is singular at dual index {xi} "
-            f"(alpha={report.alpha:.3e}, beta={report.beta:.3e})",
-            witness_xi=xi, witness_point=report.witness_points[0])
+        raise _singular(report)
     size, m, n = A.shape
-    if report.eigenpairs is None or report.eigenpairs[0].shape != (size, n) or m < n:
+    G = report.gram
+    if report.kind != "transfer" or G is None or G.shape != (size, n, n) or m < n:
         raise ValueError("report must be frame_bounds(A) of this transfer matrix")
-    w, V = report.eigenpairs
     AX = _adjoint(A) if X is None else _matmul(_adjoint(A), X)
-    D = _matmul(_adjoint(V), AX)
-    D /= w[:, :, None]  # diag(1/w) scales the k columns of D, not the N of V
-    D = _matmul(V, D)
+    if n == 1:
+        D = AX / G.real
+    else:
+        try:
+            D = np.linalg.solve(G, AX)
+        except np.linalg.LinAlgError:
+            raise _singular(report) from None
     if C is None:
         return D
     if np.shape(C) != (size, n, m):

@@ -35,18 +35,21 @@ formed; the relative error is sqrt(sum_xi e^T G conj(e) / sum_xi c^T G
 conj(c)).  Only the square-system interpolation check forms the left
 inverse B, and reads the reconstructors' samples off A B.  It takes the
 Moore-Penrose member (no C): a square system has one left inverse, so
-every C gives it up to roundoff.
+every C gives it up to roundoff, and it solves with the same Gram
+matrices as the reconstruction did.
 
 Exit codes: 0 = pass, 1 = configuration error, 2 = condition failure
-(a builder's refusal, a Riesz or frame verdict that fails, a roundtrip
+(a builder's refusal, a Riesz or frame verdict that fails, a passing
+frame report whose Gram matrix is singular to the solve, a roundtrip
 error above tolerance, or a square system's interpolation deviation
 above it).  Every exit 2 report carries one ``failure`` block: a
-message, a witnessing dual-grid index and its point.  A failing verdict
-is witnessed by its report's first witness; a reconstruction by the dual
-index whose error fiber is largest; an interpolation miss, which a
-reconstruction miss takes precedence over, by the dual index with the
-largest entry of |A B - I|.  A roundtrip whose verdict fails draws no
-coefficients and reconstructs nothing.
+message, a witnessing dual-grid index and its point.  A failing or
+singular report is witnessed by its first witness; a reconstruction by
+the dual index whose error fiber is largest; an interpolation miss,
+which a reconstruction miss takes precedence over, by the dual index
+with the largest entry of |A B - I|.  A roundtrip whose verdict fails
+draws no coefficients, and neither it nor one whose Gram matrix is
+singular reconstructs anything.
 """
 
 from __future__ import annotations
@@ -182,7 +185,11 @@ def run_roundtrip(cfg: ExperimentConfig) -> tuple[dict, int]:
     # recovers d_hat from it, and the error fiber's squared norm at xi is the
     # Riesz Gram's quadratic form in e_hat = d_hat - c_hat
     c_hat = symplectic_series(c, lat).T[:, :, None]
-    e_hat = left_inverse_family(A, system, C, _matmul(A, c_hat))
+    try:
+        e_hat = left_inverse_family(A, system, C, _matmul(A, c_hat))
+    except SingularTransfer as exc:  # a passing G with an exactly zero pivot
+        _failure(report, str(exc), exc.witness_xi, exc.witness_point)
+        return _finish(report, started)
     e_hat -= c_hat
     misses = _norms_sq(riesz.gram, e_hat)  # >= 0 up to roundoff, as is their sum
     err = float(np.sqrt(max(misses.sum(), 0.0) / _norms_sq(riesz.gram, c_hat).sum()))

@@ -18,6 +18,7 @@ from opsampler.lattice import Lattice, _matmul, symplectic_series, unfibers
 from opsampler.report import canonical_json
 from opsampler.runner import _fibers, _make_rng, _norms_sq, run_analyze, run_export, run_roundtrip
 from opsampler.sampling import system_transfer
+from test_frames import SINGULAR_SOLVE
 from oracles import inverse_fourier_wigner, read_phase_grid, weyl_symbol, weyl_transform
 
 BASE = {
@@ -228,21 +229,25 @@ def test_roundtrip_tolerance_flag(tmp_path, capsys):
         report["reconstruction"]["relative_error"])
 
 
-def test_roundtrip_interpolation_miss_exits_2(tmp_path, capsys):
-    # a square system whose reconstruction meets the tolerance (8.7e-14)
+# one copy of the interpolation-miss config, shared with CI's console-script step
+INTERPOLATION_MISS = os.path.join(os.path.dirname(__file__), "data", "interpolation_miss.json")
+
+
+def test_roundtrip_interpolation_miss_exits_2(capsys):
+    # a square system whose reconstruction meets the tolerance (1.52e-14)
     # while its reconstructors' samples miss the delta pattern by more
-    # (1.35e-13): the failed interpolation check fails the run
-    data = {"L": 21, "lattice": {"a": 3, "b": 1}, "seed": 35, "tolerance": 1e-13,
-            "generators": [{"kind": "random_hs"}] * 2, "averagers": [{"kind": "random_hs"}] * 2}
-    rc = main(["roundtrip", "--config", write_cfg(tmp_path, data)])
+    # (2.68e-14): the failed interpolation check fails the run
+    with open(INTERPOLATION_MISS) as fh:
+        data = json.load(fh)
+    rc = main(["roundtrip", "--config", INTERPOLATION_MISS])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert (rc, report["exit_code"], report["status"]) == (2, 2, "condition_failure")
     assert captured.err == ""
     assert report["reconstruction"]["pass"] is True and report["interpolation"]["pass"] is False
     failure = report["failure"]
-    assert failure["message"] == "interpolation deviation %.3e above tolerance 1.000e-13" % (
-        report["interpolation"]["max_deviation"])
+    assert failure["message"] == "interpolation deviation %.3e above tolerance %.3e" % (
+        report["interpolation"]["max_deviation"], data["tolerance"])
     # witnessed by the dual index with the largest |A B - I| entry
     cfg = parse_config(data)
     lat = Lattice(cfg.L, cfg.a, cfg.b)
@@ -252,6 +257,26 @@ def test_roundtrip_interpolation_miss_exits_2(tmp_path, capsys):
     xi = int(np.argmax(np.abs(A @ B - np.eye(2)).max(axis=(1, 2))))
     assert failure["witness_xi"] == xi
     assert failure["witness_point"] == lat.dual_points[xi].tolist()
+
+
+def test_roundtrip_singular_solve_exits_2(tmp_path, capsys):
+    # the frame verdict passes, but the left inverse meets an exactly zero
+    # pivot: refused at the frame report's first witness, with no
+    # reconstruction, as a failing verdict is
+    rc = main(["roundtrip", "--config", write_cfg(tmp_path, SINGULAR_SOLVE)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert (rc, report["exit_code"], report["status"]) == (2, 2, "condition_failure")
+    assert captured.err == ""
+    system = report["system_frame"]
+    assert system["verdict"] == "riesz_basis"
+    assert "reconstruction" not in report and "interpolation" not in report
+    failure = report["failure"]
+    assert failure["message"] == (
+        "transfer matrix is singular at dual index 0 (alpha=%.3e, beta=%.3e)"
+        % (system["alpha"], system["beta"]))
+    assert failure["witness_xi"] == system["witness_xi"][0]
+    assert failure["witness_point"] == system["witness_points"][0]
 
 
 def test_roundtrip_out_file(tmp_path):
@@ -575,11 +600,9 @@ def test_export_factorizes_nothing(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(out)) == sorted(plain["export"]["files"])
 
 
-@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
-def test_roundtrip_factorizes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
-    # one batched eigh of the transfer Gram gives the bounds and the left
-    # inverse; no determinant and no linear solve
-    shapes = {"eigh": [], "det": [], "solve": []}
+def _record_shapes(monkeypatch, names):
+    """The shape of the first argument of every call to each ``np.linalg`` function named."""
+    shapes = {name: [] for name in names}
 
     def recording(name, fn):
         def wrapper(a, *args, **kwargs):
@@ -587,20 +610,44 @@ def test_roundtrip_factorizes_the_transfer_once(tmp_path, capsys, monkeypatch, m
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in shapes:
+    for name in names:
         monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    return shapes
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
+def test_roundtrip_factorizes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
+    # both reports read eigenvalues only, and the left inverse is one solve
+    # of the transfer Gram; the square system's interpolation check solves
+    # for B once more; no eigenvectors and no determinant
+    shapes = _record_shapes(monkeypatch, ("eigh", "eigvalsh", "det", "solve"))
     n = 2
     data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
                 averagers=[{"kind": "random_hs"}] * m, c_matrix="random")
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert shapes == {"eigh": [(report["lattice"]["size"], n, n)], "det": [], "solve": []}
+    gram = (report["lattice"]["size"], n, n)
+    assert shapes == {"eigh": [], "eigvalsh": [gram, gram], "det": [],
+                      "solve": [gram] * (2 if m == n else 1)}
+
+
+def test_analyze_reads_eigenvalues_only(tmp_path, capsys, monkeypatch):
+    # a verdict needs no eigenvectors and no left inverse
+    shapes = _record_shapes(monkeypatch, ("eigh", "eigvalsh", "solve"))
+    n = 2
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * n, averagers=[{"kind": "random_hs"}] * 3)
+    assert main(["analyze", "--config", write_cfg(tmp_path, data)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["system_frame"]["verdict"] == "frame"
+    gram = (report["lattice"]["size"], n, n)
+    assert shapes == {"eigh": [], "eigvalsh": [gram, gram], "solve": []}
 
 
 def test_one_by_one_roundtrip_calls_no_blas_or_lapack(tmp_path, capsys, monkeypatch):
     # N = M = 1 on a = b = 1: every matrix of the fiber algebra is 1 x 1,
-    # so every product is elementwise and every eigenproblem is read off
-    calls = {"eigh": 0, "eigvalsh": 0, "matmul": 0}
+    # so every product is elementwise, every eigenvalue is read off and
+    # every solve is a division
+    calls = {"eigh": 0, "eigvalsh": 0, "solve": 0, "matmul": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -608,19 +655,20 @@ def test_one_by_one_roundtrip_calls_no_blas_or_lapack(tmp_path, capsys, monkeypa
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     monkeypatch.setattr(np, "matmul", counting("matmul", np.matmul))
     data = dict(BASE, lattice={"a": 1, "b": 1}, averagers=[{"kind": "random_hs"}])
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["interpolation"]["pass"] is True
-    assert calls == {"eigh": 0, "eigvalsh": 0, "matmul": 0}
+    assert calls == {"eigh": 0, "eigvalsh": 0, "solve": 0, "matmul": 0}
     # the counters see the calls a system with N = 2 does make (a*b >= N)
     data = dict(BASE, generators=[{"kind": "random_hs"}] * 2, averagers=[{"kind": "random_hs"}] * 2)
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     capsys.readouterr()
-    assert calls["eigh"] == 1 and calls["eigvalsh"] == 1 and calls["matmul"] > 0
+    assert calls["eigh"] == 0 and calls["eigvalsh"] == 2 and calls["solve"] == 2
+    assert calls["matmul"] > 0
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -684,6 +732,9 @@ def test_refusal_message_and_witness_come_from_the_failing_section(tmp_path, cap
 
 AGREEING = {
     "pass": {},
+    # N = 2, M = 3: both reports reach LAPACK's eigenvalue routine
+    "pass_oversampled": {"generators": [{"kind": "random_hs"}] * 2,
+                         "averagers": [{"kind": "random_hs"}] * 3, "c_matrix": "random"},
     "gen_fail": FAILING["generator_riesz"],
     "sys_fail": FAILING["system_frame"],
     # whitening refuses a point-pair generator before any verdict
@@ -703,6 +754,6 @@ def test_roundtrip_verdicts_and_failure_agree_with_analyze(tmp_path, capsys, des
     for command in ("analyze", "roundtrip"):
         rc = main([command, "--config", path])
         report = json.loads(capsys.readouterr().out)
-        assert rc == report["exit_code"] == (0 if design == "pass" else 2)
+        assert rc == report["exit_code"] == (0 if design.startswith("pass") else 2)
         reports[command] = {key: report.get(key) for key in sections}
     assert reports["roundtrip"] == reports["analyze"]

@@ -7,7 +7,7 @@ from opsampler.config import parse_config
 from opsampler.errors import SingularTransfer
 from opsampler.frames import (
     DEFAULT_TOL_FACTOR,
-    _eigh,
+    _eigvalsh,
     _report,
     _witnesses,
     frame_bounds,
@@ -21,7 +21,7 @@ from opsampler.lattice import (
     periodize_sq,
     symplectic_series,
 )
-from opsampler.runner import run_analyze
+from opsampler.runner import _fibers, _make_rng, run_analyze
 from opsampler.sampling import system_transfer
 from opsampler.weyl import symplectic_ft
 from test_builders_config import build
@@ -223,23 +223,19 @@ def _one_by_one_stacks():
 
 
 @pytest.mark.parametrize("G", _one_by_one_stacks(), ids=["signed", "delta_system", "batched"])
-def test_eigh_of_one_by_one_stacks_is_lapacks_bit_for_bit(G):
-    w, V = _eigh(G)
-    w_lapack, V_lapack = np.linalg.eigh(G)
+def test_eigvalsh_of_one_by_one_stacks_is_lapacks_bit_for_bit(G):
+    w = _eigvalsh(G)
+    w_lapack = np.linalg.eigvalsh(G)
     bits = lambda a: np.ascontiguousarray(a).view(np.uint64)  # noqa: E731
-    assert w.shape == w_lapack.shape and V.shape == V_lapack.shape and V.dtype == V_lapack.dtype
+    assert w.shape == w_lapack.shape and w.dtype == w_lapack.dtype
     assert np.array_equal(bits(w), bits(w_lapack))
-    assert np.array_equal(bits(V), bits(V_lapack))
-    assert np.array_equal(bits(_eigh(G, vectors=False)), bits(np.linalg.eigvalsh(G)))
+    assert np.array_equal(bits(w), bits(np.linalg.eigh(G)[0]))
 
 
-def test_eigh_of_larger_stacks_is_lapacks():
+def test_eigvalsh_of_larger_stacks_is_lapacks():
     A = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
     G = np.matmul(A.conj().transpose(0, 2, 1), A)
-    w, V = _eigh(G)
-    w_lapack, V_lapack = np.linalg.eigh(G)
-    assert np.array_equal(w, w_lapack) and np.array_equal(V, V_lapack)
-    assert np.array_equal(_eigh(G, vectors=False), np.linalg.eigvalsh(G))
+    assert np.array_equal(_eigvalsh(G), np.linalg.eigvalsh(G))
 
 
 @pytest.mark.parametrize("a_shape, b_shape", [
@@ -438,6 +434,35 @@ def test_pseudo_inverse_refuses_singular():
     assert err.value.witness_xi == 3
 
 
+# (5, 5, 5), so |Lambda| = 1: a transfer Gram matrix that passes a gate far
+# below eps (alpha = 2.2e-16 against beta = 1252) and meets an exactly zero
+# pivot when LU factorizes it
+SINGULAR_SOLVE = {"L": 5, "lattice": {"a": 5, "b": 5}, "seed": 212,
+                  "tol_pos": 1e-30, "tolerance": 1.0,
+                  "generators": [{"kind": "boxcar", "width": 5},
+                                 {"kind": "delta_pair", "t1": 0, "t2": 2}],
+                  "averagers": [{"kind": "boxcar", "width": 5}] * 2}
+
+
+def test_left_inverse_refuses_a_passing_gram_with_a_zero_pivot():
+    cfg = parse_config(SINGULAR_SOLVE)
+    lat = Lattice(cfg.L, cfg.a, cfg.b)
+    S = _fibers(cfg.generators + cfg.averagers, lat, _make_rng(cfg.seed))
+    A = system_transfer(S[:2], S[2:], lat)
+    rep = frame_bounds(A, lat, cfg.tol_pos)
+    assert rep.passed and rep.alpha < 1e-15 * rep.beta
+    with pytest.raises(np.linalg.LinAlgError):  # the pivot the refusal guards
+        np.linalg.solve(rep.gram, A.conj().transpose(0, 2, 1))
+    for X in (None, A @ np.ones((lat.size, 2, 1))):
+        with pytest.raises(SingularTransfer) as err:
+            left_inverse_family(A, rep, None, X)
+        assert str(err.value) == (
+            "transfer matrix is singular at dual index 0 (alpha=%.3e, beta=%.3e)"
+            % (rep.alpha, rep.beta))
+        assert err.value.witness_xi == rep.witnesses[0]
+        assert err.value.witness_point == rep.witness_points[0]
+
+
 def _unitary(draw, k):
     q, r = np.linalg.qr(draw.standard_normal((k, k)) + 1j * draw.standard_normal((k, k)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -470,15 +495,24 @@ def test_left_inverse_accuracy(M, N):
             assert norm(Bx @ A - np.eye(N)) <= bound
 
 
-def test_left_inverse_reads_the_reports_eigenpairs():
+def test_left_inverse_reads_the_reports_gram():
     lat = Lattice(9, 3, 3)
     T = transfer_matrix(rand_system(lat, 3, 2))
     rep = frame_bounds(T, lat)
-    bare = dataclasses.replace(rep, eigenpairs=None)
-    # the eigenpairs are not part of the report's value
+    assert np.array_equal(rep.gram, np.matmul(T.conj().transpose(0, 2, 1), T))
+    bare = dataclasses.replace(rep, gram=None)
+    # the Gram matrices are not part of the report's value
     assert rep == bare and repr(rep) == repr(bare) and rep.to_jsonable() == bare.to_jsonable()
     with pytest.raises(ValueError):
         left_inverse_family(T, bare)
+    # a Riesz report keeps a Gram stack of the same shape, but not A* A
+    local = np.random.default_rng(47)  # leaves the module's draws alone
+    S = local.standard_normal((2, 9, 9)) + 1j * local.standard_normal((2, 9, 9))
+    riesz = gram_matrix_bounds(trace_fibers(S, lat), lat)
+    assert riesz.passed and riesz.gram.shape == rep.gram.shape
+    with pytest.raises(ValueError):
+        left_inverse_family(T, riesz)
+    # the frame report of another transfer matrix
     with pytest.raises(ValueError):
         left_inverse_family(transfer_matrix(rand_system(lat, 3, 1)), rep)
 
@@ -525,7 +559,7 @@ def test_left_inverse_family_applied_to_x_is_b_times_x(M, N):
     with pytest.raises(ValueError):
         left_inverse_family(That, rep, C[:, :, :-1] if M > 1 else C[:-1], X)
     with pytest.raises(ValueError):
-        left_inverse_family(That, dataclasses.replace(rep, eigenpairs=None), None, X)
+        left_inverse_family(That, dataclasses.replace(rep, gram=None), None, X)
     vals = That.copy()
     vals[3] = 0.0
     with pytest.raises(SingularTransfer):

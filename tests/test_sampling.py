@@ -13,6 +13,7 @@ from opsampler.errors import SingularTransfer
 from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
 from opsampler.lattice import (
     Lattice,
+    _matmul,
     inverse_symplectic_series,
     periodize_sq,
     symplectic_series,
@@ -568,11 +569,14 @@ ROUNDTRIP_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(ROUNDTRIP_SHAPES))
 def test_fiber_roundtrip_error_matches_the_operator_route(shape):
-    # the runner reads its error off the Riesz Gram in coefficient space;
-    # quantizing the element of the same draws, sampling the operator
-    # through its trace transform, synthesizing from the explicit
-    # reconstructors H_m and quantizing the reconstruction gives the same
-    # error and the same verdict
+    # the runner reads its error off the Riesz Gram in coefficient space.
+    # Against the operator route (quantize the element of the same draws,
+    # sample it through its trace transform, synthesize from the explicit
+    # reconstructors H_m and quantize the reconstruction), in three steps:
+    # the operator-sampled samples are the inverse series of A c_hat up to
+    # their own sampling roundoff, which the left inverse amplifies; the
+    # samples of A c_hat reconstructed through H_m give the runner's error;
+    # and the operator-sampled error gives the runner's verdict
     for seed in range(1, 17):
         cfg = parse_config(dict(ROUNDTRIP_SHAPES[shape], seed=seed))
         report, _ = runner.run_roundtrip(cfg)
@@ -581,9 +585,14 @@ def test_fiber_roundtrip_error_matches_the_operator_route(shape):
         H = build_reconstructor_multi(P, A, system, C)
         T = operator_of(synthesize_element(c, P, lat), lat)
         s = average_samples(trace_fibers(T, lat), Q, lat)
+        c_hat = symplectic_series(c, lat).T[:, :, None]
+        s_A = inverse_symplectic_series(np.moveaxis(_matmul(A, c_hat), 0, -1), lat)[:, 0]
+        assert np.linalg.norm(s - s_A) <= 1e-14 * np.linalg.norm(s_A), seed
+        T_A = operator_of(synthesize_element(s_A, H, lat), lat)
+        a_err = np.linalg.norm(T_A - T) / hs_norm(T)
+        assert abs(err - a_err) <= 1e-12, (seed, err, a_err)
         T_rec = operator_of(synthesize_element(s, H, lat), lat)
         op_err = np.linalg.norm(T_rec - T) / hs_norm(T)
-        assert abs(err - op_err) <= 1e-12, (seed, err, op_err)
         assert report["reconstruction"]["pass"] == bool(op_err <= cfg.tolerance)
 
 
