@@ -10,7 +10,7 @@ Three row layouts, all with floats written exactly as ``'%.17g' % v``:
 
 The writers format whole arrays at once, ``_CHUNK`` rows at a time, and
 reproduce ``'%.17g'`` byte for byte, in float64 and int64 arithmetic
-that is the same on every platform.  For a finite nonzero ``x`` with
+that is the same on every platform.  For a finite ``x`` with
 ``a = |x|``:
 
 1. ``E = floor(log10(a))``, possibly off by one, and ``y = a * 10**(16 - E)``
@@ -23,20 +23,18 @@ that is the same on every platform.  For a finite nonzero ``x`` with
    table, ``a * _PL`` and the sum in ``t`` each err by less than
    ``2e-15``, so ``|p + t - y| < 6e-15``; ``|t| < 20``, and ``p`` is an
    integer since ``y > 2**53``.
-2. Where ``p`` is within 64 of ``[1e16, 1e17)`` or outside it (rare:
-   ``E`` was off, or ``y`` is near a decade's end), ``h = fl(p + t)``
-   and ``l = p + t - h`` decide the decade exactly: ``y >= 1e17`` iff
-   ``h > 1e17`` or (``h == 1e17`` and ``l >= 0``), and ``y < 1e16`` iff
-   ``h < 1e16`` or (``h == 1e16`` and ``l < 0``).  ``E`` moves by one,
-   ``y`` is formed again, and a significand that rounds up to ``10**17``
-   becomes ``10**16`` with ``E + 1`` (``t`` keeps its fraction for
-   step 3).
+2. A zero takes ``E = 0``, so ``p = t = 0``.  Any other value whose
+   ``p`` is within 64 of ``[1e16, 1e17)`` or outside it is formatted by
+   ``'%.17g'``: its ``E`` was one off, its significand may round up to
+   ``10**17``, or ``|E| > 281``, where the table holds zeros because
+   the products would leave float64's normal range.  So values near a
+   decade's end, exact powers of ten among them, take Python's
+   per-value path.
 3. ``D = p + rint(t)`` is then the correctly rounded 17-digit
    significand, unless ``t`` is within ``2**-40`` of a half-integer.
    Those values (exact ties among them, so round-half-even stays
-   Python's) are formatted by ``'%.17g'``, and so are those with
-   ``|E| > 280``, where the products would leave float64's normal
-   range.  Standard normals almost never fall back.
+   Python's) are formatted by ``'%.17g'`` too.  Zeros never fall back,
+   and standard normals almost never do.
 4. int64 floor division by ``10**8``, then by ``10**4``, splits ``D``
    into the first digit and four groups of four digits; the remainders
    are ``D - q * 10**8`` and the like, since numpy vectorizes ``//`` by
@@ -69,7 +67,7 @@ __all__ = ["write_phase_grid", "write_dual_values", "write_transfer"]
 
 _CHUNK = 1024  # rows formatted at once; bounds the writers' temporaries
 _EMIN = -324  # nonzero float64 have decimal exponents -324 .. 308
-_EMAX = 280  # values with |E| above it are formatted by '%.17g'
+_EMAX = 280  # the table stops at |E| = _EMAX + 1; '%.17g' formats values past it
 
 
 def _power_of_ten(k: int) -> tuple[float, float]:
@@ -86,7 +84,7 @@ def _power_of_ten(k: int) -> tuple[float, float]:
 
 
 # by E - _EMIN, E = -324 .. 308: _PH, its Veltkamp halves and _PL for
-# 10**(16 - E); zeros for |E| > _EMAX + 1, which no product reads
+# 10**(16 - E); zeros for |E| > _EMAX + 1, where p = 0 sends a value to '%.17g'
 _ph, _pl = np.zeros((2, 633))
 _rows = slice(-_EMAX - 1 - _EMIN, _EMAX + 2 - _EMIN)
 _ph[_rows], _pl[_rows] = np.array([_power_of_ten(16 - E) for E in range(-_EMAX - 1, _EMAX + 2)]).T
@@ -180,14 +178,13 @@ def _significand(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steps 1 to 3 for the finite floats ``x``: the table rows ``e = E - _EMIN``,
     the significands ``D`` and where ``'%.17g'`` must format instead."""
     a = np.abs(x)
-    np.maximum(a, 5e-324, out=a)  # a zero reads a table row of zeros: p = 0
-    e = (np.log10(a) - _EMIN).astype(np.intp)  # a positive sum: truncation is floor
+    zero = a == 0
+    e = (np.log10(np.maximum(a, 5e-324)) - _EMIN).astype(np.intp)  # a positive sum: truncation is floor
+    e[zero] = -_EMIN
     p, t = _scale(a, e)
-    off = (p < 1e16 + 64) | (p > 1e17 - 64)
-    if off.any():
-        _settle(np.flatnonzero(off), x, a, e, p, t)
     n = np.rint(t)
     unsure = np.abs(t - n) > 0.5 - 2.0**-40
+    unsure |= ((p < 1e16 + 64) | (p > 1e17 - 64)) & ~zero
     D = p.astype(np.int64)
     D += n.astype(np.int64)
     return e, D, unsure
@@ -221,32 +218,6 @@ def _format17(out: np.ndarray, x: np.ndarray, sep: np.ndarray) -> int:
         words[:, 5] |= sep[idx]
         out[:, idx] = words.T
     return len(idx)
-
-
-def _settle(i: np.ndarray, x, a, e, p, t) -> None:
-    """Step 2 for the values ``i``, in place on ``e``, ``p`` and ``t``.
-    A zero gets ``E = 0`` and ``p = t = 0``; a value with ``|E| > _EMAX``
-    gets ``p = 0`` and ``t = 0.5``, a tie, which sends it to ``'%.17g'``."""
-    ei, pi, ti = e[i], p[i], t[i]
-    live = pi != 0  # |E| <= _EMAX + 1
-    h = pi[live] + ti[live]
-    l = ti[live] - (h - pi[live])
-    el = ei[live]
-    el += (h > 1e17) | ((h == 1e17) & (l >= 0))
-    el -= (h < 1e16) | ((h == 1e16) & (l < 0))
-    pl, tl = _scale(a[i[live]], el)
-    top = (pl - 1e17) + np.rint(tl) >= 0  # exact where it is near 0 (Sterbenz)
-    el[top] += 1
-    pl[top] = 1e16
-    tl[top] -= np.rint(tl[top])
-    ei[live], pi[live], ti[live] = el, pl, tl
-    wild = np.abs(ei + _EMIN) > _EMAX
-    pi[wild] = 0.0
-    ti[wild] = 0.5
-    zero = x[i] == 0
-    ei[zero] = -_EMIN
-    pi[zero] = ti[zero] = 0.0
-    e[i], p[i], t[i] = ei, pi, ti
 
 
 def _index_words(size: int) -> np.ndarray:

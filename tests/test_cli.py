@@ -17,7 +17,7 @@ from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_fami
 from opsampler.lattice import Lattice, _matmul, symplectic_series, unfibers
 from opsampler.report import canonical_json
 from opsampler.runner import _fibers, _make_rng, _norms_sq, run_analyze, run_export, run_roundtrip
-from opsampler.sampling import system_transfer
+from opsampler.sampling import interpolation_check, system_transfer
 from test_frames import SINGULAR_SOLVE
 from oracles import inverse_fourier_wigner, read_phase_grid, weyl_symbol, weyl_transform
 
@@ -199,55 +199,77 @@ def test_roundtrip_without_seed_is_config_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+# N = 2, M = 3 with a random free parameter C: its left inverses and the
+# eigenvalues of both reports come from LAPACK
+OVERSAMPLED = {"generators": [{"kind": "random_hs"}] * 2,
+               "averagers": [{"kind": "random_hs"}] * 3, "c_matrix": "random"}
+
+
 def test_roundtrip_tolerance_flag(tmp_path, capsys):
-    # an absurdly tight tolerance turns a pass into a condition failure
-    data = dict(BASE, tolerance=1e-30)
+    # an absurdly tight tolerance turns a pass into a condition failure, on
+    # the square system and on the oversampled one
+    witnesses = []
+    for data in (dict(BASE, tolerance=1e-30), dict(BASE, tolerance=1e-30, **OVERSAMPLED)):
+        rc = main(["roundtrip", "--config", write_cfg(tmp_path, data)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert rc == 2 and captured.err == ""
+        assert report["reconstruction"]["pass"] is False
+        assert math.isfinite(report["reconstruction"]["relative_error"])
+        # the failure is witnessed by the dual index whose fiber the
+        # reconstruction misses most, recomputed here from the same draws in
+        # coefficient space: the squared norm of the error fiber at xi is
+        # e^T G conj(e), with G the generators' coset Gram and
+        # e = B_hat (A c_hat) - c_hat
+        cfg = parse_config(data)
+        rng = _make_rng(cfg.seed)
+        lat = Lattice(cfg.L, cfg.a, cfg.b)
+        n = len(cfg.generators)
+        S = _fibers(cfg.generators + (cfg.averagers or ()), lat, rng)
+        P, Q = S[:n], S[n:] if cfg.averagers else S
+        A = system_transfer(P, Q, lat)
+        c_hat = symplectic_series(rand_complex(rng, (n, lat.size)), lat).T[:, :, None]
+        C = rand_complex(rng, (lat.size, n, len(Q))) if cfg.c_matrix == "random" else None
+        e_hat = left_inverse_family(A, frame_bounds(A, lat), C, _matmul(A, c_hat)) - c_hat
+        xi = int(np.argmax(_norms_sq(gram_matrix_bounds(P, lat).gram, e_hat)))
+        witnesses.append(xi)
+        failure = report["failure"]
+        assert failure["witness_xi"] == xi
+        assert failure["witness_point"] == lat.dual_points[xi].tolist()
+        # the interpolation check of the square system misses too, but the
+        # reconstruction's miss takes precedence in the failure block
+        assert (report["interpolation"] is None) if len(Q) > n else (report["interpolation"]["pass"] is False)
+        assert failure["message"] == "relative error %.3e above tolerance 1.000e-30" % (
+            report["reconstruction"]["relative_error"])
+    assert witnesses[0] == 5
+
+
+def test_roundtrip_interpolation_miss_exits_2(tmp_path, capsys, monkeypatch):
+    # a square system whose reconstruction meets the tolerance while its
+    # interpolation check reports a miss: the failed check fails the run.
+    # A square system misses only through roundoff, so the check is made
+    # to report one on a system that passes it by orders of magnitude
+    import opsampler.runner as runner
+
+    data = dict(BASE, generators=[{"kind": "random_hs"}] * 2, averagers=[{"kind": "random_hs"}] * 2)
+    checked = []
+
+    def missing(A, B, lat, tol):
+        ok, dev = interpolation_check(A, B, lat, tol=tol)
+        checked.append(dev)
+        return False, 10 * tol
+
+    monkeypatch.setattr(runner, "interpolation_check", missing)
     rc = main(["roundtrip", "--config", write_cfg(tmp_path, data)])
-    report = json.loads(capsys.readouterr().out)
-    assert rc == 2
-    assert report["reconstruction"]["pass"] is False
-    # the failure is witnessed by the dual index whose fiber the reconstruction
-    # misses most, recomputed here from the same draws in coefficient space:
-    # the squared norm of the error fiber at xi is e^T G conj(e), with G the
-    # generators' coset Gram and e = B_hat (A c_hat) - c_hat
-    cfg = parse_config(data)
-    rng = _make_rng(cfg.seed)
-    lat = Lattice(cfg.L, cfg.a, cfg.b)
-    P = _fibers(cfg.generators, lat, rng)
-    A = system_transfer(P, P, lat)
-    c_hat = symplectic_series(rand_complex(rng, (len(P), lat.size)), lat).T[:, :, None]
-    e_hat = left_inverse_family(A, frame_bounds(A, lat), None, _matmul(A, c_hat)) - c_hat
-    xi = int(np.argmax(_norms_sq(gram_matrix_bounds(P, lat).gram, e_hat)))
-    assert xi == 5
-    failure = report["failure"]
-    assert failure["witness_xi"] == xi
-    assert failure["witness_point"] == lat.dual_points[xi].tolist()
-    # the interpolation check of this square system misses too, but the
-    # reconstruction's miss takes precedence in the failure block
-    assert report["interpolation"]["pass"] is False
-    assert failure["message"] == "relative error %.3e above tolerance 1.000e-30" % (
-        report["reconstruction"]["relative_error"])
-
-
-# one copy of the interpolation-miss config, shared with CI's console-script step
-INTERPOLATION_MISS = os.path.join(os.path.dirname(__file__), "data", "interpolation_miss.json")
-
-
-def test_roundtrip_interpolation_miss_exits_2(capsys):
-    # a square system whose reconstruction meets the tolerance (1.52e-14)
-    # while its reconstructors' samples miss the delta pattern by more
-    # (2.68e-14): the failed interpolation check fails the run
-    with open(INTERPOLATION_MISS) as fh:
-        data = json.load(fh)
-    rc = main(["roundtrip", "--config", INTERPOLATION_MISS])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
+    assert checked and checked[0] < 1e-6 * report["reconstruction"]["tolerance"]
     assert (rc, report["exit_code"], report["status"]) == (2, 2, "condition_failure")
     assert captured.err == ""
     assert report["reconstruction"]["pass"] is True and report["interpolation"]["pass"] is False
     failure = report["failure"]
     assert failure["message"] == "interpolation deviation %.3e above tolerance %.3e" % (
-        report["interpolation"]["max_deviation"], data["tolerance"])
+        report["interpolation"]["max_deviation"], report["reconstruction"]["tolerance"])
     # witnessed by the dual index with the largest |A B - I| entry
     cfg = parse_config(data)
     lat = Lattice(cfg.L, cfg.a, cfg.b)
@@ -411,6 +433,13 @@ def test_rejected_arguments_leave_next_call_as_in_fresh_process(tmp_path, capsys
     fresh = _run_cli("analyze", "--config", path)
     assert fresh.returncode == 0 and fresh.stderr == ""
     assert strip_timing(in_process) == strip_timing(json.loads(fresh.stdout))
+    # the seeded draws of a roundtrip reproduce in a fresh process too
+    path = write_cfg(tmp_path, dict(BASE, **OVERSAMPLED), name="oversampled.json")
+    assert main(["roundtrip", "--config", path]) == 0
+    in_process = json.loads(capsys.readouterr().out)
+    fresh = _run_cli("roundtrip", "--config", path)
+    assert fresh.returncode == 0 and fresh.stderr == ""
+    assert strip_timing(in_process) == strip_timing(json.loads(fresh.stdout))
 
 
 # ------------------------------------------------------------ config errors
@@ -477,9 +506,7 @@ def test_tiny_periodized_gaussian_width_is_a_clean_condition_failure(tmp_path, c
 
 
 def _count_calls(monkeypatch, counted):
-    """Count calls (weight 1) or transformed operators (weight "ops") per function name.
-    A name that only the oracle defines stays at 0: no CLI path can reach it."""
-    import oracles
+    """Count calls (weight 1) or transformed operators (weight "ops") per function name."""
     import opsampler.builders as builders
     import opsampler.frames as frames
     import opsampler.runner as runner
@@ -495,7 +522,7 @@ def _count_calls(monkeypatch, counted):
         return wrapper
 
     for name, weight in counted.items():
-        source = next(mod for mod in (weyl, frames, sampling, oracles) if hasattr(mod, name))
+        source = next(mod for mod in (weyl, frames, sampling) if hasattr(mod, name))
         wrapped = counting(name, getattr(source, name), weight)
         for mod in (builders, frames, sampling, runner):
             if hasattr(mod, name):
@@ -503,27 +530,18 @@ def _count_calls(monkeypatch, counted):
     return calls
 
 
-# The sampling system's transfer matrix is the coset Gram of the fibers:
-# no CLI path builds the filter sequences or takes their series.
-SYSTEM_CALLS = {"system_transfer": 1, "sample_filter_matrix": 1, "transfer_matrix": 1}
-SYSTEM_ONCE = {"system_transfer": 1, "sample_filter_matrix": 0, "transfer_matrix": 0}
-
-
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
 def test_roundtrip_computes_each_spectral_quantity_once(tmp_path, capsys, monkeypatch, m):
-    calls = _count_calls(monkeypatch, {"frame_bounds": 1, **SYSTEM_CALLS,
-                                       "fourier_wigner": "ops", "inverse_fourier_wigner": "ops"})
+    calls = _count_calls(monkeypatch, {"frame_bounds": 1, "system_transfer": 1})
     n = 2
     data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
                 averagers=[{"kind": "random_hs"}] * m, c_matrix="random")
     assert main(["roundtrip", "--config", write_cfg(tmp_path, data)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["interpolation"] is not None) == (m == n)
-    # random_hs operators are drawn as fibers, and the element is
-    # synthesized, sampled and reconstructed as fibers: no operator is
-    # transformed or quantized
-    assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
-                     "fourier_wigner": 0, "inverse_fourier_wigner": 0}
+    # no operator is transformed or quantized either: no module defines
+    # the operator calculus (test_api)
+    assert calls == {"frame_bounds": 1, "system_transfer": 1}
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
@@ -553,20 +571,18 @@ def test_roundtrip_forms_the_generators_coset_gram_once(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
 def test_analyze_computes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
-    calls = _count_calls(monkeypatch, {"frame_bounds": 1, **SYSTEM_CALLS,
-                                       "fourier_wigner": "ops", "inverse_fourier_wigner": "ops"})
+    calls = _count_calls(monkeypatch, {"frame_bounds": 1, "system_transfer": 1})
     n = 2
     data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
                 averagers=[{"kind": "random_hs"}] * m)
     assert main(["analyze", "--config", write_cfg(tmp_path, data)]) == 0
     assert json.loads(capsys.readouterr().out)["system_frame"]["verdict"] in ("riesz_basis", "frame")
-    assert calls == {"frame_bounds": 1, **SYSTEM_ONCE,
-                     "fourier_wigner": 0, "inverse_fourier_wigner": 0}
+    assert calls == {"frame_bounds": 1, "system_transfer": 1}
 
 
 @pytest.mark.parametrize("m", [2, 3], ids=["square", "oversampled"])
 def test_export_transfer_computes_the_transfer_once(tmp_path, capsys, monkeypatch, m):
-    calls = _count_calls(monkeypatch, {**SYSTEM_CALLS, "fourier_wigner": "ops"})
+    calls = _count_calls(monkeypatch, {"system_transfer": 1})
     n = 2
     data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
                 averagers=[{"kind": "random_hs"}] * m)
@@ -574,7 +590,7 @@ def test_export_transfer_computes_the_transfer_once(tmp_path, capsys, monkeypatc
     assert main(["export", "--config", write_cfg(tmp_path, data), "--out", str(out),
                  "--what", "transfer"]) == 0
     size = json.loads(capsys.readouterr().out)["lattice"]["size"]
-    assert calls == {**SYSTEM_ONCE, "fourier_wigner": 0}
+    assert calls == {"system_transfer": 1}
     lines = (out / "transfer.csv").read_text().splitlines()
     assert lines[0] == "xi_index,m,n,re,im" and len(lines) == 1 + size * m * n
 
@@ -732,9 +748,16 @@ def test_refusal_message_and_witness_come_from_the_failing_section(tmp_path, cap
 
 AGREEING = {
     "pass": {},
-    # N = 2, M = 3: both reports reach LAPACK's eigenvalue routine
-    "pass_oversampled": {"generators": [{"kind": "random_hs"}] * 2,
-                         "averagers": [{"kind": "random_hs"}] * 3, "c_matrix": "random"},
+    "pass_oversampled": OVERSAMPLED,
+    # a rank-one Gaussian generator, and the same whitened, each built into
+    # its stack slot
+    "pass_gaussian": {"L": 45, "lattice": {"a": 3, "b": 3}, "seed": 3,
+                      "generators": [{"kind": "periodized_gaussian", "width": 9.0}],
+                      "averagers": [{"kind": "random_hs"}, {"kind": "random_signal_pair"}]},
+    "pass_whitened_gaussian": {"L": 45, "lattice": {"a": 3, "b": 3}, "seed": 3,
+                               "generators": [{"kind": "whitened", "inner": {
+                                   "kind": "periodized_gaussian", "width": 9.0}}],
+                               "averagers": [{"kind": "random_hs"}, {"kind": "random_signal_pair"}]},
     "gen_fail": FAILING["generator_riesz"],
     "sys_fail": FAILING["system_frame"],
     # whitening refuses a point-pair generator before any verdict

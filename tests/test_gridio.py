@@ -1,5 +1,4 @@
 import re
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -99,9 +98,11 @@ def test_chunked_cases_span_several_chunks(kind):
 
 
 # Values the fast path leaves to '%.17g': |E| > 280 (among them subnormals
-# and the extremes) and exact ties of the 17-digit rounding, which
-# round half to even (12345678901234562.5 * 10**-1 is 1234567890123456.2).
+# and the extremes), values near a decade's end (powers of ten among them)
+# and exact ties of the 17-digit rounding, which round half to even
+# (12345678901234562.5 * 10**-1 is 1234567890123456.2).
 FALLBACK = [1e300, -1.7976931348623157e308, 1e-290, -2.5e-310, 5e-324,
+            1.0, -1e22, 0.99999999999999989, 1.0000000000000001e-07,
             1234567890123456.25, -1234567890123456.75, 123456789012345.125,
             1 + 2.0**-17, -(0.5 + 2.0**-18)]
 
@@ -124,8 +125,10 @@ def test_fallback_values_go_to_percent_17g():
 
 
 def test_standard_normals_almost_never_fall_back():
+    """Nor do zeros, so zero-heavy exports stay vectorized."""
     values = np.random.default_rng(23).standard_normal(10**5)
     assert _format_count(values) <= 10
+    assert _format_count(np.tile([0.0, -0.0], 5000)) == 0
 
 
 def test_phase_grid_writer_temporaries_do_not_grow_with_the_grid(traced_peak):
@@ -209,7 +212,10 @@ def _format_words(values):
 
 def _formatted(values):
     """Each value as ``gridio._format17`` writes it."""
-    out, _ = _format_words(values)
+    return _decoded(_format_words(values)[0])
+
+
+def _decoded(out):
     return [row.tobytes().translate(None, b"\0").decode() for row in out]
 
 
@@ -226,11 +232,15 @@ def _near_carry(E):
 
 def _edge_values():
     """Powers of ten and their neighbours, values just below the next
-    decade, powers of two, values near the 17-digit rounding boundary and
-    its ties, subnormals, the extremes and zeros, with their negatives."""
+    decade and theirs, powers of two, values near the 17-digit rounding
+    boundary and its ties, normals scaled by 1e-5 .. 1e4 and their
+    neighbours, subnormals, the extremes and zeros, with their negatives."""
     tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    carry = np.ravel([_near_carry(E) for E in range(-323, 308)])
+    normals = np.random.default_rng(24).standard_normal(2000) * 10.0 ** np.arange(-5, 5).repeat(200)
     values = [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
-              [_near_carry(E) for E in range(-323, 308)],
+              carry, np.nextafter(carry, 0), np.nextafter(carry, np.inf),
+              normals, np.nextafter(normals, 0), np.nextafter(normals, np.inf),
               np.ldexp(1.0, np.arange(-1074, 1024)),
               1e15 + np.arange(-64, 65) / 8, 1e16 + np.arange(-64, 65), 1e17 + 16 * np.arange(-64, 65),
               np.ldexp(np.arange(1, 2000), -1074), np.arange(-1000, 1001, dtype=float),
@@ -258,26 +268,18 @@ def test_formatter_on_edge_values():
     assert _formatted(values) == [format(v, ".17g") for v in values.tolist()]
 
 
-@pytest.mark.parametrize("shift", [-1, 0, 1])
-def test_decade_rule_settles_any_estimate_off_by_one(shift):
-    """``log10`` may put ``E`` one off either way: from ``floor(log10(a)) +
-    shift`` (exact, from ``Decimal``), ``_settle`` finds the significand
-    and exponent of ``'%.16e'``, here also for the values just below a
-    power of ten, whose ``h`` is ``1e17`` with ``l < 0``."""
-    values = np.concatenate([[v for E in range(-270, 271) for v in _near_carry(E)],
-                             [float(f"1e{k}") for k in range(-270, 271)],
-                             np.random.default_rng(24).standard_normal(2000) * 10.0 ** np.arange(-5, 5).repeat(200)])
-    x = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
-    a = np.abs(x)
-    e = np.array([Decimal(v).adjusted() - gridio._EMIN + shift for v in a.tolist()])
-    p, t = gridio._scale(a, e)
-    gridio._settle(np.arange(len(x)), x, a, e, p, t)
-    n = np.rint(t)
-    D = p.astype(np.int64) + n.astype(np.int64)
-    sure = np.abs(t - n) <= 0.5 - 2.0**-40
-    want = [("%.16e" % v).split("e") for v in a[sure].tolist()]
-    assert [(int(m.replace(".", "")), int(E)) for m, E in want] == list(zip(D[sure].tolist(), (e[sure] + gridio._EMIN).tolist()))
-    assert sure.sum() > len(x) - 10
+@pytest.mark.parametrize("shift", [-0.3, 0.3])
+def test_estimates_one_off_go_to_percent_17g(monkeypatch, shift):
+    """``log10`` may put ``E`` one off either way.  Shifted by ``shift``, it
+    puts one off each value whose ``log10`` is within 0.3 of an integer on
+    the side the shift crosses; those go to ``'%.17g'`` too."""
+    values = _edge_values()
+    exact = _format_count(values)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    out, count = _format_words(values)
+    assert _decoded(out) == [format(v, ".17g") for v in values.tolist()]
+    assert count > exact + len(values) // 20
 
 
 def test_power_of_ten_table_is_within_2_to_the_minus_106():
