@@ -8,7 +8,7 @@ and Riesz condition verification through transfer-matrix spectra, and
 perfect-reconstruction pipelines from lattice average samples, plus a
 config-driven CLI (``opsampler``).  Import the functions from their
 modules (``opsampler.weyl``, ``opsampler.lattice``, ``opsampler.frames``,
-``opsampler.sampling``, ...); the package itself exports only
+``opsampler.builders``, ...); the package itself exports only
 ``__version__``.
 """
 

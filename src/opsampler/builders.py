@@ -32,13 +32,13 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularTransfer
+from .frames import DEFAULT_TOL_FACTOR
 from .lattice import Lattice, _fiber_slot
-from .sampling import whiten_generator
 from .weyl import rank_one_fibers
 
 __all__ = ["BUILDER_KINDS", "build_operator", "rand_complex", "spec_uses_rng",
-           "validate_builder_spec"]
+           "validate_builder_spec", "whiten_generator"]
 
 MAX_WRAPS = 100
 MAX_WHITENED_NESTING = 8
@@ -150,6 +150,26 @@ def _periodized_gaussian(L: int, width: float, wraps: int, center: int) -> np.nd
         for k in range(-wraps, wraps + 1):
             g += np.exp(-np.pi * (t - center + k * L) ** 2 / width**2)
     return g.astype(complex)
+
+
+def whiten_generator(P: np.ndarray, lat: Lattice) -> np.ndarray:
+    """Whiten the (|Lambda|, a*b) complex fibers P of a generator's trace
+    transform in place, so that its lattice translates are exactly
+    orthonormal, and return P: divide P by the square root of |Lambda|
+    times its coset power, the adjoint-lattice periodization.  Refuses,
+    leaving P as it was, when that power has a zero (the translates are
+    not a Riesz sequence), and, with a ``ValueError``, a P that is not a
+    slot of this lattice's fiber stack.  Whitened fibers have flat coset
+    power, so whitening them again changes them only in roundoff.
+    """
+    _fiber_slot(P, lat)
+    power = (np.abs(P) ** 2).sum(axis=-1)
+    if power.min() <= DEFAULT_TOL_FACTOR * power.max():
+        xi = int(np.argmin(power))
+        raise SingularTransfer(
+            f"cannot whiten: periodized spectrum vanishes near dual index {xi}",
+            witness_xi=xi, witness_point=tuple(int(v) for v in lat.dual_points[xi]))
+    return np.divide(P, np.sqrt(lat.size * power)[:, None], out=P)
 
 
 def build_operator(spec: dict, lat: Lattice, rng: np.random.Generator | None,

@@ -1,17 +1,63 @@
-"""Riesz and frame condition analysis for lattice convolution systems.
+"""The average-sampling system and its Riesz and frame conditions.
 
-A convolution system maps N input sequences on the lattice to M output
-sequences by entrywise lattice convolution with an M x N matrix of
-filter sequences.  Its transfer matrix is a plain (|Lambda|, M, N)
+The subspace under study is spanned by the lattice translates
+``alpha_lambda(S_n)`` of N generator operators.  Sampling an element T
+of it against M averaging operators produces the sequences
+
+    s_m(lambda) = <T, alpha_lambda(Q_m)>_HS,
+
+which equal the convolution system ``A * c`` applied to T's coefficient
+sequences, with filter entries ``A[m, n](lambda) = <S_n,
+alpha_lambda(Q_m)>_HS``.  Its transfer matrix is a plain (|Lambda|, M, N)
 array: per dual-grid index xi, the M x N matrix of the filters'
-symplectic series values.  The sampling system's is read off the fibers
-directly (``sampling.system_transfer``), so the filter sequences
-themselves are never formed.  Every function that reads the dual grid
-takes the lattice ``lat`` alongside the arrays.  The extreme
-eigenvalues of the Hermitian matrices ``A_hat(xi)* A_hat(xi)`` over the
-dual grid decide whether the associated system of translates is a frame
-(lower bound strictly positive), which for M == N makes it a Riesz
-basis.  Every shape is gated the same way, on the lower bound alone.
+symplectic series values.  It is read off the fibers directly
+(``system_transfer``), so the filter sequences are never formed.
+
+Whenever that system is a frame, left-inverting its transfer matrix
+(``left_inverse_family``) yields reconstruction operators ``H_m`` in the
+generator span such that
+
+    T = sum_m sum_lambda s_m(lambda) * alpha_lambda(H_m)
+
+recovers every T in the subspace exactly.  For M == N the H_m are unique
+(the left inverse is the inverse) and their own samples interpolate the
+delta pattern (``interpolation_check``); for M > N the family of left
+inverses, hence of valid reconstructor sets, is parametrized by a free
+transfer matrix C.  The one-generator theorem is the system N = M = 1:
+for a filter q without zeros on the dual grid, the reconstructor's
+fibers are those of S / series(q).  With H_m = sum_n b_nm * S_n the same
+sum regroups over the generators,
+
+    T = sum_n sum_lambda (sum_m b_nm * s_m)(lambda) * alpha_lambda(S_n),
+
+so a reconstruction is the synthesis of the recovered coefficients, whose
+series is d_hat(xi) = B_hat(xi) s_hat(xi).
+
+Every stage runs on the dual grid, on the (|Lambda|, a*b) adjoint-coset
+fibers of the operators' trace transforms (see ``lattice`` and
+``weyl``): generator fibers P (N, |Lambda|, a*b) and averager fibers Q
+(M, |Lambda|, a*b).  Every function that reads the dual grid takes the
+lattice ``lat`` alongside the arrays.  Every fiber argument is fibers,
+never an operator kernel, even at a*b = L where the two have the same
+shape: no stage reads an operator, so none is ever formed.  Two
+identities do the rest, both exact since the trace transform is unitary:
+
+* translation: the trace transform of sum_lambda c(lambda) alpha_lambda(S)
+  is series(c)(xi) * P_S[xi, mu], so an element's fiber at xi is
+  sum_n c_hat_n(xi) P_n[xi], and its squared norm is the quadratic form
+  of the generators' coset Gram G(xi) in c_hat(xi), the Gram matrix of
+  the Riesz test (``gram_matrix_bounds``);
+* pairing: <S, alpha_lambda(Q)>_HS is the inverse series of the transfer
+  matrix |Lambda| * sum_mu P_S[xi, mu] * conj(P_Q[xi, mu]), ``lattice``'s
+  coset product of the averagers and the generators, conjugated and
+  scaled.  The coset Gram of the reconstructors and the averagers is A B,
+  the transfer matrix times the left inverse, so the interpolation check
+  reads no fibers.
+
+The extreme eigenvalues of the Hermitian matrices ``A_hat(xi)* A_hat(xi)``
+over the dual grid decide whether the associated system of translates is
+a frame (lower bound strictly positive), which for M == N makes it a
+Riesz basis.  Every shape is gated the same way, on the lower bound alone.
 
 Positivity of a floating-point minimum is gated relatively:
 ``alpha > tol_factor * beta`` with ``tol_factor = 1e-10`` by default,
@@ -27,9 +73,6 @@ The verdict string is one of ``riesz_basis`` (pass with M == N, or a
 Gram pass: a Riesz sequence is a Riesz basis for its span), ``frame``
 (pass with M > N), ``fail`` (lower bound not positive; witnesses
 attached).
-
-Every stage is evaluated on the dual grid with ``lattice``'s algebra: the
-Gram test is the coset product of the generators' fibers with themselves.
 """
 
 from __future__ import annotations
@@ -39,14 +82,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularTransfer
-from .lattice import Lattice, _adjoint, _coset_gram, _matmul
+from .lattice import Lattice, _adjoint, _coset_gram, _matmul, inverse_symplectic_series
 
 __all__ = [
     "DEFAULT_TOL_FACTOR",
     "FrameReport",
+    "system_transfer",
     "frame_bounds",
     "gram_matrix_bounds",
     "left_inverse_family",
+    "interpolation_check",
 ]
 
 DEFAULT_TOL_FACTOR = 1e-10
@@ -147,6 +192,30 @@ def _singular(report: FrameReport) -> SingularTransfer:
         witness_xi=xi, witness_point=report.witness_points[0])
 
 
+def _fiber_stack(P, lat: Lattice) -> np.ndarray:
+    """Fibers as a complex (K, |Lambda|, a*b) stack; a complex array is used
+    as it is.  P is always fibers: an operator kernel has the same shape at
+    a*b = L and would be read as fibers, so none may be passed."""
+    P = np.asarray(P, dtype=complex)
+    if P.ndim != 3 or P.shape[-2:] != (lat.size, lat.a * lat.b):
+        raise ValueError(f"expected a (K, {lat.size}, {lat.a * lat.b}) stack of fibers, "
+                         f"got {P.shape}")
+    return P
+
+
+def system_transfer(P, Q, lat: Lattice) -> np.ndarray:
+    """(|Lambda|, M, N) transfer matrix of the filter system of the generator
+    fibers P and the averager fibers Q: their coset Gram, no series.
+
+    out[xi, m, n] = |Lambda| * sum_mu P[n, xi, mu] * conj(Q[m, xi, mu]), the
+    conjugate of the coset Gram of Q and P: it copies P, which never has
+    more channels than Q, and conjugates the small product in place.
+    """
+    gram = _coset_gram(_fiber_stack(Q, lat), _fiber_stack(P, lat))
+    np.conjugate(gram, out=gram)
+    return np.multiply(gram, lat.size, out=gram)
+
+
 def frame_bounds(A, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) -> FrameReport:
     """Extreme eigenvalues of A_hat(xi)* A_hat(xi) over the dual grid.
 
@@ -186,8 +255,10 @@ def gram_matrix_bounds(V, lat: Lattice, tol_factor: float = DEFAULT_TOL_FACTOR) 
     coset product of V with itself) and returns the extreme eigenvalues
     over the grid.  For a single generator the bounds are |Lambda| times
     the extremes of the periodized square (scaling documented in
-    ``periodize_sq``).  The report keeps G as ``gram``.
+    ``periodize_sq``).  The report keeps G as ``gram``.  Any other shape
+    of ``V`` is refused with a ``ValueError`` naming the expected one.
     """
+    V = _fiber_stack(V, lat)
     if len(V) == 0:
         raise ValueError("need at least one generator")
     G = _coset_gram(V, V)
@@ -230,3 +301,28 @@ def left_inverse_family(A, report: FrameReport, C=None, X=None) -> np.ndarray:
     if np.shape(C) != (size, n, m):
         raise ValueError(f"C must have shape {(size, n, m)}, got {np.shape(C)}")
     return D + _matmul(C, (np.eye(m) if X is None else X) - _matmul(A, D))
+
+
+def interpolation_check(A, B, lat: Lattice, tol: float):
+    """Check the square-system interpolation pattern of the reconstructors.
+
+    For M == N the samples of each reconstructor H_n against the averagers
+    must be the delta pattern delta_{n,n'} delta_{lambda,0}.  The coset Gram
+    of the fibers H and Q is the product of the transfer matrix A and the
+    left inverse B, so the samples are the inverse series of A B and no
+    fibers are read.  Returns (passed, max_deviation), passing when no
+    entry deviates by more than ``tol``.
+
+    The runner passes the Moore-Penrose member, B = ``left_inverse_family(A,
+    report)``.  For a square system the projector I - A A_dag vanishes, so
+    every member C equals it up to roundoff and the check covers the
+    reconstructors the roundtrip used, whatever its C.
+    """
+    m, n = A.shape[1:]
+    if not m == n or B.shape != (lat.size, n, m):
+        raise ValueError(f"interpolation pattern needs a square system, got a {m} x {n} "
+                         f"transfer matrix and left inverses of shape {B.shape}")
+    s = inverse_symplectic_series(np.moveaxis(_matmul(A, B), 0, -1), lat)  # s[:, n]: samples of H_n
+    s[:, :, 0] -= np.eye(n)  # the deviation from the delta pattern
+    dev = float(np.abs(s).max())
+    return dev <= tol, dev

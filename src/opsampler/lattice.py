@@ -40,12 +40,12 @@ oracle.
 
 The per-dual-point algebra of the other modules lives here too, in the
 private helpers ``_fiber_grid``, ``_adjoint``, ``_matmul`` and
-``_coset_gram``, the one coset product of two fiber stacks: the Gram
-matrices of the Riesz test in ``frames``, whose quadratic forms are also
-the roundtrip's error norms, and, conjugated and scaled, the transfer
-matrix in ``sampling``.  ``_fiber_slot`` is the one check on
-the stack slot that ``builders`` and ``weyl`` write an operator's
-fibers through.
+``_coset_gram``, the one coset product of two fiber stacks, which only
+``frames`` forms: the Gram matrices of the Riesz test, whose quadratic
+forms are also the roundtrip's error norms, and, conjugated and scaled,
+the transfer matrix.  ``_fiber_slot`` is the one check on the stack slot
+that ``builders`` and ``weyl`` write an operator's fibers through and
+that whitening divides in place.
 """
 
 from __future__ import annotations

@@ -62,9 +62,9 @@ import numpy as np
 from .builders import build_operator, rand_complex
 from .config import ExperimentConfig, config_echo
 from .errors import ConfigError, SingularTransfer
-from .frames import frame_bounds, gram_matrix_bounds, left_inverse_family
+from .frames import (frame_bounds, gram_matrix_bounds, interpolation_check,
+                     left_inverse_family, system_transfer)
 from .lattice import Lattice, _matmul, periodize_sq, symplectic_series, unfibers
-from .sampling import interpolation_check, system_transfer
 from .weyl import symplectic_ft
 
 __all__ = ["run_analyze", "run_roundtrip", "run_export", "EXPORT_KINDS"]

@@ -38,7 +38,7 @@ import numpy as np
 
 from opsampler import runner
 from opsampler.builders import rand_complex
-from opsampler.frames import frame_bounds, left_inverse_family
+from opsampler.frames import frame_bounds, interpolation_check, left_inverse_family, system_transfer
 from opsampler.lattice import (
     Lattice,
     _as_seq,
@@ -48,7 +48,6 @@ from opsampler.lattice import (
     symplectic_series,
     unfibers,
 )
-from opsampler.sampling import interpolation_check, system_transfer
 from opsampler.weyl import _as_square_stack, symplectic_ft
 
 

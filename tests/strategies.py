@@ -1,9 +1,12 @@
-"""Hypothesis strategies shared by the test modules: builder specs and
-the seeded designs (configs) built from them."""
+"""Hypothesis strategies shared by the test modules: builder specs, the
+seeded designs (configs) built from them, and fiber systems near the
+frame gate."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from opsampler.config import parse_config
+from opsampler.lattice import Lattice
 
 
 @st.composite
@@ -39,3 +42,29 @@ def designs(draw):
     if m is not None:
         data["averagers"] = draw(st.lists(specs(L), min_size=m, max_size=m))
     return parse_config(data)
+
+
+@st.composite
+def near_gate_systems(draw):
+    """Generator and averager fibers ``(lat, P, Q)``, 2 <= N <= min(3, a*b)
+    and N <= M <= 4 on an odd L <= 27, conditioned towards the frame gate:
+    on a random third of the cosets, averagers 1 to M-1 are set to
+    averager 0 plus ``10**U(-3.5, -2)`` times Gaussian noise, so that the
+    transfer matrix is nearly rank one there."""
+    L = draw(st.sampled_from(range(3, 28, 2)))
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    a, b = draw(st.sampled_from([(a, b) for a in divisors for b in divisors if a * b >= 2]))
+    lat = Lattice(L, a, b)
+    n = draw(st.integers(2, min(3, a * b)))
+    m = draw(st.integers(n, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def fibers(k):
+        shape = (k, lat.size, lat.a * lat.b)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    P, Q = fibers(n), fibers(m)
+    mixed = rng.permutation(lat.size)[:-(-lat.size // 3)]
+    noise = 10 ** rng.uniform(-3.5, -2) * fibers(m - 1)[:, mixed]
+    Q[1:, mixed] = Q[0, mixed] + noise
+    return lat, P, Q

@@ -10,9 +10,13 @@ import time
 import numpy as np
 
 from opsampler.cli import main
-from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
+from opsampler.frames import (
+    frame_bounds,
+    gram_matrix_bounds,
+    interpolation_check,
+    left_inverse_family,
+)
 from opsampler.lattice import Lattice, periodize_sq
-from opsampler.sampling import interpolation_check
 from opsampler.weyl import symplectic_ft
 from oracles import (
     ConvolutionMatrix,
@@ -178,7 +182,7 @@ def test_criterion_07_interpolation_property():
         That = transfer_matrix(sample_filter_matrix(P, Q, lat))
         report = frame_bounds(That, lat)
         H = build_reconstructor_multi(P, That, report)
-        _, dev = interpolation_check(That, left_inverse_family(That, report), lat)
+        _, dev = interpolation_check(That, left_inverse_family(That, report), lat, tol=1e-9)
         worst = max(worst, dev)
         # the quantized operators H_n, paired with the translated averagers
         Hops = operator_of(H, lat)

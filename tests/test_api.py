@@ -136,4 +136,4 @@ def test_only_lattices_shared_helpers_cross_module_boundaries():
     shared = {key for _, _, key in imports}
     assert [key for key in sorted(shared) if not hasattr(lattice, key)] == []
     assert [key for key in sorted(shared) if f"``{key}``" not in lattice.__doc__] == []
-    assert {name for name, _, key in imports if key == "_coset_gram"} == {"frames", "sampling"}
+    assert {name for name, _, key in imports if key == "_coset_gram"} == {"frames"}

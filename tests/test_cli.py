@@ -13,11 +13,16 @@ import opsampler.cli
 from opsampler.builders import rand_complex
 from opsampler.cli import main
 from opsampler.config import MAX_FIBER_BYTES, MAX_JSON_NESTING, parse_config
-from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
+from opsampler.frames import (
+    frame_bounds,
+    gram_matrix_bounds,
+    interpolation_check,
+    left_inverse_family,
+    system_transfer,
+)
 from opsampler.lattice import Lattice, _matmul, symplectic_series, unfibers
 from opsampler.report import canonical_json
 from opsampler.runner import _fibers, _make_rng, _norms_sq, run_analyze, run_export, run_roundtrip
-from opsampler.sampling import interpolation_check, system_transfer
 from test_frames import SINGULAR_SOLVE
 from oracles import inverse_fourier_wigner, read_phase_grid, weyl_symbol, weyl_transform
 
@@ -510,7 +515,6 @@ def _count_calls(monkeypatch, counted):
     import opsampler.builders as builders
     import opsampler.frames as frames
     import opsampler.runner as runner
-    import opsampler.sampling as sampling
     import opsampler.weyl as weyl
 
     calls = dict.fromkeys(counted, 0)
@@ -522,9 +526,9 @@ def _count_calls(monkeypatch, counted):
         return wrapper
 
     for name, weight in counted.items():
-        source = next(mod for mod in (weyl, frames, sampling) if hasattr(mod, name))
+        source = next(mod for mod in (weyl, frames) if hasattr(mod, name))
         wrapped = counting(name, getattr(source, name), weight)
-        for mod in (builders, frames, sampling, runner):
+        for mod in (builders, frames, runner):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
     return calls
@@ -551,7 +555,6 @@ def test_roundtrip_forms_the_generators_coset_gram_once(tmp_path, capsys, monkey
     # (Q, P), and no third coset product
     import opsampler.frames as frames
     import opsampler.lattice as lattice
-    import opsampler.sampling as sampling
 
     calls = []
 
@@ -559,8 +562,7 @@ def test_roundtrip_forms_the_generators_coset_gram_once(tmp_path, capsys, monkey
         calls.append((Q is P, len(Q), len(P)))
         return lattice._coset_gram(Q, P)
 
-    for mod in (frames, sampling):
-        monkeypatch.setattr(mod, "_coset_gram", recording)
+    monkeypatch.setattr(frames, "_coset_gram", recording)
     n = 2
     data = dict(BASE, generators=[{"kind": "random_hs"}] * n,
                 averagers=[{"kind": "random_hs"}] * m, c_matrix="random")

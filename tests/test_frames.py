@@ -2,17 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from opsampler.config import parse_config
 from opsampler.errors import SingularTransfer
 from opsampler.frames import (
     DEFAULT_TOL_FACTOR,
+    WITNESS_BAND,
     _eigvalsh,
     _report,
     _witnesses,
     frame_bounds,
     gram_matrix_bounds,
     left_inverse_family,
+    system_transfer,
 )
 from opsampler.lattice import (
     Lattice,
@@ -22,8 +25,8 @@ from opsampler.lattice import (
     symplectic_series,
 )
 from opsampler.runner import _fibers, _make_rng, run_analyze
-from opsampler.sampling import system_transfer
 from opsampler.weyl import symplectic_ft
+from strategies import near_gate_systems
 from test_builders_config import build
 from oracles import (
     ConvolutionMatrix,
@@ -325,6 +328,24 @@ def test_gate_does_not_depend_on_shape(diag, passes):
         assert square.witness_points == tall.witness_points == (tuple(lat.dual_points[4]),)
 
 
+@settings(max_examples=40, deadline=None)
+@given(near_gate_systems())
+def test_an_all_zero_averager_changes_no_verdict(system):
+    # the same information gives the same verdict, square or oversampled:
+    # an averager with zero fibers adds a zero row to the transfer matrix
+    # and a zero term to A* A, on systems drawn near the gate
+    lat, P, Q = system
+    A = system_transfer(P, Q, lat)
+    padded = system_transfer(P, np.concatenate([Q, np.zeros_like(Q[:1])]), lat)
+    assert not padded[:, -1].any()
+    assert np.abs(padded[:, :-1] - A).max() <= WITNESS_BAND * np.abs(A).max()
+    report, more = frame_bounds(A, lat), frame_bounds(padded, lat)
+    band = WITNESS_BAND * report.beta
+    assert abs(more.alpha - report.alpha) <= band and abs(more.beta - report.beta) <= band
+    if abs(report.alpha - report.tol) > band:
+        assert more.passed == report.passed
+
+
 # ------------------------------------------------------ single generator test
 # One generator and one averager form the 1 x 1 system with filter q; its
 # frame bounds are the extremes of |series q|^2.
@@ -379,6 +400,18 @@ def test_gram_duplicated_generator_fails():
     rep = gram_matrix_bounds(fibers(fourier_wigner(np.stack([S, S])), lat), lat)
     assert rep.verdict == "fail"
     assert rep.alpha <= rep.tol
+
+
+def test_gram_refuses_fibers_of_another_shape():
+    # (45, 3, 3) takes (K, 225, 9) stacks: fibers of (15, 3, 3), which
+    # would give a verdict with a witness on the wrong grid, and one
+    # unstacked (225, 9) array are refused naming that shape
+    small, big = Lattice(15, 3, 3), Lattice(45, 3, 3)
+    P = trace_fibers(np.stack([rand_op(45), rand_op(45)]), big)
+    for bad in (trace_fibers(np.stack([rand_op(15), rand_op(15)]), small), P[0]):
+        with pytest.raises(ValueError, match=r"\(K, 225, 9\)"):
+            gram_matrix_bounds(bad, big)
+    assert gram_matrix_bounds(P, big).passed
 
 
 def test_gram_two_random_generators_match_oracle():

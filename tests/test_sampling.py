@@ -10,7 +10,14 @@ from opsampler import runner
 from opsampler.config import parse_config
 
 from opsampler.errors import SingularTransfer
-from opsampler.frames import frame_bounds, gram_matrix_bounds, left_inverse_family
+from opsampler.builders import whiten_generator
+from opsampler.frames import (
+    frame_bounds,
+    gram_matrix_bounds,
+    interpolation_check,
+    left_inverse_family,
+    system_transfer,
+)
 from opsampler.lattice import (
     Lattice,
     _matmul,
@@ -18,7 +25,6 @@ from opsampler.lattice import (
     periodize_sq,
     symplectic_series,
 )
-from opsampler.sampling import interpolation_check, system_transfer, whiten_generator
 from opsampler.weyl import symplectic_ft
 from oracles import (
     ConvolutionMatrix,
@@ -206,6 +212,16 @@ def test_fiber_whitening_matches_the_operator_route(L, a, b):
     # whitening is idempotent up to roundoff: the coset power is already flat
     # (it divides in place, so it whitens a copy)
     assert np.linalg.norm(whiten_generator(P.copy(), lat) - P) <= 1e-14 * np.linalg.norm(P)
+
+
+@pytest.mark.parametrize("shape", [(25, 9), (225, 5)])
+def test_whitening_refuses_fibers_of_another_shape(shape):
+    # (45, 3, 3) has (|Lambda|, a*b) = (225, 9) fibers: those of (15, 3, 3),
+    # or with another coset size, are refused and left as they were
+    P = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match=r"\(225, 9\)"):
+        whiten_generator(P, Lattice(45, 3, 3))
+    assert np.all(P == 1)
 
 
 # ------------------------------------------------------ single reconstruction
@@ -442,7 +458,7 @@ def test_interpolation_whitened_single():
     P = whiten_generator(trace_fibers(rand_op(), LAT), LAT)[None]
     That = transfer_matrix(sample_filter_matrix(P, P, LAT))
     B = left_inverse_family(That, frame_bounds(That, LAT))
-    ok, dev = interpolation_check(That, B, LAT)
+    ok, dev = interpolation_check(That, B, LAT, tol=1e-9)
     assert ok and dev <= 1e-9
 
 
@@ -452,7 +468,7 @@ def test_interpolation_square_system():
     That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
     rep = frame_bounds(That, LAT)
     H = build_reconstructor_multi(P, That, rep)
-    ok, dev = interpolation_check(That, left_inverse_family(That, rep), LAT)
+    ok, dev = interpolation_check(That, left_inverse_family(That, rep), LAT, tol=1e-9)
     assert ok and dev <= 1e-9
     # the check pairs the fibers; the operators they quantize, paired with the
     # translated averagers, sample the same way
@@ -468,7 +484,7 @@ def test_interpolation_rejects_scaled_reconstructor():
     P, Q = rand_fibers(2), rand_fibers(2)
     That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
     B = left_inverse_family(That, frame_bounds(That, LAT))
-    ok, dev = interpolation_check(That, 2 * B, LAT)
+    ok, dev = interpolation_check(That, 2 * B, LAT, tol=1e-9)
     assert not ok and dev == pytest.approx(1.0, abs=1e-9)
 
 
@@ -477,7 +493,7 @@ def test_interpolation_rejects_oversampled():
     That = transfer_matrix(sample_filter_matrix(P, Q, LAT))
     B = left_inverse_family(That, frame_bounds(That, LAT))
     with pytest.raises(ValueError):
-        interpolation_check(That, B, LAT)
+        interpolation_check(That, B, LAT, tol=1e-9)
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (2, 3)], ids=["square", "oversampled"])

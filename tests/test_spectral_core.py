@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opsampler.errors import SingularTransfer
-from opsampler.frames import frame_bounds, gram_matrix_bounds
+from opsampler.frames import frame_bounds, gram_matrix_bounds, system_transfer
 from opsampler.lattice import Lattice, symplectic_series, unfibers
-from opsampler.sampling import system_transfer
 from opsampler.weyl import rank_one_fibers
 from oracles import (
     average_samples,
